@@ -2,7 +2,7 @@
 """Run the full claim registry and write JSON + CSV reports.
 
 Usage:
-    python3 scripts/run_verify.py [--out-dir reports] [--parallel]
+    python3 scripts/run_verify.py [--out-dir reports]
 """
 
 import argparse
@@ -16,20 +16,13 @@ from qseries.claims import registry, reports_to_csv, reports_to_json, verify
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    if args.parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(verify, registry()))
-    else:
-        reports = [verify(c) for c in registry()]
+    reports = [verify(c) for c in registry()]
     elapsed = time.perf_counter() - start
     reports.sort(key=lambda r: r.claim_id)
 

@@ -40,7 +40,6 @@ class ClaimKind(enum.Enum):
 
 
 SeriesBuilder = Callable[[int], TruncatedSeries]
-ValueTable = Callable[[int], list[int]]
 
 
 @dataclass
@@ -70,9 +69,8 @@ class Claim:
     ruleset: str | None = None
     bound: int = 0
     dp_order: int = 0
-    # recurrence direct route: bound -> list of values for n = 0..bound
-    direct_lhs: ValueTable | None = None
-    direct_rhs: ValueTable | None = None
+    # recurrence direct route: bound -> lhs and rhs values for n = 0..bound
+    direct: Callable[[int], tuple[list[int], list[int]]] | None = None
 
 
 @dataclass
@@ -159,9 +157,8 @@ def _verify_inner(
         used, failure = _compare(lhs, rhs)
         if failure is not None:
             return VerificationReport(claim.id, "fail", used, failure)
-        if claim.kind is ClaimKind.RECURRENCE and claim.direct_lhs is not None:
-            lv = claim.direct_lhs(claim.bound)
-            rv = claim.direct_rhs(claim.bound)
+        if claim.kind is ClaimKind.RECURRENCE and claim.direct is not None:
+            lv, rv = claim.direct(claim.bound)
             for n, (a, b) in enumerate(zip(lv, rv)):
                 if a != b:
                     return VerificationReport(
@@ -444,16 +441,6 @@ def _direct_thm6_4(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _split(direct: Callable[[int], tuple[list[int], list[int]]]) -> tuple[ValueTable, ValueTable]:
-    def lhs(bound: int) -> list[int]:
-        return direct(bound)[0]
-
-    def rhs(bound: int) -> list[int]:
-        return direct(bound)[1]
-
-    return lhs, rhs
-
-
 # -- the registry -------------------------------------------------------------
 
 def _identity(cid, lhs, rhs, order, cite, notes="") -> Claim:
@@ -471,11 +458,10 @@ def _congruence(cid, text, A, B, M, count, cite, notes="") -> Claim:
 
 
 def _recurrence(cid, lhs, rhs, order, bound, direct, cite, notes="") -> Claim:
-    dl, dr = _split(direct)
     return Claim(
         cid, ClaimKind.RECURRENCE, cite=cite, notes=notes,
         lhs=parse_expr(lhs), rhs=parse_expr(rhs), order=order,
-        bound=bound, direct_lhs=dl, direct_rhs=dr,
+        bound=bound, direct=direct,
     )
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import claims as claims_mod
 from . import partitions
@@ -25,19 +23,6 @@ from .mock import MockThetaId, mock_series
 from .series import SeriesError, format_series
 
 _COLOR_NAMES = "abcdefghij"
-
-
-@dataclass
-class CliConfig:
-    default_order: int = 500
-    output_format: str = "text"
-    parallel: bool = False
-    claim_files: list[str] = field(default_factory=list)
-    max_order: int = 50_000
-
-    def __post_init__(self):
-        if self.default_order < 1:
-            raise ValueError("order must be at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=None, help="override congruence count")
     v.add_argument("--claims", action="append", default=[], metavar="FILE")
     v.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    v.add_argument("--parallel", action="store_true")
     v.add_argument("--max-order", type=int, default=50_000)
 
     e = sub.add_parser("enumerate", help="signed colored-partition count")
@@ -105,30 +89,16 @@ def _load_claims(paths: list[str]) -> list[Claim]:
 
 
 def _run_claims(
-    claim_list: list[Claim], cfg: CliConfig, order: int | None, count: int | None
+    claim_list: list[Claim], order: int | None, count: int | None, max_order: int
 ) -> list[VerificationReport]:
-    def run(c: Claim) -> VerificationReport:
-        return verify(c, order=order, count=count, max_order=cfg.max_order)
-
-    if cfg.parallel and len(claim_list) > 1:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(run, claim_list))
-    else:
-        reports = [run(c) for c in claim_list]
-    # stable output contract: reports are ordered by claim id regardless of
-    # which worker finished first
+    reports = [verify(c, order=order, count=count, max_order=max_order) for c in claim_list]
+    # stable output contract: reports are ordered by claim id
     return sorted(reports, key=lambda r: r.claim_id)
 
 
 def _cmd_verify(args) -> int:
-    cfg = CliConfig(
-        output_format=args.format,
-        parallel=args.parallel,
-        claim_files=args.claims,
-        max_order=args.max_order,
-    )
     try:
-        user_claims = _load_claims(cfg.claim_files)
+        user_claims = _load_claims(args.claims)
     except (OSError, ValueError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -146,10 +116,10 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown claim id {args.claim!r} (try 'qseries list')", file=sys.stderr)
         return 2
 
-    reports = _run_claims(to_run, cfg, args.order, args.count)
-    if cfg.output_format == "json":
+    reports = _run_claims(to_run, args.order, args.count, args.max_order)
+    if args.format == "json":
         print(claims_mod.reports_to_json(reports))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print(claims_mod.reports_to_csv(reports), end="")
     else:
         for r in reports:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import enum
 import threading
 
-from .products import PochhammerSpec, pochhammer
-from .series import TruncatedSeries
+from .series import TruncatedSeries, div_binomial, mul_binomial
 
 
 class MockThetaId(enum.Enum):
@@ -61,43 +60,47 @@ def valuation_schedule(mock_id: MockThetaId, n: int) -> int:
 _ALTERNATING = {MockThetaId.MU, MockThetaId.LAMBDA, MockThetaId.PHI6, MockThetaId.PSI6}
 
 
-def _step_factors(mock_id: MockThetaId, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+def _step_factors(
+    mock_id: MockThetaId, n: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Binomial factors turning the term-(n-1) ratio into the term-n ratio.
 
-    Returns ``(numerator, denominator)`` where each numerator entry e means
-    multiply by ``(1 + sign_e q^|e|)`` with the sign carried on e, and each
-    denominator entry ``(e, c)`` means divide by ``(1 + c q^e)``.
+    Returns ``(numerator, denominator)``; each entry ``(e, c)`` stands for the
+    factor ``(1 + c q^e)``, multiplied in for the numerator and divided out
+    for the denominator.
     """
     if mock_id is MockThetaId.MU:
         # (q;q^2)_n / (-q^2;q^2)_n^2
-        return ([] if n == 0 else [-(2 * n - 1)]), (
-            [] if n == 0 else [(2 * n, 1), (2 * n, 1)]
-        )
+        if n == 0:
+            return [], []
+        return [(2 * n - 1, -1)], [(2 * n, 1), (2 * n, 1)]
     if mock_id is MockThetaId.SIGMA:
         # (-q;q)_n / (q;q^2)_{n+1}
-        return ([] if n == 0 else [n]), [(2 * n + 1, -1)]
+        return ([] if n == 0 else [(n, 1)]), [(2 * n + 1, -1)]
     if mock_id is MockThetaId.BETA:
         # 1 / ((q;q^3)_{n+1} (q^2;q^3)_{n+1})
         return [], [(3 * n + 1, -1), (3 * n + 2, -1)]
     if mock_id is MockThetaId.LAMBDA:
         # (q;q^2)_n / (-q;q)_n
-        return ([] if n == 0 else [-(2 * n - 1)]), ([] if n == 0 else [(n, 1)])
+        if n == 0:
+            return [], []
+        return [(2 * n - 1, -1)], [(n, 1)]
     if mock_id is MockThetaId.V:
         # (-q;q^2)_n / (q;q^2)_{n+1}
-        return ([] if n == 0 else [2 * n - 1]), [(2 * n + 1, -1)]
+        return ([] if n == 0 else [(2 * n - 1, 1)]), [(2 * n + 1, -1)]
     if mock_id is MockThetaId.NU:
         # (-q;q)_{2n+1} / (q;q^2)_{n+1}
-        nums = [1] if n == 0 else [2 * n, 2 * n + 1]
+        nums = [(1, 1)] if n == 0 else [(2 * n, 1), (2 * n + 1, 1)]
         return nums, [(2 * n + 1, -1)]
     if mock_id is MockThetaId.PHI6:
         # (q;q^2)_n / (-q;q)_{2n}
         if n == 0:
             return [], []
-        return [-(2 * n - 1)], [(2 * n - 1, 1), (2 * n, 1)]
+        return [(2 * n - 1, -1)], [(2 * n - 1, 1), (2 * n, 1)]
     # PSI6: (q;q^2)_n / (-q;q)_{2n+1}
     if n == 0:
         return [], [(1, 1)]
-    return [-(2 * n - 1)], [(2 * n, 1), (2 * n + 1, 1)]
+    return [(2 * n - 1, -1)], [(2 * n, 1), (2 * n + 1, 1)]
 
 
 def _compute(mock_id: MockThetaId, order: int) -> TruncatedSeries:
@@ -113,14 +116,12 @@ def _compute(mock_id: MockThetaId, order: int) -> TruncatedSeries:
         if val >= order:
             break
         hi = order - val  # later terms need strictly less precision
+        del ratio[hi:]
         nums, dens = _step_factors(mock_id, n)
-        for e in nums:
-            exp, c = abs(e), (1 if e > 0 else -1)
-            for i in range(min(hi, order) - 1, exp - 1, -1):
-                ratio[i] += c * ratio[i - exp]
-        for exp, c in dens:
-            for i in range(exp, hi):
-                ratio[i] -= c * ratio[i - exp]
+        for e, c in nums:
+            mul_binomial(ratio, e, c)
+        for e, c in dens:
+            div_binomial(ratio, e, c)
         # Guard for the valuation invariant: each ratio is a unit series.
         assert ratio[0] == 1, (mock_id, n)
         sign = -1 if alternating and n % 2 else 1
@@ -167,9 +168,12 @@ def mock_coefficient(mock_id: MockThetaId | str, n: int) -> int:
 # -- reference route -------------------------------------------------------
 
 def _finite(sign: int, base: int, step: int, length: int, order: int) -> TruncatedSeries:
-    if length == 0:
-        return TruncatedSeries.one(order)
-    return pochhammer(PochhammerSpec(sign, base, step, length), order)
+    # Generic products of from_terms factors on purpose: the oracle shares
+    # no code with the in-place binomial kernel of the fast path.
+    acc = TruncatedSeries.one(order)
+    for e in range(base, min(base + length * step, order), step):
+        acc = acc * TruncatedSeries.from_terms({0: 1, e: -sign}, order)
+    return acc
 
 
 def mock_term_reference(mock_id: MockThetaId, n: int, order: int) -> TruncatedSeries:

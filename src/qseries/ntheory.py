@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 
 class DomainError(ValueError):
-    pass
+    """A parameter outside the mathematical domain of the identity."""
 
 
 class PreconditionError(ValueError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .products import eta, eta_quotient
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 
 
 @dataclass(frozen=True)
@@ -209,21 +209,19 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     classes, (1 + q^v)^c for distinct, and the sign-twisted variants
     (1 - q^v)^c / (1 + q^v)^(-c) for signed classes.
     """
-    acc = TruncatedSeries.one(order)
+    if order <= 0:
+        return TruncatedSeries.zero(order)
+    rules = ruleset.rules_by_residue
+    out = [1] + [0] * (order - 1)
     for v in range(1, order):
-        rule = ruleset.rule_for(v)
-        if rule.colors == 0:
-            continue
+        rule = rules[v % ruleset.modulus]
         c = -1 if rule.signed_by_count else 1
-        if rule.distinct:
-            factor = TruncatedSeries.from_terms({0: 1, v: c}, order)
-            for _ in range(rule.colors):
-                acc = acc * factor
-        else:
-            factor = TruncatedSeries.from_terms({0: 1, v: -c}, order)
-            for _ in range(rule.colors):
-                acc = acc / factor
-    return acc
+        for _ in range(rule.colors):
+            if rule.distinct:
+                mul_binomial(out, v, c)
+            else:
+                div_binomial(out, v, -c)
+    return TruncatedSeries(0, out, order)
 
 
 # -- classical families -----------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ntheory import is_prime
-from .series import SeriesError, TruncatedSeries
+from .ntheory import DomainError, is_prime
+from .series import SeriesError, TruncatedSeries, mul_binomial
 
 
 class DegenerateProductError(SeriesError):
@@ -19,10 +19,6 @@ class DegenerateProductError(SeriesError):
 
 class DivergenceError(SeriesError):
     """A bilateral theta sum whose exponents do not grow (|cd| >= 1 analogue)."""
-
-
-class DomainError(ValueError):
-    """A parameter outside the mathematical domain of the identity."""
 
 
 @dataclass(frozen=True)
@@ -75,21 +71,15 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     Finite products are exact polynomials (reported at this order); infinite
     products stabilise because factors with exponent >= order contribute 1.
     """
-    acc = TruncatedSeries.one(order)
-    k = 0
-    while True:
-        if spec.length is not None and k >= spec.length:
-            break
-        e = spec.base_exp + k * spec.step
-        if e >= order:
-            if spec.length is None:
-                break
-            k += 1
-            continue
-        factor = TruncatedSeries.from_terms({0: 1, e: -spec.sign}, order)
-        acc = acc * factor
-        k += 1
-    return acc
+    if order <= 0:
+        return TruncatedSeries.zero(order)
+    exponents = range(spec.base_exp, order, spec.step)
+    if spec.length is not None:
+        exponents = exponents[: spec.length]
+    out = [1] + [0] * (order - 1)
+    for e in exponents:
+        mul_binomial(out, e, -spec.sign)
+    return TruncatedSeries(0, out, order)
 
 
 _PENTAGONAL_CACHE: dict[int, TruncatedSeries] = {}

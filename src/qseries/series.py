@@ -337,6 +337,29 @@ class TruncatedSeries:
         return f"<TruncatedSeries {format_series(self, max_terms=6)}>"
 
 
+def mul_binomial(coeffs: list[int], e: int, c: int) -> None:
+    """Multiply the power series ``coeffs`` in place by ``(1 + c q^e)``.
+
+    ``coeffs[i]`` is the coefficient of ``q^i``; the product is truncated to
+    the list's length.  The loop runs downward so that every read sees an
+    input coefficient, which also makes ``e = 0`` scale by ``1 + c``.
+    """
+    for i in range(len(coeffs) - 1, e - 1, -1):
+        coeffs[i] += c * coeffs[i - e]
+
+
+def div_binomial(coeffs: list[int], e: int, c: int) -> None:
+    """Divide the power series ``coeffs`` in place by ``(1 + c q^e)``, ``e >= 1``.
+
+    The loop runs upward so that every read sees an already divided
+    coefficient.
+    """
+    if e < 1:
+        raise SeriesError(f"binomial divisor needs a positive exponent, got {e}")
+    for i in range(e, len(coeffs)):
+        coeffs[i] -= c * coeffs[i - e]
+
+
 def make(valuation: int, coeffs: Iterable[int], order: int) -> TruncatedSeries:
     """Construct a series with exactly the given known coefficients."""
     return TruncatedSeries(valuation, tuple(coeffs), order)

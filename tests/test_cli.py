@@ -5,9 +5,7 @@ import re
 import subprocess
 import sys
 
-import pytest
-
-from qseries.cli import CliConfig, main
+from qseries.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -103,22 +101,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "thm4.1", "--order", "50")
         assert code == 0
 
-    def test_parallel_matches_serial(self, capsys, tmp_path):
-        path = tmp_path / "user.claims"
-        path.write_text(
-            "[claim]\nid=u.a\ntype=identity\nlhs=l(1)^2\nrhs=l(1)*l(1)\norder=60\n"
-            "[claim]\nid=u.b\ntype=identity\nlhs=SUB(l(1),3)\nrhs=l(3)\norder=60\n"
-            "[claim]\nid=u.c\ntype=congruence\nexpr=l(1)^2-l(2)\nM=2\ncount=40\n"
-        )
-        scrub = lambda s: re.sub(r"\d+ms", "Xms", s)
-        code1, serial, _ = run_cli(capsys, "verify", "u.a", "--claims", str(path))
-        # run the three user claims in both modes through 'all' on a subset:
-        code2, par, _ = run_cli(
-            capsys, "verify", "u.a", "--claims", str(path), "--parallel"
-        )
-        assert code1 == code2 == 0
-        assert scrub(serial) == scrub(par)
-
 
 class TestEnumerate:
     def test_count(self, capsys):
@@ -170,14 +152,3 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0 1 1 2"
-
-
-class TestConfig:
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            CliConfig(default_order=0)
-
-    def test_defaults(self):
-        cfg = CliConfig()
-        assert cfg.output_format == "text"
-        assert not cfg.parallel

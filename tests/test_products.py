@@ -2,6 +2,7 @@
 
 import pytest
 
+from qseries import ntheory
 from qseries.products import (
     DegenerateProductError,
     DivergenceError,
@@ -54,6 +55,12 @@ class TestPochhammer:
         s = pochhammer(PochhammerSpec(-1, 1, 1, 1), 4)
         assert s.coefficients() == [1, 1, 0, 0]
 
+    def test_base_exponent_zero(self):
+        # the q^0 factor is the constant 1 - sign, not a second term at q^0
+        s = pochhammer(PochhammerSpec(-1, 0, 1, 3), 8)
+        assert s.coefficients() == [2, 2, 2, 2, 0, 0, 0, 0]
+        assert pochhammer(PochhammerSpec(1, 0, 1, 2), 8).is_zero
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateProductError):
             PochhammerSpec(1, 0, 1)
@@ -65,6 +72,9 @@ class TestPochhammer:
             PochhammerSpec(1, -1, 1)
         with pytest.raises(DomainError):
             PochhammerSpec(1, 1, 0)
+
+    def test_one_domain_error(self):
+        assert DomainError is ntheory.DomainError
 
 
 class TestEta:
@@ -139,7 +149,7 @@ class TestJacobiCube:
 
 @pytest.mark.parametrize(
     "s1,a,s2,b",
-    [(1, 1, 1, 1), (1, 1, 1, 3), (-1, 1, -1, 2), (1, 1, 1, 5)],
+    [(1, 1, 1, 1), (1, 1, 1, 3), (-1, 1, -1, 2), (1, 1, 1, 5), (1, 0, 1, 1)],
 )
 def test_triple_product_identity(s1, a, s2, b):
     assert theta_f(s1, a, s2, b, 400) == triple_product(s1, a, s2, b, 400)

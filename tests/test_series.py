@@ -8,7 +8,9 @@ from qseries.series import (
     SeriesError,
     TruncatedSeries,
     UnknownCoefficientError,
+    div_binomial,
     make,
+    mul_binomial,
 )
 
 
@@ -340,6 +342,24 @@ def test_pow_inverse_pairing(a, e):
     prod = (a ** e) * (a ** (-e))
     assert prod.coefficient(0) == 1
     assert all(prod.coefficient(k) == 0 for k in range(1, prod.order))
+
+
+@settings(max_examples=150)
+@given(unit_series, st.integers(1, 24), st.sampled_from([1, -1, 2, -2]))
+def test_binomial_kernel_matches_generic(a, e, c):
+    factor = TruncatedSeries.from_terms({0: 1, e: c}, a.order)
+    out = list(a.coeffs)
+    mul_binomial(out, e, c)
+    assert make(0, out, a.order) == a * factor
+    div_binomial(out, e, c)
+    assert out == list(a.coeffs)
+    div_binomial(out, e, c)
+    assert make(0, out, a.order) == a / factor
+
+
+def test_binomial_divisor_needs_positive_exponent():
+    with pytest.raises(SeriesError):
+        div_binomial([1, 2, 3], 0, 1)
 
 
 @settings(max_examples=150)
