@@ -10,7 +10,7 @@ import pathlib
 import sys
 import time
 
-from qseries.claims import registry, reports_to_csv, reports_to_json, verify
+from qseries.claims import registry, reports_to_csv, reports_to_json, verify_all
 
 
 def main() -> int:
@@ -22,20 +22,23 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    reports = [verify(c) for c in registry()]
+    reports = verify_all(registry())
     elapsed = time.perf_counter() - start
     reports.sort(key=lambda r: r.claim_id)
 
     (out_dir / "verification.json").write_text(reports_to_json(reports))
     (out_dir / "verification.csv").write_text(reports_to_csv(reports))
 
-    counts = {s: sum(1 for r in reports if r.status == s) for s in ("pass", "fail", "skipped")}
+    statuses = ("pass", "fail", "skipped", "error")
+    counts = {s: sum(1 for r in reports if r.status == s) for s in statuses}
     print(f"{len(reports)} claims in {elapsed:.1f}s: "
-          f"{counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
+          + ", ".join(f"{counts[s]} {s}" for s in statuses))
     for r in reports:
         if r.status != "pass":
             print(f"  {r.claim_id}: {r.status} {r.first_failure or ''} {r.message}")
     print(f"reports written to {out_dir}/")
+    if counts["error"]:
+        return 2
     return 1 if counts["fail"] else 0
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions, products
-from .expr import Expr, eval_expr, parse_expr, to_text
+from .expr import Expr, eval_expr, leaf_demands, parse_expr, to_text
 from .ntheory import FAMILIES, PreconditionError, family_indices
 from .series import SeriesError, TruncatedSeries
 
@@ -76,7 +76,7 @@ class Claim:
 @dataclass
 class VerificationReport:
     claim_id: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     order: int = 0
     first_failure: dict | None = None
     message: str = ""
@@ -93,28 +93,60 @@ class VerificationReport:
         }
 
 
-_EVAL_MARGIN = 8  # absorbs small Laurent shifts from q^-k factors
+MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
+
+
+def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict[Expr, int]]:
+    """The order a claim's report states, and the leaf demands of reaching it."""
+    kind = claim.kind
+    if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
+        target = order or claim.order
+        nodes = [n for n in (claim.lhs, claim.rhs) if n is not None]
+    elif kind is ClaimKind.CONGRUENCE:
+        target = claim.A * ((count or claim.count) - 1) + claim.B + 1
+        nodes = [claim.expr]
+    elif kind is ClaimKind.CONGRUENCE_FAMILY:
+        c = count or claim.count
+        indices = family_indices(claim.family, claim.p, claim.alpha)
+        target = max(ix.A * (c - 1) + ix.B for ix in indices) + 1
+        nodes = [_family_expr(claim)]
+    else:
+        bound = count or claim.bound
+        target = claim.dp_order or bound + 1
+        deepest = claim.A * max(bound, target - 1) + claim.B + 1
+        name = mock_mod.MockThetaId.from_name(claim.mock).value
+        return target, {expr_mod.Mock(name): deepest}
+    demands: dict[Expr, int] = {}
+    for node in nodes:
+        for leaf, o in leaf_demands(node, target).items():
+            demands[leaf] = max(demands.get(leaf, o), o)
+    return target, demands
+
+
+def _family_expr(claim: Claim) -> Expr:
+    return claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
 
 
 def _side(claim: Claim, which: str, order: int) -> TruncatedSeries:
     node = getattr(claim, which)
     fn = getattr(claim, which + "_fn")
     if node is not None:
-        return eval_expr(node, order + _EVAL_MARGIN)
-    if fn is not None:
-        return fn(order)
-    raise ValueError(f"claim {claim.id} has no {which} side")
+        return eval_expr(node, order)
+    if fn is None:
+        raise ValueError(f"claim {claim.id} has no {which} side")
+    s = fn(order)
+    if s.order < order:
+        raise SeriesError(f"{which} side delivered order {s.order}, below the requested {order}")
+    return s.truncate(order)
 
 
-def _compare(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[int, dict | None]:
-    order = min(lhs.order, rhs.order)
-    lo = min(lhs.valuation, rhs.valuation)
-    for e in range(lo, order):
+def _first_difference(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
+    for e in range(min(lhs.valuation, rhs.valuation), lhs.order):
         a = lhs.coefficient(e)
         b = rhs.coefficient(e)
         if a != b:
-            return order, {"n": e, "lhs": a, "rhs": b}
-    return order, None
+            return {"n": e, "lhs": a, "rhs": b}
+    return None
 
 
 def verify(
@@ -122,90 +154,113 @@ def verify(
     *,
     order: int | None = None,
     count: int | None = None,
-    max_order: int = 50_000,
+    max_order: int = MAX_ORDER,
 ) -> VerificationReport:
     """Run one claim and produce a machine-readable report.
 
-    Precondition failures (non-qualifying primes, oversized requests) yield a
-    skipped report, never a vacuous pass; arithmetic errors become failures
-    with a message.
+    A pass or fail states the claim on exactly the requested range, which is
+    the report's ``order``.  Precondition failures (non-qualifying primes, a
+    deepest expansion beyond ``max_order``) yield a skipped report, never a
+    vacuous pass; an evaluation that raises yields an error report.
     """
     start = time.perf_counter()
     try:
         report = _verify_inner(claim, order, count, max_order)
     except PreconditionError as exc:
         report = VerificationReport(claim.id, "skipped", message=str(exc))
-    except (SeriesError, expr_mod.ParseError, KeyError, ValueError) as exc:
-        report = VerificationReport(claim.id, "fail", message=f"error: {exc}")
-        if report.first_failure is None:
-            report.first_failure = {"n": -1, "lhs": 0, "rhs": 0}
+    except (KeyError, ValueError) as exc:
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        report = VerificationReport(claim.id, "error", message=str(text))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
+
+
+def verify_all(
+    claims: Sequence[Claim],
+    *,
+    order: int | None = None,
+    count: int | None = None,
+    max_order: int = MAX_ORDER,
+) -> list[VerificationReport]:
+    """Verify several claims, expanding each memoised leaf once for the run.
+
+    The claims' leaf demands are merged first, and every mock stream and eta
+    factor is expanded once at the deepest order any claim within the cap
+    asks of it; the ``verify`` calls that follow read prefixes of those
+    expansions.  Reports come back in the order of ``claims`` and equal what
+    ``verify`` gives for each claim alone, apart from ``elapsed_ms``.
+    """
+    peak: dict[Expr, int] = {}
+    for claim in claims:
+        try:
+            target, demands = _plan(claim, order, count)
+        except (KeyError, ValueError):
+            continue  # verify reports it
+        if max([target, *demands.values()]) > max_order:
+            continue
+        for leaf, o in demands.items():
+            peak[leaf] = max(peak.get(leaf, o), o)
+    for leaf, o in peak.items():
+        if isinstance(leaf, expr_mod.Mock):
+            mock_mod.mock_series(leaf.name, o)
+        elif isinstance(leaf, expr_mod.Eta):
+            products.eta(leaf.k, o)
+    return [verify(c, order=order, count=count, max_order=max_order) for c in claims]
 
 
 def _verify_inner(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> VerificationReport:
+    target, demands = _plan(claim, order, count)
+    deepest = max([target, *demands.values()])
+    if deepest > max_order:
+        raise PreconditionError(
+            f"needs order {deepest}, beyond the cap {max_order}; rerun with a higher cap"
+        )
+
     if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        o = order or claim.order
-        if o > max_order:
-            raise PreconditionError(
-                f"order {o} exceeds the cap {max_order}; rerun with a higher cap"
-            )
-        lhs = _side(claim, "lhs", o)
-        rhs = _side(claim, "rhs", o)
-        used, failure = _compare(lhs, rhs)
+        lhs = _side(claim, "lhs", target)
+        rhs = _side(claim, "rhs", target)
+        failure = _first_difference(lhs, rhs)
         if failure is not None:
-            return VerificationReport(claim.id, "fail", used, failure)
+            return VerificationReport(claim.id, "fail", target, failure)
         if claim.kind is ClaimKind.RECURRENCE and claim.direct is not None:
             lv, rv = claim.direct(claim.bound)
             for n, (a, b) in enumerate(zip(lv, rv)):
                 if a != b:
                     return VerificationReport(
-                        claim.id, "fail", used,
+                        claim.id, "fail", target,
                         {"n": n, "lhs": a, "rhs": b},
                         message="direct summation route disagrees",
                     )
-        return VerificationReport(claim.id, "pass", used)
+        return VerificationReport(claim.id, "pass", target)
 
     if claim.kind is ClaimKind.CONGRUENCE:
         c = count or claim.count
-        needed = claim.A * (c - 1) + claim.B + 1
-        if needed > max_order:
-            raise PreconditionError(
-                f"congruence needs order {needed}, beyond the cap {max_order}"
-            )
-        s = eval_expr(claim.expr, needed + _EVAL_MARGIN)
+        s = eval_expr(claim.expr, target)
         for n in range(c):
             residue = s.coefficient(claim.A * n + claim.B) % claim.M
             if residue:
                 return VerificationReport(
-                    claim.id, "fail", s.order,
+                    claim.id, "fail", target,
                     {"n": n, "lhs": residue, "rhs": 0},
                 )
-        return VerificationReport(claim.id, "pass", s.order)
+        return VerificationReport(claim.id, "pass", target)
 
     if claim.kind is ClaimKind.CONGRUENCE_FAMILY:
         indices = family_indices(claim.family, claim.p, claim.alpha)
         c = count or claim.count
-        needed = max(ix.A * (c - 1) + ix.B for ix in indices) + 1
-        if needed > max_order:
-            raise PreconditionError(
-                f"family at p={claim.p}, alpha={claim.alpha} needs order "
-                f"{needed}, beyond the cap {max_order}"
-            )
-        node = claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
-        s = eval_expr(node, needed + _EVAL_MARGIN)
+        s = eval_expr(_family_expr(claim), target)
         for j, ix in enumerate(indices, start=1):
             for n in range(c):
                 residue = s.coefficient(ix.A * n + ix.B) % ix.M
                 if residue:
                     return VerificationReport(
-                        claim.id, "fail", s.order,
+                        claim.id, "fail", target,
                         {"n": n, "lhs": residue, "rhs": 0},
                         message=f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})",
                     )
-        return VerificationReport(claim.id, "pass", s.order)
+        return VerificationReport(claim.id, "pass", target)
 
     if claim.kind is ClaimKind.INTERPRETATION:
         rs = partitions.RULESETS[claim.ruleset]
@@ -213,26 +268,25 @@ def _verify_inner(
         coeffs = mock_mod.mock_series(claim.mock, claim.A * bound + claim.B + 1)
         for n in range(bound + 1):
             counted = partitions.count_signed(rs, n)
-            target = coeffs.coefficient(claim.A * n + claim.B)
-            if counted != target:
+            expected = coeffs.coefficient(claim.A * n + claim.B)
+            if counted != expected:
                 return VerificationReport(
                     claim.id, "fail", bound,
-                    {"n": n, "lhs": counted, "rhs": target},
+                    {"n": n, "lhs": counted, "rhs": expected},
                     message="backtracking enumeration disagrees",
                 )
-        dp_order = claim.dp_order or bound + 1
-        dp = partitions.count_dp(rs, dp_order)
-        coeffs = mock_mod.mock_series(claim.mock, claim.A * (dp_order - 1) + claim.B + 1)
-        for n in range(dp_order):
+        dp = partitions.count_dp(rs, target)
+        coeffs = mock_mod.mock_series(claim.mock, claim.A * (target - 1) + claim.B + 1)
+        for n in range(target):
             a = dp.coefficient(n)
             b = coeffs.coefficient(claim.A * n + claim.B)
             if a != b:
                 return VerificationReport(
-                    claim.id, "fail", dp_order,
+                    claim.id, "fail", target,
                     {"n": n, "lhs": a, "rhs": b},
                     message="generating function route disagrees",
                 )
-        return VerificationReport(claim.id, "pass", dp_order)
+        return VerificationReport(claim.id, "pass", target)
 
     raise ValueError(f"unhandled claim kind {claim.kind}")
 
@@ -800,7 +854,7 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 
 
 __all__ = [
-    "Claim", "ClaimKind", "VerificationReport", "verify", "registry",
+    "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "verify_all", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
     "to_text",
 ]

@@ -7,7 +7,9 @@ Subcommands:
     enumerate <ruleset-name> <n>     signed colored-partition count (--list shows them)
     list                             print the registry with citations
 
-Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error.
+Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
+(including a claim whose evaluation raised, reported with status ``error``,
+and a command whose deepest expansion is beyond ``claims.MAX_ORDER``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import sys
 
 from . import claims as claims_mod
 from . import partitions
-from .claims import Claim, VerificationReport, verify
-from .expr import ParseError, eval_expr, parse_expr
+from .claims import MAX_ORDER, Claim, VerificationReport, verify_all
+from .expr import ParseError, eval_expr, leaf_demands, parse_expr
 from .mock import MockThetaId, mock_series
 from .series import SeriesError, format_series
 
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=None, help="override congruence count")
     v.add_argument("--claims", action="append", default=[], metavar="FILE")
     v.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    v.add_argument("--max-order", type=int, default=50_000)
+    v.add_argument("--max-order", type=int, default=MAX_ORDER)
 
     e = sub.add_parser("enumerate", help="signed colored-partition count")
     e.add_argument("ruleset", help="one of " + ", ".join(sorted(partitions.RULESETS)))
@@ -64,6 +66,10 @@ def _cmd_coeff(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     top = max(args.indices)
+    if top + 1 > MAX_ORDER:
+        print(f"error: index {top} needs order {top + 1}, beyond the cap {MAX_ORDER}",
+              file=sys.stderr)
+        return 2
     series = mock_series(mock_id, top + 1)
     print(" ".join(str(series.coefficient(n)) for n in args.indices))
     return 0
@@ -72,11 +78,16 @@ def _cmd_coeff(args) -> int:
 def _cmd_series(args) -> int:
     try:
         node = parse_expr(args.expr)
+        deepest = max([args.order, *leaf_demands(node, args.order).values()])
+        if deepest > MAX_ORDER:
+            print(f"error: expansion needs order {deepest}, beyond the cap {MAX_ORDER}",
+                  file=sys.stderr)
+            return 2
         series = eval_expr(node, args.order)
     except (ParseError, SeriesError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_series(series.truncate(args.order)))
+    print(format_series(series))
     return 0
 
 
@@ -91,7 +102,7 @@ def _load_claims(paths: list[str]) -> list[Claim]:
 def _run_claims(
     claim_list: list[Claim], order: int | None, count: int | None, max_order: int
 ) -> list[VerificationReport]:
-    reports = [verify(c, order=order, count=count, max_order=max_order) for c in claim_list]
+    reports = verify_all(claim_list, order=order, count=count, max_order=max_order)
     # stable output contract: reports are ordered by claim id
     return sorted(reports, key=lambda r: r.claim_id)
 
@@ -130,8 +141,11 @@ def _cmd_verify(args) -> int:
             if r.message:
                 line += f"  [{r.message}]"
             print(line)
-        counts = {s: sum(1 for r in reports if r.status == s) for s in ("pass", "fail", "skipped")}
-        print(f"-- {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
+        statuses = ("pass", "fail", "skipped", "error")
+        counts = {s: sum(1 for r in reports if r.status == s) for s in statuses}
+        print("-- " + ", ".join(f"{counts[s]} {s}" for s in statuses))
+    if any(r.status == "error" for r in reports):
+        return 2
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

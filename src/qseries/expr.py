@@ -17,10 +17,22 @@ Grammar (precedence low to high: + - then * / then ^):
            | "ALT(" expr ")"               q -> -q
            | "(" expr ")"
 
-Evaluation is bottom-up over :class:`TruncatedSeries`; the requested order is
-propagated downward so that extraction and substitution nodes receive deep
-enough expansions (an ``AP(e, m, r)`` node asks its child for ``m*N + r``
-coefficients to deliver N of its own).
+Evaluation follows an exact demand plan.  ``_child_orders`` is the one place
+that decides orders: from each factor's valuation it gives every child the
+order it must reach so that its parent is exact below the requested order
+(``q^k`` is an exact shift, ``AP(e, m, r)`` asks for ``m*(N-1) + r + 1``,
+``SUB(e, k)`` for ``ceil(N/k)``, a product asks each factor for N minus the
+other factor's valuation).  ``eval_expr`` evaluates exactly those children
+and returns a series whose order is exactly the requested one;
+``leaf_demands`` walks the same plan without evaluating anything, so a caller
+can check resource caps, or expand shared leaves once, before any work.
+Products, quotients, powers, integer scalars and ``q^k`` factors of ``l(k)``
+fold into one sparse ``products.eta_quotient`` call.
+
+The parser bounds its input: nesting deeper than ``MAX_NESTING``, a tree
+deeper than ``MAX_DEPTH`` (a chain of n terms is n deep) and ``^`` exponents
+past ``MAX_EXPONENT`` are parse errors, never a ``RecursionError`` or an
+unbounded expansion.
 """
 
 from __future__ import annotations
@@ -30,7 +42,11 @@ from dataclasses import dataclass
 
 from . import mock as mock_mod
 from . import partitions, products
-from .series import TruncatedSeries
+from .series import SeriesError, TruncatedSeries
+
+MAX_NESTING = 100  # nesting of parentheses, calls and unary minus
+MAX_DEPTH = 400  # depth of the tree, which chains of + - * / also grow
+MAX_EXPONENT = 1000  # magnitude of a ``^`` exponent
 
 
 class ParseError(ValueError):
@@ -176,6 +192,8 @@ class _Parser:
                 self.tokens.append(("sym", m.group(3), m.start(3)))
             pos = m.end()
         self.i = 0
+        self.nesting = 0
+        self.depths: dict[int, int] = {}
 
     # token helpers
 
@@ -200,13 +218,22 @@ class _Parser:
             raise ParseError("expected an integer", pos)
         return int(val)
 
-    def expect_signed_int(self) -> int:
+    def expect_positive(self) -> int:
+        pos = self.peek()[2]
+        n = self.expect_int()
+        if n < 1:
+            raise ParseError("expected a positive integer", pos)
+        return n
+
+    def expect_exponent(self, signed: bool) -> int:
         kind, val, pos = self.peek()
         neg = False
-        if kind == "sym" and val == "-":
+        if signed and kind == "sym" and val == "-":
             self.next()
             neg = True
         n = self.expect_int()
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent {n} is beyond the limit {MAX_EXPONENT}", pos)
         return -n if neg else n
 
     def expect_name(self) -> str:
@@ -214,6 +241,14 @@ class _Parser:
         if kind != "name":
             raise ParseError("expected a name", pos)
         return val
+
+    def grow(self, node: Expr, pos: int, *children: Expr) -> Expr:
+        """Record the depth of a new compound node; reject trees past MAX_DEPTH."""
+        depth = 1 + max(self.depths.get(id(c), 1) for c in children)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH}", pos)
+        self.depths[id(node)] = depth
+        return node
 
     # grammar
 
@@ -227,29 +262,31 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "sym" and val in "+-":
                 self.next()
-                node = BinOp(val, node, self.term())
+                right = self.term()
+                node = self.grow(BinOp(val, node, right), pos, node, right)
             else:
                 return node
 
     def term(self) -> Expr:
         node = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "sym" and val in "*/":
                 self.next()
-                node = BinOp(val, node, self.factor())
+                right = self.factor()
+                node = self.grow(BinOp(val, node, right), pos, node, right)
             else:
                 return node
 
     def factor(self) -> Expr:
         node = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "sym" and val == "^":
             self.next()
-            node = Pow(node, self.expect_signed_int())
+            node = self.grow(Pow(node, self.expect_exponent(signed=True)), pos, node)
         return node
 
     def signed_q_power(self) -> tuple[int, int]:
@@ -265,15 +302,27 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "sym" and val == "^":
             self.next()
-            k = self.expect_int()
+            k = self.expect_exponent(signed=False)
         return sign, k
 
     def atom(self) -> Expr:
+        self.nesting += 1
+        try:
+            if self.nesting > MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING}", self.peek()[2]
+                )
+            return self._atom()
+        finally:
+            self.nesting -= 1
+
+    def _atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "int":
             return Lit(int(val))
         if kind == "sym" and val == "-":
-            return Neg(self.atom())
+            child = self.atom()
+            return self.grow(Neg(child), pos, child)
         if kind == "sym" and val == "(":
             node = self.expr()
             self.expect_sym(")")
@@ -285,11 +334,11 @@ class _Parser:
             nk, nv, _ = self.peek()
             if nk == "sym" and nv == "^":
                 self.next()
-                k = self.expect_signed_int()
+                k = self.expect_exponent(signed=True)
             return Mono(k)
         if val == "l":
             self.expect_sym("(")
-            k = self.expect_int()
+            k = self.expect_positive()
             self.expect_sym(")")
             return Eta(k)
         if val == "mock":
@@ -304,18 +353,25 @@ class _Parser:
             s1, a = self.signed_q_power()
             self.expect_sym(",")
             s2, b = self.signed_q_power()
+            if a == b == 0:
+                raise ParseError("f(c, d) with a + b = 0 does not converge", pos)
             self.expect_sym(")")
             return Theta(s1, a, s2, b)
         if val in ("phi", "psi"):
             self.expect_sym("(")
+            arg_pos = self.peek()[2]
             sign, k = self.signed_q_power()
+            if k < 1:
+                raise ParseError("expected a positive power of q", arg_pos)
             self.expect_sym(")")
             return Phi(sign, k) if val == "phi" else Psi(sign, k)
         if val == "poch":
             self.expect_sym("(")
             sign, a = self.signed_q_power()
             self.expect_sym(",")
-            step = self.expect_int()
+            step = self.expect_positive()
+            if sign == 1 and a == 0:
+                raise ParseError("(1; q^step)_inf is the zero product", pos)
             self.expect_sym(")")
             return Poch(sign, a, step)
         if val == "stream":
@@ -324,7 +380,7 @@ class _Parser:
             if k not in _STREAM_KINDS:
                 raise UnknownSymbolError(f"unknown stream kind {k!r}", pos)
             self.expect_sym(",")
-            scale = self.expect_int()
+            scale = self.expect_positive()
             self.expect_sym(")")
             return Stream(k, scale)
         if val == "ruleset":
@@ -336,23 +392,29 @@ class _Parser:
             self.expect_sym("(")
             child = self.expr()
             self.expect_sym(",")
-            m = self.expect_int()
+            m = self.expect_positive()
             self.expect_sym(",")
+            r_pos = self.peek()[2]
             r = self.expect_int()
+            if r >= m:
+                raise ParseError(f"residue {r} out of range for modulus {m}", r_pos)
             self.expect_sym(")")
-            return Ap(child, m, r)
+            return self.grow(Ap(child, m, r), pos, child)
         if val == "SUB":
             self.expect_sym("(")
             child = self.expr()
             self.expect_sym(",")
-            k = self.expect_int()
+            k_pos = self.peek()[2]
+            k = self.expect_exponent(signed=False)
+            if k < 1:
+                raise ParseError("expected a positive integer", k_pos)
             self.expect_sym(")")
-            return Subst(child, k)
+            return self.grow(Subst(child, k), pos, child)
         if val == "ALT":
             self.expect_sym("(")
             child = self.expr()
             self.expect_sym(")")
-            return Alt(child)
+            return self.grow(Alt(child), pos, child)
         raise UnknownSymbolError(f"unknown symbol {val!r}", pos)
 
 
@@ -421,28 +483,243 @@ def _print(node: Expr, level: int) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# -- evaluator ----------------------------------------------------------------
+# -- demand plan and evaluator ---------------------------------------------------
+
+_LEAVES = (Lit, Mono, Eta, Phi, Psi, Theta, Poch, Mock, Stream, RulesetRef)
+
+
+def _valuation(node: Expr) -> int:
+    """The exponent at which the evaluated series of ``node`` starts.
+
+    It is the valuation ``TruncatedSeries`` arithmetic gives the result, so it
+    is where a divisor or a negative power's base must have coefficient +1 or
+    -1.  It is a lower bound on the true valuation only when ``_bounded(node)``.
+    """
+    if isinstance(node, Mono):
+        return node.k
+    if isinstance(node, (Neg, Alt)):
+        return _valuation(node.child)
+    if isinstance(node, Pow):
+        return node.exponent * _valuation(node.base)
+    if isinstance(node, Ap):
+        return -(-(_valuation(node.child) - node.residue) // node.modulus)
+    if isinstance(node, Subst):
+        return node.power * _valuation(node.child)
+    if isinstance(node, BinOp):
+        a, b = _valuation(node.left), _valuation(node.right)
+        if node.op in "+-":
+            return min(a, b)
+        return a + b if node.op == "*" else a - b
+    return 0  # constants and every product, theta, mock and ruleset leaf
+
+
+def _unit_lead(node: Expr) -> bool:
+    """Whether the coefficient of ``node`` at ``_valuation(node)`` is provably +1 or -1.
+
+    Sums may cancel, and mock streams, progressions, streams and rulesets may
+    start later or with another coefficient, so they are never trusted.
+    """
+    if isinstance(node, Lit):
+        return node.value in (1, -1)
+    if isinstance(node, (Mono, Eta, Phi, Psi, products.EtaQuotientSpec)):
+        return True
+    if isinstance(node, Theta):
+        return node.a >= 1 and node.b >= 1
+    if isinstance(node, Poch):
+        return node.a >= 1
+    if isinstance(node, (Neg, Alt, Subst)):
+        return _unit_lead(node.child)
+    if isinstance(node, Pow):
+        return node.exponent == 0 or _unit_lead(node.base)
+    if isinstance(node, BinOp) and node.op in "*/":
+        return _unit_lead(node.left) and _unit_lead(node.right)
+    return False
+
+
+def _bounded(node: Expr) -> bool:
+    """Whether ``_valuation(node)`` is a proven lower bound on the true valuation.
+
+    It is unless a divisor or a negative power's base inside ``node`` lacks a
+    provable unit leading coefficient: ``q^2/mock(v)`` is planned at q^2, but
+    v starts at q^1.  Only a proven bound lets a node answer zero without
+    evaluating, so such a divisor is always evaluated and its leading
+    coefficient checked.  An unknown ruleset, which the parser accepts, is
+    never proven, so its error is raised whatever the order.
+    """
+    if isinstance(node, Pow):
+        if node.exponent < 0:
+            return _unit_lead(node.base)
+        return node.exponent == 0 or _bounded(node.base)
+    if isinstance(node, BinOp):
+        if node.op == "/":
+            return _bounded(node.left) and _unit_lead(node.right)
+        return _bounded(node.left) and _bounded(node.right)
+    if isinstance(node, (Neg, Alt, Ap, Subst)):
+        return _bounded(node.child)
+    if isinstance(node, RulesetRef):
+        return node.name in partitions.RULESETS
+    return True
+
+
+def _is_zero_below(node: Expr, order: int) -> bool:
+    """Whether ``node`` is provably zero below ``order``, so needs no evaluation."""
+    return order <= _valuation(node) and _bounded(node)
+
+
+def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
+    """The children ``eval_expr`` evaluates for ``node``, each with its order.
+
+    Each child order is the least that makes ``node`` exact below ``order``,
+    given the valuations of the other factors; a divisor or a negative
+    power's base is always evaluated past its valuation, so that its leading
+    coefficient is checked.  This is the only place where orders are
+    decided; ``eval_expr`` and ``leaf_demands`` both follow it.
+    """
+    if isinstance(node, (Neg, Alt)):
+        return [(node.child, order)]
+    if isinstance(node, Ap):
+        return [(node.child, node.modulus * (order - 1) + node.residue + 1)]
+    if isinstance(node, Subst):
+        return [(node.child, -(-order // node.power))]
+    if isinstance(node, Pow):
+        n, v = node.exponent, _valuation(node.base)
+        if n == 0:
+            return []
+        need = order - (n - 1) * v
+        return [(node.base, need if n > 0 else max(need, v + 1))]
+    if isinstance(node, BinOp):
+        left, right = node.left, node.right
+        if node.op in "+-":
+            return [(left, order), (right, order)]
+        if node.op == "*":
+            # an integer scalar or a q^k factor is applied exactly, not multiplied
+            if isinstance(left, (Lit, Mono)):
+                return [(right, order - _valuation(left))]
+            if isinstance(right, (Lit, Mono)):
+                return [(left, order - _valuation(right))]
+            return [(left, order - _valuation(right)), (right, order - _valuation(left))]
+        if isinstance(right, Mono):
+            return [(left, order + right.k)]
+        vl, vr = _valuation(left), _valuation(right)
+        return [(left, order + vr), (right, max(order - vl + 2 * vr, vr + 1))]
+    return []
+
+
+def _eta_factors(node: Expr) -> tuple[int, int, dict[int, int]] | None:
+    """``(c, s, {k: e})`` when ``node`` is ``c * q^s * prod l(k)^e``, else None."""
+    if isinstance(node, Lit):
+        return node.value, 0, {}
+    if isinstance(node, Mono):
+        return 1, node.k, {}
+    if isinstance(node, Eta):
+        return 1, 0, {node.k: 1}
+    if isinstance(node, Neg):
+        inner = _eta_factors(node.child)
+        return None if inner is None else (-inner[0], inner[1], inner[2])
+    if isinstance(node, Pow):
+        inner = _eta_factors(node.base)
+        n = node.exponent
+        if inner is None or (n < 0 and inner[0] not in (1, -1)):
+            return None
+        scale, shift, exps = inner
+        return scale ** abs(n), n * shift, {k: n * e for k, e in exps.items()}
+    if isinstance(node, BinOp) and node.op in "*/":
+        left = _eta_factors(node.left)
+        right = None if left is None else _eta_factors(node.right)
+        if right is None or (node.op == "/" and right[0] not in (1, -1)):
+            return None
+        sign = 1 if node.op == "*" else -1
+        exps = dict(left[2])
+        for k, e in right[2].items():
+            exps[k] = exps.get(k, 0) + sign * e
+        # dividing by +1 or -1 is multiplying by it
+        return left[0] * right[0], left[1] + sign * right[1], exps
+    return None
+
+
+def _fold(node: Expr) -> Expr:
+    """Fold an eta-quotient product into ``q^shift * scale * EtaQuotientSpec``.
+
+    The shift and the scale stay ``*`` nodes, which ``_child_orders`` applies
+    exactly; the leaf carries only the exponents.
+    """
+    if not isinstance(node, (BinOp, Pow, Neg)) or (
+        isinstance(node, BinOp) and node.op in "+-"
+    ):
+        return node
+    factors = _eta_factors(node)
+    if factors is None:
+        return node
+    scale, shift, exps = factors
+    exps = {k: e for k, e in exps.items() if e}
+    if not exps:
+        folded: Expr = Lit(scale)
+    elif scale == 1:
+        folded = products.EtaQuotientSpec(exps)
+    else:
+        folded = BinOp("*", Lit(scale), products.EtaQuotientSpec(exps))
+    return BinOp("*", Mono(shift), folded) if shift else folded
+
+
+def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
+    """The deepest order at which ``eval_expr(node, order)`` evaluates each leaf.
+
+    Keys are leaf nodes; a folded eta quotient contributes its ``l(k)``
+    factors.  Nothing is evaluated, so callers can check caps and expand
+    shared leaves once before any work.
+    """
+    out: dict[Expr, int] = {}
+    stack = [(node, order)]
+    while stack:
+        node, order = stack.pop()
+        node = _fold(node)
+        if _is_zero_below(node, order):
+            continue  # evaluates to zero without touching its leaves
+        if isinstance(node, products.EtaQuotientSpec):
+            leaves = [Eta(k) for k in node.exponents]
+        else:
+            leaves = [node] if isinstance(node, _LEAVES) else []
+        for leaf in leaves:
+            out[leaf] = max(out.get(leaf, order), order)
+        stack.extend(_child_orders(node, order))
+    return out
+
 
 def eval_expr(node: Expr, order: int) -> TruncatedSeries:
-    """Evaluate bottom-up to a series valid to (about) the requested order.
+    """Evaluate ``node`` to a series exact below ``order``, of order exactly ``order``.
 
-    Extraction and substitution nodes request deeper expansions of their
-    children, so the root result is valid to the full order except for small
-    Laurent shifts introduced by q^-k monomial factors.
+    Raises :class:`NonUnitError` for a divisor whose leading coefficient is
+    not +1 or -1, and :class:`SeriesError` if an evaluation delivers less
+    than its plan demands.
     """
+    node = _fold(node)
+    if _is_zero_below(node, order):
+        return TruncatedSeries.zero(order)
+    kids = []
+    for child, child_order in _child_orders(node, order):
+        kids.append(eval_expr(child, child_order))
+    result = _apply(node, order, kids)
+    if result.order < order:
+        raise SeriesError(
+            f"{type(node).__name__} node delivered order {result.order}, "
+            f"below the demanded {order}"
+        )
+    return result.truncate(order)
+
+
+def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeries:
+    """Combine evaluated children (or expand a leaf) at the planned order."""
     if isinstance(node, Lit):
         return TruncatedSeries.one(order).scale(node.value)
     if isinstance(node, Mono):
-        return TruncatedSeries.monomial(node.k, order + node.k)
+        return TruncatedSeries.monomial(node.k, order)
     if isinstance(node, Eta):
         return products.eta(node.k, order)
-    if isinstance(node, Phi):
-        base = products.phi(-(-order // node.k))
-        if node.sign == -1:
-            base = base.alternate()
-        return base.substitute(node.k)
-    if isinstance(node, Psi):
-        base = products.psi(-(-order // node.k))
+    if isinstance(node, products.EtaQuotientSpec):
+        return products.eta_quotient(node, order)
+    if isinstance(node, (Phi, Psi)):
+        expand = products.phi if isinstance(node, Phi) else products.psi
+        base = expand(-(-order // node.k))
         if node.sign == -1:
             base = base.alternate()
         return base.substitute(node.k)
@@ -461,31 +738,26 @@ def eval_expr(node: Expr, order: int) -> TruncatedSeries:
             raise KeyError(f"unknown ruleset {node.name!r}")
         return partitions.count_dp(partitions.RULESETS[node.name], order)
     if isinstance(node, Neg):
-        return -eval_expr(node.child, order)
-    if isinstance(node, Pow):
-        return eval_expr(node.base, order) ** node.exponent
-    if isinstance(node, Ap):
-        child = eval_expr(node.child, node.modulus * order + node.residue)
-        return child.extract_ap(node.modulus, node.residue)
-    if isinstance(node, Subst):
-        child = eval_expr(node.child, -(-order // node.power))
-        return child.substitute(node.power)
+        return -kids[0]
     if isinstance(node, Alt):
-        return eval_expr(node.child, order).alternate()
+        return kids[0].alternate()
+    if isinstance(node, Ap):
+        return kids[0].extract_ap(node.modulus, node.residue)
+    if isinstance(node, Subst):
+        return kids[0].substitute(node.power)
+    if isinstance(node, Pow):
+        return kids[0] ** node.exponent if kids else TruncatedSeries.one(order)
     if isinstance(node, BinOp):
-        if node.op == "*":
-            # integer scaling is lossless, keep it out of the min-order rule
-            if isinstance(node.left, Lit):
-                return eval_expr(node.right, order).scale(node.left.value)
-            if isinstance(node.right, Lit):
-                return eval_expr(node.left, order).scale(node.right.value)
-        a = eval_expr(node.left, order)
-        b = eval_expr(node.right, order)
         if node.op == "+":
-            return a + b
+            return kids[0] + kids[1]
         if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
+            return kids[0] - kids[1]
+        if len(kids) == 1:  # _child_orders applies a scalar or q^k factor exactly
+            factor = node.right
+            if node.op == "*" and isinstance(node.left, (Lit, Mono)):
+                factor = node.left
+            if isinstance(factor, Lit):
+                return kids[0].scale(factor.value)
+            return kids[0].shift(factor.k if node.op == "*" else -factor.k)
+        return kids[0] * kids[1] if node.op == "*" else kids[0] / kids[1]
     raise TypeError(f"not an expression node: {node!r}")

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from qseries import mock as mock_mod
 from qseries.claims import (
     Claim,
     ClaimKind,
@@ -14,8 +15,11 @@ from qseries.claims import (
     reports_to_csv,
     reports_to_json,
     verify,
+    verify_all,
 )
 from qseries.expr import parse_expr
+from qseries.ntheory import family_indices
+from qseries.series import TruncatedSeries
 
 EXPECTED_DEFECTS = {
     "thm5.1", "thm5.2", "thm5.3", "eq5.3", "thm5.4", "thm5.5", "eq6.3",
@@ -135,6 +139,126 @@ class TestVerify:
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
         assert a == b
+
+
+
+def _count_computes(monkeypatch) -> dict[str, int]:
+    """Start the mock memo empty and count every fresh expansion per id."""
+    counts: dict[str, int] = {}
+    real = mock_mod._compute
+
+    def counting(mock_id, order):
+        counts[mock_id.value] = counts.get(mock_id.value, 0) + 1
+        return real(mock_id, order)
+
+    monkeypatch.setattr(mock_mod, "_cache", {})
+    monkeypatch.setattr(mock_mod, "_compute", counting)
+    return counts
+
+
+def _requested_order(claim: Claim, status: str) -> int:
+    if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
+        return claim.order
+    if claim.kind is ClaimKind.CONGRUENCE:
+        return claim.A * (claim.count - 1) + claim.B + 1
+    if claim.kind is ClaimKind.CONGRUENCE_FAMILY:
+        indices = family_indices(claim.family, claim.p, claim.alpha)
+        return max(ix.A * (claim.count - 1) + ix.B for ix in indices) + 1
+    return claim.dp_order if status == "pass" else claim.bound
+
+
+def _scrub(report) -> dict:
+    data = report.to_dict()
+    data.pop("elapsed_ms")
+    return data
+
+
+class TestDemandPlan:
+    def test_laurent_shift_keeps_the_requested_order(self):
+        claim = Claim(
+            "shifted", ClaimKind.IDENTITY,
+            lhs=parse_expr("q^-20*mock(v)"), rhs=parse_expr("q^-20*mock(v)"), order=100,
+        )
+        r = verify(claim)
+        assert r.status == "pass" and r.order == 100
+
+    def test_cap_sees_the_deepest_leaf(self, monkeypatch):
+        counts = _count_computes(monkeypatch)
+        claim = Claim(
+            "nested.ap", ClaimKind.CONGRUENCE,
+            expr=parse_expr("AP(AP(mock(lambda),6,2),6,2)"), A=1, B=0, M=2, count=60,
+        )
+        r = verify(claim, max_order=100)
+        assert r.status == "skipped"
+        assert "2139" in r.message
+        assert counts == {}
+
+    def test_batch_expands_lambda_once(self, monkeypatch):
+        counts = _count_computes(monkeypatch)
+        table = registry_by_id()
+        claims = [table[c] for c in ("eq6.1", "eq6.2", "eq6.3", "eq6.3.corrected")]
+        batch = verify_all(claims)
+        assert counts == {"lambda": 1}
+        assert [_scrub(r) for r in batch] == [_scrub(verify(c)) for c in claims]
+
+    def test_registry_expands_each_stream_once_at_the_requested_orders(self, monkeypatch):
+        counts = _count_computes(monkeypatch)
+        claims = registry()
+        reports = verify_all(claims)
+        assert counts == {m.value: 1 for m in mock_mod.MockThetaId}
+        for claim, r in zip(claims, reports):
+            assert r.claim_id == claim.id
+            assert r.order == _requested_order(claim, r.status), claim.id
+
+
+class TestErrors:
+    def test_non_unit_division_is_an_error(self):
+        claim = Claim(
+            "halved", ClaimKind.IDENTITY,
+            lhs=parse_expr("l(1)/2"), rhs=parse_expr("l(1)"), order=20,
+        )
+        r = verify(claim)
+        assert r.status == "error"
+        assert r.first_failure is None
+        assert "leading coefficient 2" in r.message
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, order",
+        [("q^2/(l(1)-1)", "0", 2), ("mock(mu)+q^3/mock(v)", "mock(mu)", 3)],
+    )
+    def test_late_divisor_is_an_error_not_a_pass(self, lhs, rhs, order):
+        claim = Claim(
+            "late", ClaimKind.IDENTITY,
+            lhs=parse_expr(lhs), rhs=parse_expr(rhs), order=order,
+        )
+        r = verify(claim)
+        assert (r.status, r.first_failure) == ("error", None)
+        assert "leading coefficient 0" in r.message
+
+    def test_unknown_ruleset_is_an_error(self):
+        claim = Claim(
+            "bogus.gf", ClaimKind.IDENTITY,
+            lhs=parse_expr("ruleset(bogus)"), rhs=parse_expr("1"), order=20,
+        )
+        r = verify(claim)
+        assert (r.status, r.first_failure, r.message) == ("error", None, "unknown ruleset 'bogus'")
+
+    def test_unknown_interpretation_ruleset_is_an_error(self):
+        claims = parse_claim_file(
+            "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=bogus\nbound=5\n"
+        )
+        r = verify_all(claims)[0]
+        assert r.status == "error" and r.first_failure is None
+
+    def test_under_delivered_side_is_an_error(self):
+        claim = Claim(
+            "short", ClaimKind.IDENTITY,
+            lhs_fn=lambda order: TruncatedSeries.one(order - 1),
+            rhs_fn=TruncatedSeries.one, order=30,
+        )
+        r = verify(claim)
+        assert r.status == "error" and r.first_failure is None
+        assert "delivered order 29" in r.message
 
 
 CLAIM_FILE = """

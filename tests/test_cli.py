@@ -25,6 +25,11 @@ class TestCoeff:
         assert code == 2
         assert "omega" in err
 
+    def test_index_beyond_the_cap(self, capsys):
+        code, out, err = run_cli(capsys, "coeff", "lambda", "100000")
+        assert code == 2 and out == ""
+        assert "beyond the cap 50000" in err
+
 
 class TestSeries:
     def test_jacobi_cube_dense(self, capsys):
@@ -41,6 +46,27 @@ class TestSeries:
         code, _, err = run_cli(capsys, "series", "l(", "--order", "10")
         assert code == 2
         assert "offset" in err
+
+    def test_deep_nesting(self, capsys):
+        text = "(" * 3000 + "l(1)" + ")" * 3000
+        code, _, err = run_cli(capsys, "series", text, "--order", "10")
+        assert code == 2
+        assert "nested deeper" in err and "offset" in err
+
+    def test_huge_exponent(self, capsys):
+        code, _, err = run_cli(capsys, "series", "l(1)^100000000", "--order", "5")
+        assert code == 2
+        assert "exponent" in err and "offset" in err
+
+    def test_deepest_leaf_is_capped(self, capsys):
+        code, _, err = run_cli(capsys, "series", "AP(AP(mock(lambda),100,0),100,0)", "--order", "10")
+        assert code == 2
+        assert "beyond the cap 50000" in err
+
+    def test_order_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "q^-2*l(1)", "--order", "3")
+        assert code == 0
+        assert out.strip() == "q^-2 - q^-1 - 1 + O(q^3)"
 
 
 class TestVerify:
@@ -100,6 +126,28 @@ class TestVerify:
     def test_order_override(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "thm4.1", "--order", "50")
         assert code == 0
+
+    def test_error_report_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=user.half\ntype=identity\nlhs=l(1)/2\nrhs=l(1)\norder=20\n")
+        code, out, _ = run_cli(capsys, "verify", "user.half", "--claims", str(path))
+        assert code == 2
+        assert "user.half" in out and " error " in out
+        assert out.splitlines()[-1] == "-- 0 pass, 0 fail, 0 skipped, 1 error"
+        code, out, _ = run_cli(
+            capsys, "verify", "user.half", "--claims", str(path), "--format", "json"
+        )
+        assert code == 2
+        (report,) = json.loads(out)
+        assert report["status"] == "error" and report["first_failure"] is None
+
+    def test_deep_claim_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        deep = "(" * 3000 + "l(1)" + ")" * 3000
+        path.write_text(f"[claim]\nid=user.deep\ntype=identity\nlhs={deep}\nrhs=l(1)\n")
+        code, _, err = run_cli(capsys, "verify", "all", "--claims", str(path))
+        assert code == 2
+        assert "nested deeper" in err
 
 
 class TestEnumerate:

@@ -3,8 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qseries import mock as mock_mod
 from qseries.claims import registry
 from qseries.expr import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    Alt,
     Ap,
     BinOp,
     Eta,
@@ -13,13 +18,15 @@ from qseries.expr import (
     Mono,
     ParseError,
     Pow,
+    Subst,
     UnknownSymbolError,
     eval_expr,
+    leaf_demands,
     parse_expr,
     to_text,
 )
-from qseries.products import eta
-from qseries.series import NonUnitError
+from qseries.products import eta, eta_quotient
+from qseries.series import NonUnitError, SeriesError, TruncatedSeries
 
 
 class TestParse:
@@ -158,3 +165,182 @@ class TestEval:
     def test_laurent_monomial(self):
         s = eval_expr(parse_expr("q^-1*mock(psi6)"), 30)
         assert s.coefficient(0) == 1  # psi6 starts at q^1
+
+
+class TestInputBoundary:
+    def test_deep_parentheses(self):
+        text = "(" * 3000 + "1" + ")" * 3000
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.position == MAX_NESTING
+
+    def test_deep_unary_minus(self):
+        with pytest.raises(ParseError):
+            parse_expr("-" * 3000 + "1")
+
+    def test_long_chain_parses_and_evaluates(self):
+        text = "+".join(["l(1)"] * 300) + "-" + "*".join(["q"] * 300)
+        node = parse_expr(text)
+        assert parse_expr(to_text(node)) == node
+        assert eval_expr(node, 302) == eta(1, 302).scale(300) - TruncatedSeries.monomial(
+            300, 302
+        )
+
+    def test_very_long_chain_is_rejected(self):
+        with pytest.raises(ParseError, match=f"tree deeper than {MAX_DEPTH}"):
+            parse_expr("+".join(["l(1)"] * 3000))
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = MAX_NESTING - 1
+        node = parse_expr("(" * depth + "q" + ")" * depth)
+        assert node == Mono(1)
+
+    @pytest.mark.parametrize(
+        "text", ["l(1)^100000000", "q^-100000000", "phi(q^5000)", "SUB(l(1),100000000)"]
+    )
+    def test_exponent_limit(self, text):
+        with pytest.raises(ParseError, match="beyond the limit"):
+            parse_expr(text)
+
+    def test_exponent_at_the_limit_parses(self):
+        assert parse_expr(f"l(1)^-{MAX_EXPONENT}") == Pow(Eta(1), -MAX_EXPONENT)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "AP(l(1),0,0)", "AP(l(1),3,3)", "SUB(l(1),0)", "l(0)",
+            "phi(q^0)", "psi(-q^0)", "poch(q,0)", "poch(q^0,1)", "f(q^0,-q^0)",
+            "stream(phi,0)",
+        ],
+    )
+    def test_degenerate_indices(self, text):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+
+
+class TestDemandPlan:
+    def test_shift_is_exact(self):
+        s = eval_expr(parse_expr("q^-20*mock(v)"), 100)
+        assert s.order == 100 and s.valuation == -20
+        assert leaf_demands(parse_expr("q^-20*mock(v)"), 100) == {Mock("v"): 120}
+
+    def test_progression_demand(self):
+        node = parse_expr("AP(AP(mock(lambda),6,2),6,2)")
+        assert leaf_demands(node, 60) == {Mock("lambda"): 6 * (6 * 59 + 3 - 1) + 3}
+
+    def test_substitution_demand(self):
+        assert leaf_demands(parse_expr("SUB(mock(nu),2)"), 401) == {Mock("nu"): 201}
+
+    def test_eta_quotient_folds_to_its_factors(self):
+        node = parse_expr("3*(l(3)^5/l(6))*(l(2)/l(1)^2)^3")
+        assert leaf_demands(node, 400) == {Eta(1): 400, Eta(2): 400, Eta(3): 400, Eta(6): 400}
+
+    def test_folded_quotient_matches_eta_quotient(self):
+        s = eval_expr(parse_expr("-2*q^3*l(6)^3/(q*l(1)*l(2))^2"), 300)
+        want = eta_quotient({6: 3, 1: -2, 2: -2}, 299).scale(-2).shift(1)
+        assert s.order == 300 and s == want
+
+    def test_divisor_valuation_shifts_the_demand(self):
+        # dividing by (q*l(1))^2 shifts by q^-2, so both factors need N + 2
+        assert leaf_demands(parse_expr("mock(mu)/(q*l(1))^2"), 50) == {
+            Mock("mu"): 52, Eta(1): 52,
+        }
+        # a divisor starting at q^0 needs no extra order; its q^2 term shifts
+        assert leaf_demands(parse_expr("mock(mu)/(q^2*mock(v)+1)"), 50) == {
+            Mock("mu"): 50, Mock("v"): 48, Lit(1): 50,
+        }
+
+    def test_zero_below_valuation_needs_no_leaves(self):
+        node = parse_expr("q^40*mock(beta)")
+        assert leaf_demands(node, 30) == {}
+        assert eval_expr(node, 30).is_zero
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("q^2/mock(v)", 2),  # v starts at q^1, so the quotient has a q^1 term
+            ("q^2*mock(v)^-1", 2),
+            ("q^2/(l(1)-1)", 2),  # the divisor's constant term cancels
+            ("mock(mu)+q^3/mock(v)", 3),
+        ],
+    )
+    def test_unproven_divisor_is_always_checked(self, text, order):
+        node = parse_expr(text)
+        assert leaf_demands(node, order)  # the divisor is planned, not skipped
+        with pytest.raises(NonUnitError):
+            eval_expr(node, order)
+
+    def test_unknown_ruleset_is_never_skipped(self):
+        with pytest.raises(KeyError):
+            eval_expr(parse_expr("q^5*ruleset(bogus)"), 3)
+
+    def test_unit_divisor_is_checked_below_the_valuation(self):
+        # 1 + v(q) starts with 1, so q^5/(1 + v(q)) is O(q^5)
+        node = parse_expr("q^5/(mock(v)+1)")
+        assert leaf_demands(node, 3) == {Mock("v"): 1, Lit(1): 1}
+        assert eval_expr(node, 3) == TruncatedSeries.zero(3)
+
+    def test_registry_mock_requests_match_the_plan(self, monkeypatch):
+        requested: dict[str, int] = {}
+        real = mock_mod.mock_series
+
+        def record(name, order):
+            requested[name] = max(requested.get(name, order), order)
+            return real(name, order)
+
+        monkeypatch.setattr(mock_mod, "mock_series", record)
+        for claim in registry():
+            if claim.lhs is None or "mock" not in to_text(claim.lhs) + to_text(claim.rhs):
+                continue
+            requested.clear()
+            for node in (claim.lhs, claim.rhs):
+                eval_expr(node, 120)
+            planned = {}
+            for node in (claim.lhs, claim.rhs):
+                for leaf, o in leaf_demands(node, 120).items():
+                    if isinstance(leaf, Mock):
+                        planned[leaf.name] = max(planned.get(leaf.name, o), o)
+            assert requested == planned, claim.id
+
+
+SMALL_ATOMS = st.one_of(
+    st.integers(1, 6).map(Eta),
+    st.integers(-4, 4).map(Mono),
+    st.sampled_from(["mu", "v", "psi6", "lambda"]).map(Mock),
+)
+
+
+def _small_compound(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: BinOp(t[0], t[1], t[2])
+        ),
+        st.tuples(children, st.integers(-2, 3)).map(lambda t: Pow(t[0], t[1])),
+        st.tuples(children, st.integers(1, 3), st.integers(0, 2)).map(
+            lambda t: Ap(t[0], t[1], min(t[2], t[1] - 1))
+        ),
+        st.tuples(children, st.integers(1, 3)).map(lambda t: Subst(t[0], t[1])),
+        children.map(Alt),
+    )
+
+
+small_exprs = st.recursive(SMALL_ATOMS, _small_compound, max_leaves=6)
+
+
+def _eval_or_none(node, order):
+    try:
+        return eval_expr(node, order)
+    except SeriesError:  # a divisor without a unit leading coefficient
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_exprs, st.integers(1, 20))
+def test_eval_order_is_exact(node, order):
+    small = _eval_or_none(node, order)
+    big = _eval_or_none(node, order + 20)
+    # an error at one order is an error at every order, never a silent result
+    assert (small is None) == (big is None)
+    if small is not None:
+        assert small.order == order
+        assert small == big.truncate(order)
