@@ -27,7 +27,7 @@ from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions, products
 from .expr import Expr, eval_expr, leaf_demands, parse_expr, to_text
-from .ntheory import FAMILIES, PreconditionError, family_indices
+from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
 from .series import SeriesError, TruncatedSeries
 
 
@@ -101,15 +101,14 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
     kind = claim.kind
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         target = order or claim.order
-        nodes = [n for n in (claim.lhs, claim.rhs) if n is not None]
-    elif kind is ClaimKind.CONGRUENCE:
-        target = claim.A * ((count or claim.count) - 1) + claim.B + 1
-        nodes = [claim.expr]
-    elif kind is ClaimKind.CONGRUENCE_FAMILY:
-        c = count or claim.count
-        indices = family_indices(claim.family, claim.p, claim.alpha)
+        nodes = [(n, target) for n in (claim.lhs, claim.rhs) if n is not None]
+        if claim.direct is not None:
+            # the direct summation reads the lhs leaves for n = 0..bound
+            nodes.append((claim.lhs, claim.bound + 1))
+    elif kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
+        node, indices, c = _progressions(claim, count)
         target = max(ix.A * (c - 1) + ix.B for ix in indices) + 1
-        nodes = [_family_expr(claim)]
+        nodes = [(node, target)]
     else:
         bound = count or claim.bound
         target = claim.dp_order or bound + 1
@@ -117,14 +116,22 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
         name = mock_mod.MockThetaId.from_name(claim.mock).value
         return target, {expr_mod.Mock(name): deepest}
     demands: dict[Expr, int] = {}
-    for node in nodes:
-        for leaf, o in leaf_demands(node, target).items():
+    for node, node_order in nodes:
+        for leaf, o in leaf_demands(node, node_order).items():
             demands[leaf] = max(demands.get(leaf, o), o)
     return target, demands
 
 
-def _family_expr(claim: Claim) -> Expr:
-    return claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
+def _progressions(claim: Claim, count: int | None) -> tuple[Expr, list[FamilyIndex], int]:
+    """A congruence or a family as one series, its progressions and their count.
+
+    A congruence is a family with the single progression ``A*n + B``.
+    """
+    if claim.kind is ClaimKind.CONGRUENCE:
+        return claim.expr, [FamilyIndex(claim.A, claim.B, claim.M)], count or claim.count
+    indices = family_indices(claim.family, claim.p, claim.alpha)
+    node = claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
+    return node, indices, count or claim.count
 
 
 def _side(claim: Claim, which: str, order: int) -> TruncatedSeries:
@@ -235,37 +242,27 @@ def _verify_inner(
                     )
         return VerificationReport(claim.id, "pass", target)
 
-    if claim.kind is ClaimKind.CONGRUENCE:
-        c = count or claim.count
-        s = eval_expr(claim.expr, target)
-        for n in range(c):
-            residue = s.coefficient(claim.A * n + claim.B) % claim.M
-            if residue:
-                return VerificationReport(
-                    claim.id, "fail", target,
-                    {"n": n, "lhs": residue, "rhs": 0},
-                )
-        return VerificationReport(claim.id, "pass", target)
-
-    if claim.kind is ClaimKind.CONGRUENCE_FAMILY:
-        indices = family_indices(claim.family, claim.p, claim.alpha)
-        c = count or claim.count
-        s = eval_expr(_family_expr(claim), target)
+    if claim.kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
+        node, indices, c = _progressions(claim, count)
+        s = eval_expr(node, target)
         for j, ix in enumerate(indices, start=1):
             for n in range(c):
                 residue = s.coefficient(ix.A * n + ix.B) % ix.M
                 if residue:
+                    message = ""
+                    if claim.kind is ClaimKind.CONGRUENCE_FAMILY:
+                        message = f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})"
                     return VerificationReport(
                         claim.id, "fail", target,
-                        {"n": n, "lhs": residue, "rhs": 0},
-                        message=f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})",
+                        {"n": n, "lhs": residue, "rhs": 0}, message=message,
                     )
         return VerificationReport(claim.id, "pass", target)
 
     if claim.kind is ClaimKind.INTERPRETATION:
         rs = partitions.RULESETS[claim.ruleset]
         bound = count or claim.bound
-        coeffs = mock_mod.mock_series(claim.mock, claim.A * bound + claim.B + 1)
+        (mock_order,) = demands.values()  # one expansion serves both routes
+        coeffs = mock_mod.mock_series(claim.mock, mock_order)
         for n in range(bound + 1):
             counted = partitions.count_signed(rs, n)
             expected = coeffs.coefficient(claim.A * n + claim.B)
@@ -276,7 +273,6 @@ def _verify_inner(
                     message="backtracking enumeration disagrees",
                 )
         dp = partitions.count_dp(rs, target)
-        coeffs = mock_mod.mock_series(claim.mock, claim.A * (target - 1) + claim.B + 1)
         for n in range(target):
             a = dp.coefficient(n)
             b = coeffs.coefficient(claim.A * n + claim.B)

@@ -26,6 +26,10 @@ other factor's valuation).  ``eval_expr`` evaluates exactly those children
 and returns a series whose order is exactly the requested one;
 ``leaf_demands`` walks the same plan without evaluating anything, so a caller
 can check resource caps, or expand shared leaves once, before any work.
+No node is answered without evaluation: a child is never asked for less than
+its valuation, so a factor that is zero below the order still keeps its
+product exact, and every divisor is evaluated past its valuation, so its
+leading coefficient is checked.
 Products, quotients, powers, integer scalars and ``q^k`` factors of ``l(k)``
 fold into one sparse ``products.eta_quotient`` call.
 
@@ -493,7 +497,7 @@ def _valuation(node: Expr) -> int:
 
     It is the valuation ``TruncatedSeries`` arithmetic gives the result, so it
     is where a divisor or a negative power's base must have coefficient +1 or
-    -1.  It is a lower bound on the true valuation only when ``_bounded(node)``.
+    -1.  ``_child_orders`` never asks a node for less than this order.
     """
     if isinstance(node, Mono):
         return node.k
@@ -513,96 +517,46 @@ def _valuation(node: Expr) -> int:
     return 0  # constants and every product, theta, mock and ruleset leaf
 
 
-def _unit_lead(node: Expr) -> bool:
-    """Whether the coefficient of ``node`` at ``_valuation(node)`` is provably +1 or -1.
-
-    Sums may cancel, and mock streams, progressions, streams and rulesets may
-    start later or with another coefficient, so they are never trusted.
-    """
-    if isinstance(node, Lit):
-        return node.value in (1, -1)
-    if isinstance(node, (Mono, Eta, Phi, Psi, products.EtaQuotientSpec)):
-        return True
-    if isinstance(node, Theta):
-        return node.a >= 1 and node.b >= 1
-    if isinstance(node, Poch):
-        return node.a >= 1
-    if isinstance(node, (Neg, Alt, Subst)):
-        return _unit_lead(node.child)
-    if isinstance(node, Pow):
-        return node.exponent == 0 or _unit_lead(node.base)
-    if isinstance(node, BinOp) and node.op in "*/":
-        return _unit_lead(node.left) and _unit_lead(node.right)
-    return False
-
-
-def _bounded(node: Expr) -> bool:
-    """Whether ``_valuation(node)`` is a proven lower bound on the true valuation.
-
-    It is unless a divisor or a negative power's base inside ``node`` lacks a
-    provable unit leading coefficient: ``q^2/mock(v)`` is planned at q^2, but
-    v starts at q^1.  Only a proven bound lets a node answer zero without
-    evaluating, so such a divisor is always evaluated and its leading
-    coefficient checked.  An unknown ruleset, which the parser accepts, is
-    never proven, so its error is raised whatever the order.
-    """
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            return _unit_lead(node.base)
-        return node.exponent == 0 or _bounded(node.base)
-    if isinstance(node, BinOp):
-        if node.op == "/":
-            return _bounded(node.left) and _unit_lead(node.right)
-        return _bounded(node.left) and _bounded(node.right)
-    if isinstance(node, (Neg, Alt, Ap, Subst)):
-        return _bounded(node.child)
-    if isinstance(node, RulesetRef):
-        return node.name in partitions.RULESETS
-    return True
-
-
-def _is_zero_below(node: Expr, order: int) -> bool:
-    """Whether ``node`` is provably zero below ``order``, so needs no evaluation."""
-    return order <= _valuation(node) and _bounded(node)
-
-
 def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     """The children ``eval_expr`` evaluates for ``node``, each with its order.
 
     Each child order is the least that makes ``node`` exact below ``order``,
-    given the valuations of the other factors; a divisor or a negative
-    power's base is always evaluated past its valuation, so that its leading
-    coefficient is checked.  This is the only place where orders are
-    decided; ``eval_expr`` and ``leaf_demands`` both follow it.
+    given the valuations of the other factors, and never below the child's
+    own valuation: a child that is zero below the order then still starts
+    where the plan says, so its parent keeps its precision.  A divisor or a
+    negative power's base is always evaluated past its valuation, so that
+    its leading coefficient is checked.  This is the only place where orders
+    are decided; ``eval_expr`` and ``leaf_demands`` both follow it.
     """
+    kids: list[tuple[Expr, int]] = []
     if isinstance(node, (Neg, Alt)):
-        return [(node.child, order)]
-    if isinstance(node, Ap):
-        return [(node.child, node.modulus * (order - 1) + node.residue + 1)]
-    if isinstance(node, Subst):
-        return [(node.child, -(-order // node.power))]
-    if isinstance(node, Pow):
+        kids = [(node.child, order)]
+    elif isinstance(node, Ap):
+        kids = [(node.child, node.modulus * (order - 1) + node.residue + 1)]
+    elif isinstance(node, Subst):
+        kids = [(node.child, -(-order // node.power))]
+    elif isinstance(node, Pow) and node.exponent:
         n, v = node.exponent, _valuation(node.base)
-        if n == 0:
-            return []
         need = order - (n - 1) * v
-        return [(node.base, need if n > 0 else max(need, v + 1))]
-    if isinstance(node, BinOp):
+        kids = [(node.base, need if n > 0 else max(need, v + 1))]
+    elif isinstance(node, BinOp):
         left, right = node.left, node.right
         if node.op in "+-":
-            return [(left, order), (right, order)]
-        if node.op == "*":
+            kids = [(left, order), (right, order)]
+        elif node.op == "*":
             # an integer scalar or a q^k factor is applied exactly, not multiplied
             if isinstance(left, (Lit, Mono)):
-                return [(right, order - _valuation(left))]
-            if isinstance(right, (Lit, Mono)):
-                return [(left, order - _valuation(right))]
-            return [(left, order - _valuation(right)), (right, order - _valuation(left))]
-        if isinstance(right, Mono):
-            return [(left, order + right.k)]
-        vl, vr = _valuation(left), _valuation(right)
-        return [(left, order + vr), (right, max(order - vl + 2 * vr, vr + 1))]
-    return []
+                kids = [(right, order - _valuation(left))]
+            elif isinstance(right, (Lit, Mono)):
+                kids = [(left, order - _valuation(right))]
+            else:
+                kids = [(left, order - _valuation(right)), (right, order - _valuation(left))]
+        elif isinstance(right, Mono):
+            kids = [(left, order + right.k)]
+        else:
+            vl, vr = _valuation(left), _valuation(right)
+            kids = [(left, order + vr), (right, max(order - vl + 2 * vr, vr + 1))]
+    return [(child, max(o, _valuation(child))) for child, o in kids]
 
 
 def _eta_factors(node: Expr) -> tuple[int, int, dict[int, int]] | None:
@@ -665,17 +619,18 @@ def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
     """The deepest order at which ``eval_expr(node, order)`` evaluates each leaf.
 
     Keys are leaf nodes; a folded eta quotient contributes its ``l(k)``
-    factors.  Nothing is evaluated, so callers can check caps and expand
-    shared leaves once before any work.
+    factors.  A leaf asked only at its valuation expands to the empty series
+    and is left out.  Nothing is evaluated, so callers can check caps and
+    expand shared leaves once before any work.
     """
     out: dict[Expr, int] = {}
     stack = [(node, order)]
     while stack:
         node, order = stack.pop()
         node = _fold(node)
-        if _is_zero_below(node, order):
-            continue  # evaluates to zero without touching its leaves
-        if isinstance(node, products.EtaQuotientSpec):
+        if order <= _valuation(node):
+            leaves = []
+        elif isinstance(node, products.EtaQuotientSpec):
             leaves = [Eta(k) for k in node.exponents]
         else:
             leaves = [node] if isinstance(node, _LEAVES) else []
@@ -693,11 +648,7 @@ def eval_expr(node: Expr, order: int) -> TruncatedSeries:
     than its plan demands.
     """
     node = _fold(node)
-    if _is_zero_below(node, order):
-        return TruncatedSeries.zero(order)
-    kids = []
-    for child, child_order in _child_orders(node, order):
-        kids.append(eval_expr(child, child_order))
+    kids = [eval_expr(child, o) for child, o in _child_orders(node, order)]
     result = _apply(node, order, kids)
     if result.order < order:
         raise SeriesError(

@@ -13,7 +13,6 @@ applied afterwards (``TruncatedSeries.alternate`` / ``substitute``).
 from __future__ import annotations
 
 import enum
-import threading
 
 from .series import TruncatedSeries, div_binomial, mul_binomial
 
@@ -136,7 +135,6 @@ def _compute(mock_id: MockThetaId, order: int) -> TruncatedSeries:
 
 
 _cache: dict[MockThetaId, TruncatedSeries] = {}
-_cache_lock = threading.Lock()
 
 
 def mock_series(mock_id: MockThetaId | str, order: int) -> TruncatedSeries:
@@ -150,12 +148,8 @@ def mock_series(mock_id: MockThetaId | str, order: int) -> TruncatedSeries:
     cached = _cache.get(mock_id)
     if cached is not None and cached.order >= order:
         return cached.truncate(order)
-    result = _compute(mock_id, order)
-    with _cache_lock:
-        held = _cache.get(mock_id)
-        if held is None or held.order < result.order:
-            _cache[mock_id] = result
-    return result
+    _cache[mock_id] = _compute(mock_id, order)  # deeper than anything cached
+    return _cache[mock_id]
 
 
 def mock_coefficient(mock_id: MockThetaId | str, n: int) -> int:

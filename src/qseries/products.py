@@ -121,6 +121,8 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
     """
     if isinstance(spec, dict):
         spec = EtaQuotientSpec(spec)
+    if order <= 0:
+        return TruncatedSeries.zero(order)
     acc = TruncatedSeries.one(order)
     for k, e in sorted(spec.exponents.items()):
         if e == 0:

@@ -218,22 +218,7 @@ class TruncatedSeries:
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires leading coefficient +1 or -1."""
-        u0 = self._unit_lead()
-        val = -self.valuation
-        order = self.order - 2 * self.valuation
-        length = order - val
-        nz = [(k, c) for k, c in enumerate(self.coeffs) if c and k > 0]
-        out = [0] * length
-        out[0] = u0
-        for n in range(1, length):
-            s = 0
-            for k, c in nz:
-                if k > n:
-                    break
-                s += c * out[n - k]
-            if s:
-                out[n] = -u0 * s
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries.one(self.order - self.valuation) / self
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact division; ``other`` must have unit leading coefficient."""

@@ -193,6 +193,14 @@ class TestDemandPlan:
         assert "2139" in r.message
         assert counts == {}
 
+    def test_cap_sees_the_direct_route(self, monkeypatch):
+        # the series route needs lambda at 59, the direct summation at 365
+        counts = _count_computes(monkeypatch)
+        r = verify(registry_by_id()["thm6.4"], order=10, max_order=100)
+        assert r.status == "skipped"
+        assert "needs order 365" in r.message
+        assert counts == {}
+
     def test_batch_expands_lambda_once(self, monkeypatch):
         counts = _count_computes(monkeypatch)
         table = registry_by_id()

@@ -280,6 +280,24 @@ class TestDemandPlan:
         assert leaf_demands(node, 3) == {Mock("v"): 1, Lit(1): 1}
         assert eval_expr(node, 3) == TruncatedSeries.zero(3)
 
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("(q^3/mock(mu))*(q^3/mock(mu))", 4),
+            ("(q^5/mock(mu))^2", 8),
+            ("(q^5/stream(psi,2))^2", 1),
+            ("(q^2/(1+mock(v)))^3", 5),
+            ("(q^4/mock(lambda))*l(1)", 3),
+        ],
+    )
+    def test_factor_zero_below_the_order_keeps_its_precision(self, text, order):
+        # each factor is asked for at least its valuation, so a zero factor
+        # still starts where the plan says and the product reaches the order
+        node = parse_expr(text)
+        s = eval_expr(node, order)
+        assert s.order == order
+        assert s == eval_expr(node, order + 12).truncate(order)
+
     def test_registry_mock_requests_match_the_plan(self, monkeypatch):
         requested: dict[str, int] = {}
         real = mock_mod.mock_series

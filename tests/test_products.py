@@ -113,6 +113,11 @@ class TestEtaQuotient:
         with pytest.raises(DomainError):
             EtaQuotientSpec({1: "x"})
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_empty_order_is_zero(self, order):
+        # the plan asks a folded quotient for order 0 when a q^k factor covers it
+        assert eta_quotient({4: 3, 1: -1, 2: -1}, order) == TruncatedSeries.zero(order)
+
     def test_truncation_stability(self):
         spec = {4: 3, 1: -1, 2: -1}
         assert eta_quotient(spec, 100).truncate(40) == eta_quotient(spec, 40)
