@@ -4,7 +4,10 @@ A :class:`Claim` is a declarative, finitely-checkable statement about the
 coefficient streams: an identity between two expressions, a congruence on an
 arithmetic progression, a whole congruence family, a recurrence (verified
 both as a series identity and by literal nested summation), or a partition
-interpretation (enumeration against mock coefficients).
+interpretation (enumeration against mock coefficients, read as the series
+``AP(mock(name), A, B)``).  Every series a claim reads is a claim-language
+expression, so ``_plan`` knows each leaf it expands, and at what order,
+before any work.
 
 ``registry()`` returns the built-in claim set.  Each claim carries a citation
 label and a default order or count chosen to run in seconds.  Some built-in
@@ -25,10 +28,10 @@ from typing import Callable, Sequence
 
 from . import expr as expr_mod
 from . import mock as mock_mod
-from . import partitions, products
+from . import partitions
 from .expr import Expr, eval_expr, leaf_demands, parse_expr, to_text
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
-from .series import SeriesError, TruncatedSeries
+from .series import TruncatedSeries
 
 
 class ClaimKind(enum.Enum):
@@ -37,9 +40,6 @@ class ClaimKind(enum.Enum):
     CONGRUENCE_FAMILY = "congruence-family"
     RECURRENCE = "recurrence"
     INTERPRETATION = "interpretation"
-
-
-SeriesBuilder = Callable[[int], TruncatedSeries]
 
 
 @dataclass
@@ -51,8 +51,6 @@ class Claim:
     # identity / recurrence series route
     lhs: Expr | None = None
     rhs: Expr | None = None
-    lhs_fn: SeriesBuilder | None = None
-    rhs_fn: SeriesBuilder | None = None
     order: int = 0
     # congruence
     expr: Expr | None = None
@@ -101,7 +99,7 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
     kind = claim.kind
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         target = order or claim.order
-        nodes = [(n, target) for n in (claim.lhs, claim.rhs) if n is not None]
+        nodes = [(claim.lhs, target), (claim.rhs, target)]
         if claim.direct is not None:
             # the direct summation reads the lhs leaves for n = 0..bound
             nodes.append((claim.lhs, claim.bound + 1))
@@ -112,9 +110,7 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
     else:
         bound = count or claim.bound
         target = claim.dp_order or bound + 1
-        deepest = claim.A * max(bound, target - 1) + claim.B + 1
-        name = mock_mod.MockThetaId.from_name(claim.mock).value
-        return target, {expr_mod.Mock(name): deepest}
+        nodes = [(_mock_progression(claim), max(bound + 1, target))]
     demands: dict[Expr, int] = {}
     for node, node_order in nodes:
         for leaf, o in leaf_demands(node, node_order).items():
@@ -134,17 +130,14 @@ def _progressions(claim: Claim, count: int | None) -> tuple[Expr, list[FamilyInd
     return node, indices, count or claim.count
 
 
-def _side(claim: Claim, which: str, order: int) -> TruncatedSeries:
-    node = getattr(claim, which)
-    fn = getattr(claim, which + "_fn")
-    if node is not None:
-        return eval_expr(node, order)
-    if fn is None:
-        raise ValueError(f"claim {claim.id} has no {which} side")
-    s = fn(order)
-    if s.order < order:
-        raise SeriesError(f"{which} side delivered order {s.order}, below the requested {order}")
-    return s.truncate(order)
+def _mock_progression(claim: Claim) -> Expr:
+    """``P(A*n + B)`` as ``AP(mock(name), A, B)``, or ``q^-k*AP(..., B - k*A)`` past A."""
+    if claim.A < 1:
+        raise ValueError(f"claim {claim.id!r}: progression modulus A must be positive")
+    name = mock_mod.MockThetaId.from_name(claim.mock).value
+    k, r = divmod(claim.B, claim.A)
+    node = expr_mod.Ap(expr_mod.Mock(name), claim.A, r)
+    return expr_mod.BinOp("*", expr_mod.Mono(-k), node) if k else node
 
 
 def _first_difference(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
@@ -208,10 +201,8 @@ def verify_all(
         for leaf, o in demands.items():
             peak[leaf] = max(peak.get(leaf, o), o)
     for leaf, o in peak.items():
-        if isinstance(leaf, expr_mod.Mock):
-            mock_mod.mock_series(leaf.name, o)
-        elif isinstance(leaf, expr_mod.Eta):
-            products.eta(leaf.k, o)
+        if isinstance(leaf, (expr_mod.Mock, expr_mod.Eta)):
+            eval_expr(leaf, o)
     return [verify(c, order=order, count=count, max_order=max_order) for c in claims]
 
 
@@ -226,8 +217,8 @@ def _verify_inner(
         )
 
     if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        lhs = _side(claim, "lhs", target)
-        rhs = _side(claim, "rhs", target)
+        lhs = eval_expr(claim.lhs, target)
+        rhs = eval_expr(claim.rhs, target)
         failure = _first_difference(lhs, rhs)
         if failure is not None:
             return VerificationReport(claim.id, "fail", target, failure)
@@ -261,11 +252,10 @@ def _verify_inner(
     if claim.kind is ClaimKind.INTERPRETATION:
         rs = partitions.RULESETS[claim.ruleset]
         bound = count or claim.bound
-        (mock_order,) = demands.values()  # one expansion serves both routes
-        coeffs = mock_mod.mock_series(claim.mock, mock_order)
+        coeffs = eval_expr(_mock_progression(claim), max(bound + 1, target))  # serves both routes
         for n in range(bound + 1):
             counted = partitions.count_signed(rs, n)
-            expected = coeffs.coefficient(claim.A * n + claim.B)
+            expected = coeffs.coefficient(n)
             if counted != expected:
                 return VerificationReport(
                     claim.id, "fail", bound,
@@ -275,7 +265,7 @@ def _verify_inner(
         dp = partitions.count_dp(rs, target)
         for n in range(target):
             a = dp.coefficient(n)
-            b = coeffs.coefficient(claim.A * n + claim.B)
+            b = coeffs.coefficient(n)
             if a != b:
                 return VerificationReport(
                     claim.id, "fail", target,
@@ -289,15 +279,6 @@ def _verify_inner(
 
 # -- direct summation evaluators for the recurrence claims -------------------
 
-def _mock_at(name: str, order: int) -> Callable[[int], int]:
-    s = mock_mod.mock_series(name, order)
-
-    def at(i: int) -> int:
-        return 0 if i < 0 else s.coefficient(i)
-
-    return at
-
-
 def _series_at(s: TruncatedSeries) -> Callable[[int], int]:
     def at(i: int) -> int:
         return 0 if i < 0 else s.coefficient(i)
@@ -306,7 +287,7 @@ def _series_at(s: TruncatedSeries) -> Callable[[int], int]:
 
 
 def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
-    v = _mock_at("v", 2 * bound + 2)
+    v = _series_at(mock_mod.mock_series("v", 2 * bound + 2))
     a4 = _series_at(partitions.regular4(bound + 1))
     lhs = [v(2 * n + 1) for n in range(bound + 1)]
     rhs = []
@@ -320,7 +301,7 @@ def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
-    v = _mock_at("v", 6 * bound + 6)
+    v = _series_at(mock_mod.mock_series("v", 6 * bound + 6))
     p2d = _series_at(partitions.p_rd(2, bound + 1))
     pbar = _series_at(partitions.overpartition_r(1, bound + 1))
     lhs = []
@@ -345,7 +326,7 @@ def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
-    sig = _mock_at("sigma", 2 * bound + 2)
+    sig = _series_at(mock_mod.mock_series("sigma", 2 * bound + 2))
     p2d = _series_at(partitions.p_rd(2, bound + 1))
     lhs = [sig(2 * n + 1) for n in range(bound + 1)]
     rhs = []
@@ -359,7 +340,7 @@ def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
-    beta = _mock_at("beta", 3 * bound + 3)
+    beta = _series_at(mock_mod.mock_series("beta", 3 * bound + 3))
     pbar = _series_at(partitions.overpartition_r(1, bound + 1))
     lhs = []
     for n in range(bound + 1):
@@ -381,7 +362,7 @@ def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
 def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
     # The displayed statement writes a one-copy overpartition weight, but the
     # generating function forces two copies; the two-copy reading is used here.
-    beta = _mock_at("beta", 9 * bound + 9)
+    beta = _series_at(mock_mod.mock_series("beta", 9 * bound + 9))
     pbar2 = _series_at(partitions.overpartition_r(2, bound + 1))
     lhs = []
     for n in range(bound + 1):
@@ -407,7 +388,7 @@ def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
-    beta = _mock_at("beta", 3 * bound + 2)
+    beta = _series_at(mock_mod.mock_series("beta", 3 * bound + 2))
     pbar = _series_at(partitions.overpartition_r(1, bound + 1))
     lhs = []
     for n in range(bound + 1):
@@ -431,7 +412,7 @@ def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
-    lam = _mock_at("lambda", 2 * bound + 1)
+    lam = _series_at(mock_mod.mock_series("lambda", 2 * bound + 1))
     p3d = _series_at(partitions.p_rd(3, bound + 1))
     lhs = [lam(2 * n) for n in range(bound + 1)]
     rhs = []
@@ -446,7 +427,7 @@ def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
-    lam = _mock_at("lambda", 6 * bound + 3)
+    lam = _series_at(mock_mod.mock_series("lambda", 6 * bound + 3))
     pbar3 = _series_at(partitions.overpartition_r(3, bound + 1))
     lhs = [lam(6 * n + 2) for n in range(bound + 1)]
     rhs = []
@@ -466,7 +447,7 @@ def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_4(bound: int) -> tuple[list[int], list[int]]:
-    lam = _mock_at("lambda", 6 * bound + 5)
+    lam = _series_at(mock_mod.mock_series("lambda", 6 * bound + 5))
     p2d = _series_at(partitions.p_rd(2, bound + 1))
     lhs = []
     for n in range(bound + 1):
@@ -529,11 +510,51 @@ def _family(cid, family, p, alpha, count, cite, notes="") -> Claim:
     )
 
 
-def _dissection(cid, lhs_fn, rhs_fn, order, cite) -> Claim:
-    return Claim(
-        cid, ClaimKind.IDENTITY, cite=cite,
-        lhs_fn=lhs_fn, rhs_fn=rhs_fn, order=order,
-    )
+def _times_q(k: int, text: str) -> str:
+    return text if k == 0 else f"q*{text}" if k == 1 else f"q^{k}*{text}"
+
+
+def _sum_text(terms: list[tuple[int, str]]) -> str:
+    """Join ``(sign, text)`` terms into one claim-language sum."""
+    text = " ".join(f"{'+' if sign > 0 else '-'} {term}" for sign, term in terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _psi_dissection_text(p: int) -> str:
+    """Lemma 2.1, the p-dissection of ``psi(q)``, term by term as in ``products``."""
+    terms = []
+    for m in range((p - 1) // 2):
+        a, b = (p * p + (2 * m + 1) * p) // 2, (p * p - (2 * m + 1) * p) // 2
+        terms.append((1, _times_q((m * m + m) // 2, f"f(q^{a},q^{b})")))
+    terms.append((1, _times_q((p * p - 1) // 8, f"psi(q^{p * p})")))
+    return _sum_text(terms)
+
+
+def _l1_dissection_text(p: int) -> str:
+    """Lemma 2.2, the p-dissection of ``l_1`` for p >= 5, term by term as in ``products``."""
+    tstar = (p - 1) // 6 if p % 6 == 1 else (-p - 1) // 6
+    terms = []
+    for t in range(-(p - 1) // 2, (p - 1) // 2 + 1):
+        if t != tstar:
+            a, b = (3 * p * p + (6 * t + 1) * p) // 2, (3 * p * p - (6 * t + 1) * p) // 2
+            terms.append((-1 if t % 2 else 1, _times_q((3 * t * t + t) // 2, f"f(-q^{a},-q^{b})")))
+    terms.append((-1 if tstar % 2 else 1, _times_q((p * p - 1) // 24, f"l({p * p})")))
+    return _sum_text(terms)
+
+
+def _l1cubed_dissection_text(p: int) -> str:
+    """Lemma 2.3, the p-dissection of ``l_1^3``.
+
+    Its double sum over m = pn + k, k != (p-1)/2, is Jacobi's stream less the
+    exponents = (p^2-1)/8 (mod p), the one class that k = (p-1)/2 reaches.
+    """
+    shift = (p * p - 1) // 8
+    r = shift % p
+    return _sum_text([
+        (1, "stream(jacobi,1)"),
+        (-1, _times_q(r, f"SUB(AP(stream(jacobi,1),{p},{r}),{p})")),
+        (-1 if ((p - 1) // 2) % 2 else 1, f"{p}*" + _times_q(shift, f"l({p * p})^3")),
+    ])
 
 
 _BROKEN_NOTE = "does not hold as stated; kept so the counterexample is on record"
@@ -594,20 +615,14 @@ def _build_registry() -> list[Claim]:
 
     # prime dissection lemmas
     for p in (3, 5, 7):
-        add(_dissection(
-            f"lemma2.1.p{p}", products.psi,
-            lambda order, p=p: products.psi_p_dissection_rhs(p, order),
-            300, f"p-dissection of psi(q) at p = {p}"))
+        add(_identity(f"lemma2.1.p{p}", "psi(q)", _psi_dissection_text(p), 300,
+                      f"p-dissection of psi(q) at p = {p}"))
     for p in (5, 7, 11):
-        add(_dissection(
-            f"lemma2.2.p{p}", lambda order: products.eta(1, order),
-            lambda order, p=p: products.f1_p_dissection_rhs(p, order),
-            300, f"p-dissection of l_1 at p = {p}"))
+        add(_identity(f"lemma2.2.p{p}", "l(1)", _l1_dissection_text(p), 300,
+                      f"p-dissection of l_1 at p = {p}"))
     for p in (3, 5, 7):
-        add(_dissection(
-            f"lemma2.3.p{p}", lambda order: products.eta(1, order) ** 3,
-            lambda order, p=p: products.f1cubed_p_dissection_rhs(p, order),
-            300, f"p-dissection of l_1^3 at p = {p}"))
+        add(_identity(f"lemma2.3.p{p}", "l(1)^3", _l1cubed_dissection_text(p), 300,
+                      f"p-dissection of l_1^3 at p = {p}"))
 
     # v(q)
     add(_identity("thm3.1", "AP(mock(v),2,1)", "l(4)^3/(l(1)*l(2))", 500,
@@ -802,32 +817,39 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
     except ValueError:
         raise ValueError(f"{source}: unknown claim type {rec.get('type')!r}") from None
 
-    def num(key: str, default: int | None = None) -> int:
-        if key in rec:
-            return int(rec[key])
-        if default is None:
+    def text(key: str) -> str:
+        if key not in rec:
             raise ValueError(f"{source}: claim {cid!r} missing field {key!r}")
-        return default
+        return rec[key]
+
+    def num(key: str, default: int | None = None) -> int:
+        if key not in rec and default is not None:
+            return default
+        value = text(key)
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{source}: claim {cid!r} field {key!r} is not an integer") from None
 
     cite = rec.get("cite", "")
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         return Claim(
             cid, kind, cite=cite,
-            lhs=parse_expr(rec["lhs"]), rhs=parse_expr(rec["rhs"]),
+            lhs=parse_expr(text("lhs")), rhs=parse_expr(text("rhs")),
             order=num("order", 200),
         )
     if kind is ClaimKind.CONGRUENCE:
         return Claim(
-            cid, kind, cite=cite, expr=parse_expr(rec["expr"]),
+            cid, kind, cite=cite, expr=parse_expr(text("expr")),
             A=num("A", 1), B=num("B", 0), M=num("M"), count=num("count", 100),
         )
     if kind is ClaimKind.CONGRUENCE_FAMILY:
         return Claim(
-            cid, kind, cite=cite, family=rec["family"],
+            cid, kind, cite=cite, family=text("family"),
             p=num("p"), alpha=num("alpha", 0), count=num("count", 5),
         )
     return Claim(
-        cid, kind, cite=cite, mock=rec["mock"], ruleset=rec["ruleset"],
+        cid, kind, cite=cite, mock=text("mock"), ruleset=text("ruleset"),
         A=num("A", 1), B=num("B", 0), bound=num("bound", 20),
         dp_order=num("order", 0),
     )

@@ -1,6 +1,8 @@
 """q-products and theta functions: Pochhammer symbols, eta quotients, and
-the classical bilateral theta series, plus the prime dissection identities
-used by the congruence-family machinery.
+the classical bilateral theta series, plus the prime dissection identities.
+The dissections are computed here term by term, independently of the claim
+language; they are the reference the registry's lemma2.1-2.3 texts are
+tested against.
 
 Everything returns a :class:`TruncatedSeries` exact to the requested order.
 """
@@ -204,8 +206,7 @@ def psi_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
     q^{(p^2-(2m+1)p)/2})`` plus the distinguished term
     ``q^{(p^2-1)/8} psi(q^{p^2})``.
     """
-    _require_odd_prime(p)
-    acc = TruncatedSeries.zero(order)
+    acc = psi_p_dissection_final_term(p, order)
     for m in range((p - 1) // 2):
         sh = (m * m + m) // 2
         if sh >= order:
@@ -216,9 +217,6 @@ def psi_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
             order - sh,
         )
         acc = acc + t.shift(sh)
-    sh = (p * p - 1) // 8
-    if sh < order:
-        acc = acc + theta_f(1, p * p, 1, 3 * p * p, order - sh).shift(sh)
     return acc
 
 
@@ -245,10 +243,8 @@ def f1_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
     ``(-1)^t q^{(3t^2+t)/2} f(-q^{(3p^2+(6t+1)p)/2}, -q^{(3p^2-(6t+1)p)/2})``
     plus the distinguished term with ``l_{p^2}``.
     """
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"{p} is not a prime >= 5")
+    acc = f1_p_dissection_final_term(p, order)
     tstar = _f1_branch_index(p)
-    acc = TruncatedSeries.zero(order)
     for t in range(-(p - 1) // 2, (p - 1) // 2 + 1):
         if t == tstar:
             continue
@@ -261,7 +257,6 @@ def f1_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
             order - sh,
         ).shift(sh)
         acc = acc + (term if t % 2 == 0 else -term)
-    acc = acc + f1_p_dissection_final_term(p, order)
     return acc
 
 
@@ -284,7 +279,7 @@ def f1cubed_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
     ``(-1)^{k+n} (2pn+2k+1) q^{k(k+1)/2 + pn(pn+2k+1)/2}`` plus the
     distinguished term ``p (-1)^{(p-1)/2} q^{(p^2-1)/8} l_{p^2}^3``.
     """
-    _require_odd_prime(p)
+    final = f1cubed_p_dissection_final_term(p, order)
     terms: dict[int, int] = {}
     for k in range(p):
         if k == (p - 1) // 2:
@@ -298,8 +293,7 @@ def f1cubed_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
             c = (2 * p * n + 2 * k + 1) * (1 if (k + n) % 2 == 0 else -1)
             terms[e] = terms.get(e, 0) + c
             n += 1
-    acc = TruncatedSeries.from_terms(terms, order)
-    return acc + f1cubed_p_dissection_final_term(p, order)
+    return TruncatedSeries.from_terms(terms, order) + final
 
 
 def f1cubed_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
@@ -312,23 +306,3 @@ def f1cubed_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
     cube = jacobi_cube(sub).substitute(p * p).truncate(order - sh)
     sign = 1 if ((p - 1) // 2) % 2 == 0 else -1
     return cube.shift(sh).scale(sign * p)
-
-
-def verify_binomial_congruence(n: int, t: int, p: int, order: int) -> bool:
-    """Check ``l_n^{t p} = l_{n p}^t (mod p)`` coefficientwise below the order."""
-    if n < 1 or t < 1:
-        raise DomainError("n and t must be positive")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    lhs = eta(n, order) ** (t * p)
-    rhs = eta(n * p, order) ** t
-    return (lhs - rhs).reduce_mod(p).is_zero
-
-
-def verify_power_of_two_congruence(t: int, order: int) -> bool:
-    """Check ``l_1^{2^t} = l_2^{2^{t-1}} (mod 2^t)`` coefficientwise below the order."""
-    if t < 1:
-        raise DomainError("t must be positive")
-    lhs = eta(1, order) ** (2**t)
-    rhs = eta(2, order) ** (2 ** (t - 1))
-    return (lhs - rhs).reduce_mod(2**t).is_zero

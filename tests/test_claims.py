@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from qseries import claims as claims_mod
 from qseries import mock as mock_mod
+from qseries import products
 from qseries.claims import (
     Claim,
     ClaimKind,
@@ -17,9 +19,8 @@ from qseries.claims import (
     verify,
     verify_all,
 )
-from qseries.expr import parse_expr
+from qseries.expr import Expr, Mock, eval_expr, parse_expr, to_text
 from qseries.ntheory import family_indices
-from qseries.series import TruncatedSeries
 
 EXPECTED_DEFECTS = {
     "thm5.1", "thm5.2", "thm5.3", "eq5.3", "thm5.4", "thm5.5", "eq6.3",
@@ -173,7 +174,64 @@ def _scrub(report) -> dict:
     return data
 
 
+class TestDissectionTexts:
+    """The lemma2.1-2.3 texts against the term-by-term products reference."""
+
+    @pytest.mark.parametrize(
+        "build, reference, p",
+        [(claims_mod._psi_dissection_text, products.psi_p_dissection_rhs, p)
+         for p in (3, 5, 7, 11, 13)]
+        + [(claims_mod._l1_dissection_text, products.f1_p_dissection_rhs, p)
+           for p in (5, 7, 11, 13)]
+        + [(claims_mod._l1cubed_dissection_text, products.f1cubed_p_dissection_rhs, p)
+           for p in (3, 5, 7, 11, 13)],
+    )
+    def test_text_equals_the_reference(self, build, reference, p):
+        assert eval_expr(parse_expr(build(p)), 1000) == reference(p, 1000)
+
+    def test_texts_as_written(self):
+        assert claims_mod._psi_dissection_text(5) == (
+            "f(q^15,q^10) + q*f(q^20,q^5) + q^3*psi(q^25)"
+        )
+        assert claims_mod._l1_dissection_text(5) == (
+            "q^5*f(-q^10,-q^65) + f(-q^40,-q^35) - q^2*f(-q^55,-q^20)"
+            " + q^7*f(-q^70,-q^5) - q*l(25)"
+        )
+        assert claims_mod._l1cubed_dissection_text(3) == (
+            "stream(jacobi,1) - q*SUB(AP(stream(jacobi,1),3,1),3) - 3*q*l(9)^3"
+        )
+
+    def test_every_side_is_an_expression(self):
+        for claim in registry():
+            if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
+                for node in (claim.lhs, claim.rhs):
+                    assert isinstance(node, Expr), claim.id
+                    assert parse_expr(to_text(node)) == node, claim.id
+
+
 class TestDemandPlan:
+    def test_every_claim_has_leaf_demands(self):
+        for claim in registry():
+            target, demands = claims_mod._plan(claim, None, None)
+            assert target > 0 and demands, claim.id
+
+    def test_cap_sees_the_enumeration_bound(self, monkeypatch):
+        # the enumeration reads v at 2*12+1, past the generating-function order 5
+        counts = _count_computes(monkeypatch)
+        (claim,) = parse_claim_file(
+            "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=thm3.2\n"
+            "A=2\nB=1\nbound=12\norder=5\n"
+        )
+        r = verify(claim, max_order=20)
+        assert r.status == "skipped" and "needs order 26" in r.message
+        assert counts == {}
+        r = verify(claim)
+        assert (r.status, r.order) == ("pass", 5)
+
+    def test_interpretation_reads_ap_of_its_mock_stream(self):
+        plan = claims_mod._plan(registry_by_id()["thm6.1"], None, None)
+        assert plan == (200, {Mock("lambda"): 399})
+
     def test_laurent_shift_keeps_the_requested_order(self):
         claim = Claim(
             "shifted", ClaimKind.IDENTITY,
@@ -258,11 +316,12 @@ class TestErrors:
         r = verify_all(claims)[0]
         assert r.status == "error" and r.first_failure is None
 
-    def test_under_delivered_side_is_an_error(self):
+    def test_under_delivered_side_is_an_error(self, monkeypatch):
+        real = mock_mod.mock_series
+        monkeypatch.setattr(mock_mod, "mock_series", lambda name, order: real(name, order - 1))
         claim = Claim(
             "short", ClaimKind.IDENTITY,
-            lhs_fn=lambda order: TruncatedSeries.one(order - 1),
-            rhs_fn=TruncatedSeries.one, order=30,
+            lhs=parse_expr("mock(v)"), rhs=parse_expr("mock(v)"), order=30,
         )
         r = verify(claim)
         assert r.status == "error" and r.first_failure is None
@@ -326,6 +385,46 @@ class TestClaimFiles:
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="missing"):
             parse_claim_file("[claim]\nid=x\ntype=congruence\nexpr=l(1)\n")
+
+    @pytest.mark.parametrize(
+        "fields, missing",
+        [
+            ("type=identity\nrhs=l(1)", "lhs"),
+            ("type=recurrence\nlhs=l(1)", "rhs"),
+            ("type=congruence\nM=2", "expr"),
+            ("type=congruence\nexpr=l(1)", "M"),
+            ("type=congruence-family\np=5", "family"),
+            ("type=interpretation\nruleset=thm3.2", "mock"),
+            ("type=interpretation\nmock=v", "ruleset"),
+        ],
+    )
+    def test_missing_text_field(self, fields, missing):
+        with pytest.raises(ValueError, match=f"^f: claim 'x' missing field '{missing}'$"):
+            parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
+
+    def test_non_integer_field(self):
+        text = "[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=abc\n"
+        with pytest.raises(ValueError, match="^f: claim 'x' field 'order' is not an integer"):
+            parse_claim_file(text, source="f")
+
+    def test_interpretation_residue_beyond_the_modulus(self):
+        # P(2n+3) is P(2(n+1)+1): the stream is q^-1*AP(mock(v),2,1)
+        (claim,) = parse_claim_file(
+            "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=thm3.2\n"
+            "A=2\nB=3\nbound=10\norder=40\n"
+        )
+        r = verify(claim)
+        coeffs = mock_mod.mock_series("v", 24)
+        assert r.status == "fail"
+        assert r.first_failure["rhs"] == coeffs.coefficient(2 * r.first_failure["n"] + 3)
+
+    def test_interpretation_modulus_must_be_positive(self):
+        (claim,) = parse_claim_file(
+            "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=thm3.2\nA=0\n"
+        )
+        r = verify_all([claim])[0]
+        assert (r.status, r.first_failure) == ("error", None)
+        assert "modulus A must be positive" in r.message
 
 
 class TestReports:

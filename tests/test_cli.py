@@ -119,6 +119,13 @@ class TestVerify:
         assert code == 2
         assert "collides" in err
 
+    def test_claim_file_missing_a_field_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=x\ntype=identity\nrhs=l(1)\n")
+        code, out, err = run_cli(capsys, "verify", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: claim 'x' missing field 'lhs'\n"
+
     def test_missing_claim_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "all", "--claims", "/nonexistent.claims")
         assert code == 2

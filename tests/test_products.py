@@ -23,8 +23,6 @@ from qseries.products import (
     psi_p_dissection_rhs,
     theta_f,
     triple_product,
-    verify_binomial_congruence,
-    verify_power_of_two_congruence,
 )
 from qseries.series import TruncatedSeries
 
@@ -264,23 +262,9 @@ class TestF1CubedDissection:
 
 
 class TestBinomialCongruences:
-    def test_mod_three(self):
-        assert verify_binomial_congruence(1, 1, 3, 200)
-
-    def test_mod_five(self):
-        assert verify_binomial_congruence(2, 1, 5, 200)
-
-    def test_power_of_two(self):
-        assert verify_power_of_two_congruence(2, 200)
-
+    # the congruences themselves are the registry's binom.* claims
     def test_non_congruence_detected(self):
         # l_1^2 is not congruent to l_3 mod 3
         lhs = eta(1, 50) ** 2
         rhs = eta(3, 50)
         assert not (lhs - rhs).reduce_mod(3).is_zero
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            verify_binomial_congruence(1, 1, 4, 50)
-        with pytest.raises(DomainError):
-            verify_power_of_two_congruence(0, 50)
