@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions
-from .expr import Expr, eval_expr, leaf_demands, parse_expr, to_text
+from .expr import Expr, ParseError, eval_expr, leaf_demands, parse_expr, to_text
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
 from .series import TruncatedSeries
 
@@ -95,10 +95,14 @@ MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
 
 
 def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict[Expr, int]]:
-    """The order a claim's report states, and the leaf demands of reaching it."""
+    """The order a claim's report states, and the leaf demands of reaching it.
+
+    A non-positive order or count, or a negative enumeration bound, raises
+    ValueError: it would check nothing, and a pass would be vacuous.
+    """
     kind = claim.kind
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        target = order or claim.order
+        target = _positive(claim, "order", claim.order if order is None else order)
         nodes = [(claim.lhs, target), (claim.rhs, target)]
         if claim.direct is not None:
             # the direct summation reads the lhs leaves for n = 0..bound
@@ -108,8 +112,8 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
         target = max(ix.A * (c - 1) + ix.B for ix in indices) + 1
         nodes = [(node, target)]
     else:
-        bound = count or claim.bound
-        target = claim.dp_order or bound + 1
+        bound = _bound(claim, count)
+        target = _positive(claim, "order", claim.dp_order or bound + 1)
         nodes = [(_mock_progression(claim), max(bound + 1, target))]
     demands: dict[Expr, int] = {}
     for node, node_order in nodes:
@@ -118,16 +122,31 @@ def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict
     return target, demands
 
 
+def _positive(claim: Claim, field: str, value: int) -> int:
+    if value <= 0:
+        raise ValueError(f"claim {claim.id!r}: {field} must be positive, got {value}")
+    return value
+
+
+def _bound(claim: Claim, count: int | None) -> int:
+    """An interpretation's enumeration bound: the claim's, or ``count`` if given."""
+    bound = claim.bound if count is None else count
+    if bound < 0:
+        raise ValueError(f"claim {claim.id!r}: bound must be nonnegative, got {bound}")
+    return bound
+
+
 def _progressions(claim: Claim, count: int | None) -> tuple[Expr, list[FamilyIndex], int]:
     """A congruence or a family as one series, its progressions and their count.
 
     A congruence is a family with the single progression ``A*n + B``.
     """
+    c = _positive(claim, "count", claim.count if count is None else count)
     if claim.kind is ClaimKind.CONGRUENCE:
-        return claim.expr, [FamilyIndex(claim.A, claim.B, claim.M)], count or claim.count
+        return claim.expr, [FamilyIndex(claim.A, claim.B, claim.M)], c
     indices = family_indices(claim.family, claim.p, claim.alpha)
     node = claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
-    return node, indices, count or claim.count
+    return node, indices, c
 
 
 def _mock_progression(claim: Claim) -> Expr:
@@ -251,7 +270,7 @@ def _verify_inner(
 
     if claim.kind is ClaimKind.INTERPRETATION:
         rs = partitions.RULESETS[claim.ruleset]
-        bound = count or claim.bound
+        bound = _bound(claim, count)
         coeffs = eval_expr(_mock_progression(claim), max(bound + 1, target))  # serves both routes
         for n in range(bound + 1):
             counted = partitions.count_signed(rs, n)
@@ -783,8 +802,10 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
     """Parse the line-oriented claim file format.
 
     Records start with a ``[claim]`` line followed by ``key=value`` lines;
-    ``#`` starts a comment.  Returns fully-built claims; raises ValueError
-    with the offending line number on malformed input.
+    ``#`` starts a comment.  Returns fully-built claims.  Malformed input
+    raises ValueError naming the source and the offending line, or the claim
+    and field: a missing field, a non-integer, an unparsable expression, or
+    an order or count below 1 (a bound below 0), which would check nothing.
     """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
@@ -822,36 +843,46 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
             raise ValueError(f"{source}: claim {cid!r} missing field {key!r}")
         return rec[key]
 
-    def num(key: str, default: int | None = None) -> int:
+    def num(key: str, default: int | None = None, least: int | None = None) -> int:
         if key not in rec and default is not None:
             return default
         value = text(key)
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
             raise ValueError(f"{source}: claim {cid!r} field {key!r} is not an integer") from None
+        if least is not None and value < least:
+            raise ValueError(
+                f"{source}: claim {cid!r} field {key!r} must be at least {least}, got {value}"
+            )
+        return value
+
+    def expr(key: str) -> Expr:
+        try:
+            return parse_expr(text(key))
+        except ParseError as exc:
+            raise ValueError(f"{source}: claim {cid!r} field {key!r}: {exc}") from None
 
     cite = rec.get("cite", "")
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         return Claim(
-            cid, kind, cite=cite,
-            lhs=parse_expr(text("lhs")), rhs=parse_expr(text("rhs")),
-            order=num("order", 200),
+            cid, kind, cite=cite, lhs=expr("lhs"), rhs=expr("rhs"),
+            order=num("order", 200, least=1),
         )
     if kind is ClaimKind.CONGRUENCE:
         return Claim(
-            cid, kind, cite=cite, expr=parse_expr(text("expr")),
-            A=num("A", 1), B=num("B", 0), M=num("M"), count=num("count", 100),
+            cid, kind, cite=cite, expr=expr("expr"),
+            A=num("A", 1), B=num("B", 0), M=num("M"), count=num("count", 100, least=1),
         )
     if kind is ClaimKind.CONGRUENCE_FAMILY:
         return Claim(
             cid, kind, cite=cite, family=text("family"),
-            p=num("p"), alpha=num("alpha", 0), count=num("count", 5),
+            p=num("p"), alpha=num("alpha", 0), count=num("count", 5, least=1),
         )
     return Claim(
         cid, kind, cite=cite, mock=text("mock"), ruleset=text("ruleset"),
-        A=num("A", 1), B=num("B", 0), bound=num("bound", 20),
-        dp_order=num("order", 0),
+        A=num("A", 1), B=num("B", 0), bound=num("bound", 20, least=0),
+        dp_order=num("order", 0, least=1),
     )
 
 

@@ -27,6 +27,17 @@ from .series import SeriesError, format_series
 _COLOR_NAMES = "abcdefghij"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        # an order or count of 0 would check nothing and report a vacuous pass
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qseries",
@@ -44,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify registry and/or file claims")
     v.add_argument("claim", nargs="?", default="all")
-    v.add_argument("--order", type=int, default=None, help="override identity order")
-    v.add_argument("--count", type=int, default=None, help="override congruence count")
+    v.add_argument("--order", type=_positive_int, default=None, help="override identity order")
+    v.add_argument("--count", type=_positive_int, default=None, help="override congruence count")
     v.add_argument("--claims", action="append", default=[], metavar="FILE")
     v.add_argument("--format", choices=["text", "json", "csv"], default="text")
     v.add_argument("--max-order", type=int, default=MAX_ORDER)

@@ -249,15 +249,28 @@ class TruncatedSeries:
             raise SeriesError("exponent must be an integer")
         if e == 0:
             return TruncatedSeries.one(self.order - self.valuation)
-        if e > 0:
-            r = self
-            for _ in range(e - 1):
-                r = r * self
+        n = abs(e)
+        # A product by (or quotient by) a factor with k nonzeros costs about
+        # k * length, and a square of a dense series length^2 / 2.  So for a
+        # sparse base (a theta series, say), n - 1 products by the base do
+        # less work than the squarings; otherwise square and multiply, with
+        # at most 2*floor(log2 n) products.  Both give the order of n - 1
+        # repeated products.
+        base = self if e > 0 else self.invert()
+        nonzero = sum(1 for c in self.coeffs if c)
+        if nonzero * (n - 1) <= (n.bit_length() - 1) * len(self.coeffs) // 2:
+            r = base
+            for _ in range(n - 1):
+                r = r * self if e > 0 else r / self
             return r
-        r = self.invert()
-        for _ in range(-e - 1):
-            r = r / self
-        return r
+        result = None
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     # -- exponent surgery ----------------------------------------------
 

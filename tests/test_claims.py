@@ -301,6 +301,25 @@ class TestErrors:
         assert (r.status, r.first_failure) == ("error", None)
         assert "leading coefficient 0" in r.message
 
+    @pytest.mark.parametrize(
+        "claim_id, override, message",
+        [
+            ("eq2.5.psi", {"order": 0}, "claim 'eq2.5.psi': order must be positive, got 0"),
+            ("eq2.5.psi", {"order": -5}, "claim 'eq2.5.psi': order must be positive, got -5"),
+            ("ramanujan.p5", {"count": 0}, "claim 'ramanujan.p5': count must be positive, got 0"),
+            ("thm6.1", {"count": -1}, "claim 'thm6.1': bound must be nonnegative, got -1"),
+        ],
+    )
+    def test_empty_range_is_an_error_not_a_pass(self, claim_id, override, message):
+        claim = registry_by_id()[claim_id]
+        for r in (verify(claim, **override), verify_all([claim], **override)[0]):
+            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+
+    def test_claim_without_an_order_is_an_error(self):
+        claim = Claim("unset", ClaimKind.IDENTITY, lhs=parse_expr("l(1)"), rhs=parse_expr("l(2)"))
+        r = verify(claim)
+        assert (r.status, r.message) == ("error", "claim 'unset': order must be positive, got 0")
+
     def test_unknown_ruleset_is_an_error(self):
         claim = Claim(
             "bogus.gf", ClaimKind.IDENTITY,
@@ -406,6 +425,36 @@ class TestClaimFiles:
         text = "[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=abc\n"
         with pytest.raises(ValueError, match="^f: claim 'x' field 'order' is not an integer"):
             parse_claim_file(text, source="f")
+
+    @pytest.mark.parametrize(
+        "fields, field, least, value",
+        [
+            ("type=identity\nlhs=l(1)\nrhs=l(2)\norder=0", "order", 1, 0),
+            ("type=recurrence\nlhs=l(1)\nrhs=l(2)\norder=-5", "order", 1, -5),
+            ("type=congruence\nexpr=l(1)\nM=2\ncount=0", "count", 1, 0),
+            ("type=congruence-family\nfamily=thm4.3\np=5\ncount=-1", "count", 1, -1),
+            ("type=interpretation\nmock=v\nruleset=thm3.2\norder=0", "order", 1, 0),
+            ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),
+        ],
+    )
+    def test_range_that_checks_nothing_is_rejected(self, fields, field, least, value):
+        message = f"^f: claim 'x' field '{field}' must be at least {least}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
+
+    @pytest.mark.parametrize(
+        "fields, field, error",
+        [
+            ("type=identity\nlhs=l(\nrhs=l(1)", "lhs", "expected an integer at offset 2"),
+            ("type=identity\nlhs=l(1)\nrhs=mock(omega)", "rhs",
+             "unknown mock theta function 'omega' at offset 0"),
+            ("type=congruence\nexpr=l(1)+\nM=2", "expr", "unexpected '' at offset 5"),
+        ],
+    )
+    def test_expression_error_names_its_field(self, fields, field, error):
+        with pytest.raises(ValueError) as info:
+            parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
+        assert str(info.value) == f"f: claim 'x' field '{field}': {error}"
 
     def test_interpretation_residue_beyond_the_modulus(self):
         # P(2n+3) is P(2(n+1)+1): the stream is q^-1*AP(mock(v),2,1)

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from qseries.cli import main
 
 
@@ -125,6 +127,26 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--claims", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: claim 'x' missing field 'lhs'\n"
+
+    def test_claim_file_expression_error_names_its_field(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=x\ntype=identity\nlhs=l(\nrhs=l(1)\n")
+        code, out, err = run_cli(capsys, "verify", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: claim 'x' field 'lhs': expected an integer at offset 2\n"
+
+    def test_claim_file_order_zero_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(2)\norder=0\n")
+        code, out, err = run_cli(capsys, "verify", "x", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: claim 'x' field 'order' must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("flag, value", [("--order", "0"), ("--count", "0"), ("--order", "-5")])
+    def test_empty_range_override_exits_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "thm3.1", flag, value)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be positive, got {value}" in err
 
     def test_missing_claim_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "all", "--claims", "/nonexistent.claims")

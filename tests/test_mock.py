@@ -1,11 +1,14 @@
-"""Mock theta coefficient streams: incremental vs reference route, frozen
-head coefficients, valuation schedules, structural relations.
+"""Mock theta coefficient streams: Hecke-type, incremental and reference
+routes, frozen head coefficients, valuation schedules, structural relations.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qseries import mock as mock_mod
 from qseries.mock import (
     MockThetaId,
+    _incremental,
     mock_coefficient,
     mock_series,
     mock_series_reference,
@@ -34,7 +37,51 @@ def test_frozen_heads(mock_id):
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))
 def test_incremental_matches_reference(mock_id):
+    assert _incremental(mock_id, 100) == mock_series_reference(mock_id, 100)
+
+
+@pytest.mark.parametrize("mock_id", list(MockThetaId))
+def test_mock_series_matches_reference(mock_id):
     assert mock_series(mock_id, 100) == mock_series_reference(mock_id, 100)
+
+
+HECKE = [MockThetaId.LAMBDA, MockThetaId.NU]
+
+
+@pytest.mark.parametrize("mock_id", HECKE)
+def test_hecke_route_matches_incremental_deep(mock_id):
+    assert _incremental(mock_id, 3000) == mock_series(mock_id, 3000)
+
+
+@pytest.mark.parametrize("mock_id", HECKE)
+def test_hecke_route_at_every_small_order(mock_id):
+    deep = _incremental(mock_id, 300)
+    for order in range(301):
+        assert mock_mod._compute(mock_id, order) == deep.truncate(order), order
+
+
+def test_lambda_route_at_its_row_boundaries():
+    # row n of the lambda numerator starts at q^(n(n+3)/2)
+    deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
+    orders = {0, 1} | {n * (n + 3) // 2 + d for n in range(41) for d in (-1, 0, 1)}
+    for order in sorted(o for o in orders if o >= 0):
+        assert mock_mod._compute(MockThetaId.LAMBDA, order) == deep.truncate(order), order
+
+
+@pytest.mark.parametrize("name", ["lambda", "nu"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 800), st.integers(0, 800))
+def test_hecke_route_truncation_property(name, x, y):
+    big, small = max(x, y), min(x, y)
+    saved = dict(mock_mod._cache)
+    try:
+        mock_mod._cache.clear()
+        deep = mock_series(name, big)
+        mock_mod._cache.clear()
+        assert deep.truncate(small) == mock_series(name, small)
+    finally:
+        mock_mod._cache.clear()
+        mock_mod._cache.update(saved)
 
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))

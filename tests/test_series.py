@@ -186,6 +186,67 @@ class TestPow:
         s = make(0, [1, 5], 2)
         assert (s ** 0) == TruncatedSeries.one(2)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            pentagonal_series(40),
+            make(2, [1, -3, 0, 5] + [1] * 30, 36),  # positive valuation
+            make(-3, [-1, 2, 0, 0, 7] + [0] * 20, 22),  # Laurent, unit lead -1
+            make(1, [2, 1] + [0] * 20, 23),  # non-unit lead: negative powers raise
+            TruncatedSeries.zero(5),
+        ],
+    )
+    @pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 13, -1, -2, -7])
+    def test_pow_equals_repeated_products(self, s, e):
+        def repeated():
+            if e > 0:
+                r = s
+                for _ in range(e - 1):
+                    r = r * s
+                return r
+            r = s.invert()
+            for _ in range(-e - 1):
+                r = r / s
+            return r
+
+        try:
+            expected = repeated()
+        except SeriesError as exc:
+            with pytest.raises(SeriesError) as info:
+                s ** e
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+        got = s ** e
+        assert (got.order, got) == (expected.order, expected)
+
+    def test_pow_uses_logarithmically_many_products(self, monkeypatch):
+        calls = []
+        real = TruncatedSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+        s = series_from_poly([1, 1], 30)
+        assert (s ** 1000).coefficients(3) == [1, 1000, 1000 * 999 // 2]
+        assert len(calls) <= 20
+
+    def test_sparse_base_is_never_squared_dense(self, monkeypatch):
+        # pentagonal_series(400) has 33 nonzeros: three products by it cost
+        # less than squaring its dense square
+        sparse = pentagonal_series(400)
+        operands = []
+        real = TruncatedSeries.__mul__
+
+        def recording(a, b):
+            operands.append(min(len(a.nonzero_items()), len(b.nonzero_items())))
+            return real(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+        assert (sparse ** 4).order == 400
+        assert operands and max(operands) == len(sparse.nonzero_items())
+
 
 class TestExtractAp:
     def test_direct_definition(self):
