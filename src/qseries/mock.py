@@ -13,11 +13,13 @@
   (-1)^(r+s) x^r y^s q^(a r(r-1)/2 + b r s + c s(s-1)/2)``, where sg(r) is
   +1 for r >= 0 and -1 otherwise.  The lambda identity is Andrews and
   Hickerson's (Adv. Math. 89, 1991).  The nu identity was fitted by a search
-  over such sums and matches the incremental route exactly to order 4500; it
-  is not derived from any relation the claim registry verifies.  Each
-  numerator is enumerated lattice point by lattice point (O(order) terms)
-  and divided once by the theta series, a division that touches only its
-  O(sqrt(order)) nonzeros.
+  over such sums and is not proven: it matches the incremental route in
+  every coefficient below q^20000 (the tests check below q^3000), so nu's
+  coefficients from q^20000 up to ``claims.MAX_ORDER`` rest on the fitted
+  identity alone.  It is not derived from any relation the claim registry
+  verifies.  Each numerator is enumerated lattice point by lattice point
+  (O(order) terms) and divided once by the theta series, a division that
+  touches only its O(sqrt(order)) nonzeros.
 * the other six streams are summed by ``_incremental``, which maintains each
   term's Pochhammer ratio incrementally (one new binomial factor per index,
   O(order) per term).  For lambda and nu that sum is O(order^2); it stays

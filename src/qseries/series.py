@@ -249,20 +249,10 @@ class TruncatedSeries:
             raise SeriesError("exponent must be an integer")
         if e == 0:
             return TruncatedSeries.one(self.order - self.valuation)
+        # Square and multiply: at most 2*floor(log2 |e|) products, with the
+        # order of |e| - 1 repeated products.  A negative power inverts once.
         n = abs(e)
-        # A product by (or quotient by) a factor with k nonzeros costs about
-        # k * length, and a square of a dense series length^2 / 2.  So for a
-        # sparse base (a theta series, say), n - 1 products by the base do
-        # less work than the squarings; otherwise square and multiply, with
-        # at most 2*floor(log2 n) products.  Both give the order of n - 1
-        # repeated products.
         base = self if e > 0 else self.invert()
-        nonzero = sum(1 for c in self.coeffs if c)
-        if nonzero * (n - 1) <= (n.bit_length() - 1) * len(self.coeffs) // 2:
-            r = base
-            for _ in range(n - 1):
-                r = r * self if e > 0 else r / self
-            return r
         result = None
         while True:
             if n & 1:

@@ -232,21 +232,6 @@ class TestPow:
         assert (s ** 1000).coefficients(3) == [1, 1000, 1000 * 999 // 2]
         assert len(calls) <= 20
 
-    def test_sparse_base_is_never_squared_dense(self, monkeypatch):
-        # pentagonal_series(400) has 33 nonzeros: three products by it cost
-        # less than squaring its dense square
-        sparse = pentagonal_series(400)
-        operands = []
-        real = TruncatedSeries.__mul__
-
-        def recording(a, b):
-            operands.append(min(len(a.nonzero_items()), len(b.nonzero_items())))
-            return real(a, b)
-
-        monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
-        assert (sparse ** 4).order == 400
-        assert operands and max(operands) == len(sparse.nonzero_items())
-
 
 class TestExtractAp:
     def test_direct_definition(self):
