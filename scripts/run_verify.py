@@ -10,7 +10,7 @@ import pathlib
 import sys
 import time
 
-from qseries.claims import registry, reports_to_csv, reports_to_json, verify_all
+from qseries.claims import registry, reports_to_csv, reports_to_json, tally, verify_all
 
 
 def main() -> int:
@@ -29,17 +29,13 @@ def main() -> int:
     (out_dir / "verification.json").write_text(reports_to_json(reports))
     (out_dir / "verification.csv").write_text(reports_to_csv(reports))
 
-    statuses = ("pass", "fail", "skipped", "error")
-    counts = {s: sum(1 for r in reports if r.status == s) for s in statuses}
-    print(f"{len(reports)} claims in {elapsed:.1f}s: "
-          + ", ".join(f"{counts[s]} {s}" for s in statuses))
+    summary, code = tally(reports)
+    print(f"{len(reports)} claims in {elapsed:.1f}s: {summary}")
     for r in reports:
         if r.status != "pass":
             print(f"  {r.claim_id}: {r.status} {r.first_failure or ''} {r.message}")
     print(f"reports written to {out_dir}/")
-    if counts["error"]:
-        return 2
-    return 1 if counts["fail"] else 0
+    return code
 
 
 if __name__ == "__main__":

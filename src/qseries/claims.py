@@ -97,8 +97,8 @@ MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
 def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict[Expr, int]]:
     """The order a claim's report states, and the leaf demands of reaching it.
 
-    A non-positive order or count, or a negative enumeration bound, raises
-    ValueError: it would check nothing, and a pass would be vacuous.
+    A non-positive order, count or step, a modulus below 2, or a negative
+    enumeration bound raises ValueError: a pass would be vacuous.
     """
     kind = claim.kind
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
@@ -143,7 +143,9 @@ def _progressions(claim: Claim, count: int | None) -> tuple[Expr, list[FamilyInd
     """
     c = _positive(claim, "count", claim.count if count is None else count)
     if claim.kind is ClaimKind.CONGRUENCE:
-        return claim.expr, [FamilyIndex(claim.A, claim.B, claim.M)], c
+        if claim.M < 2:  # mod 1 checks nothing, mod 0 divides by zero
+            raise ValueError(f"claim {claim.id!r}: modulus M must be at least 2, got {claim.M}")
+        return claim.expr, [FamilyIndex(_positive(claim, "step A", claim.A), claim.B, claim.M)], c
     indices = family_indices(claim.family, claim.p, claim.alpha)
     node = claim.expr or expr_mod.Mock(FAMILIES[claim.family].mock)
     return node, indices, c
@@ -160,12 +162,8 @@ def _mock_progression(claim: Claim) -> Expr:
 
 
 def _first_difference(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
-    for e in range(min(lhs.valuation, rhs.valuation), lhs.order):
-        a = lhs.coefficient(e)
-        b = rhs.coefficient(e)
-        if a != b:
-            return {"n": e, "lhs": a, "rhs": b}
-    return None
+    same, e = lhs.agrees_with(rhs)
+    return None if same else {"n": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)}
 
 
 def verify(
@@ -298,16 +296,9 @@ def _verify_inner(
 
 # -- direct summation evaluators for the recurrence claims -------------------
 
-def _series_at(s: TruncatedSeries) -> Callable[[int], int]:
-    def at(i: int) -> int:
-        return 0 if i < 0 else s.coefficient(i)
-
-    return at
-
-
 def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
-    v = _series_at(mock_mod.mock_series("v", 2 * bound + 2))
-    a4 = _series_at(partitions.regular4(bound + 1))
+    v = mock_mod.mock_series("v", 2 * bound + 2).coefficient
+    a4 = partitions.regular4(bound + 1).coefficient
     lhs = [v(2 * n + 1) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
@@ -320,9 +311,9 @@ def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
-    v = _series_at(mock_mod.mock_series("v", 6 * bound + 6))
-    p2d = _series_at(partitions.p_rd(2, bound + 1))
-    pbar = _series_at(partitions.overpartition_r(1, bound + 1))
+    v = mock_mod.mock_series("v", 6 * bound + 6).coefficient
+    p2d = partitions.p_rd(2, bound + 1).coefficient
+    pbar = partitions.overpartition_r(1, bound + 1).coefficient
     lhs = []
     for n in range(bound + 1):
         total = v(6 * n + 5)
@@ -345,8 +336,8 @@ def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
-    sig = _series_at(mock_mod.mock_series("sigma", 2 * bound + 2))
-    p2d = _series_at(partitions.p_rd(2, bound + 1))
+    sig = mock_mod.mock_series("sigma", 2 * bound + 2).coefficient
+    p2d = partitions.p_rd(2, bound + 1).coefficient
     lhs = [sig(2 * n + 1) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
@@ -359,8 +350,8 @@ def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
-    beta = _series_at(mock_mod.mock_series("beta", 3 * bound + 3))
-    pbar = _series_at(partitions.overpartition_r(1, bound + 1))
+    beta = mock_mod.mock_series("beta", 3 * bound + 3).coefficient
+    pbar = partitions.overpartition_r(1, bound + 1).coefficient
     lhs = []
     for n in range(bound + 1):
         total, k = 0, 0
@@ -381,8 +372,8 @@ def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
 def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
     # The displayed statement writes a one-copy overpartition weight, but the
     # generating function forces two copies; the two-copy reading is used here.
-    beta = _series_at(mock_mod.mock_series("beta", 9 * bound + 9))
-    pbar2 = _series_at(partitions.overpartition_r(2, bound + 1))
+    beta = mock_mod.mock_series("beta", 9 * bound + 9).coefficient
+    pbar2 = partitions.overpartition_r(2, bound + 1).coefficient
     lhs = []
     for n in range(bound + 1):
         total, m = 0, 0
@@ -407,8 +398,8 @@ def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
-    beta = _series_at(mock_mod.mock_series("beta", 3 * bound + 2))
-    pbar = _series_at(partitions.overpartition_r(1, bound + 1))
+    beta = mock_mod.mock_series("beta", 3 * bound + 2).coefficient
+    pbar = partitions.overpartition_r(1, bound + 1).coefficient
     lhs = []
     for n in range(bound + 1):
         total = beta(3 * n + 1)
@@ -431,8 +422,8 @@ def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
-    lam = _series_at(mock_mod.mock_series("lambda", 2 * bound + 1))
-    p3d = _series_at(partitions.p_rd(3, bound + 1))
+    lam = mock_mod.mock_series("lambda", 2 * bound + 1).coefficient
+    p3d = partitions.p_rd(3, bound + 1).coefficient
     lhs = [lam(2 * n) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
@@ -446,8 +437,8 @@ def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
-    lam = _series_at(mock_mod.mock_series("lambda", 6 * bound + 3))
-    pbar3 = _series_at(partitions.overpartition_r(3, bound + 1))
+    lam = mock_mod.mock_series("lambda", 6 * bound + 3).coefficient
+    pbar3 = partitions.overpartition_r(3, bound + 1).coefficient
     lhs = [lam(6 * n + 2) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
@@ -466,8 +457,8 @@ def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
 
 
 def _direct_thm6_4(bound: int) -> tuple[list[int], list[int]]:
-    lam = _series_at(mock_mod.mock_series("lambda", 6 * bound + 5))
-    p2d = _series_at(partitions.p_rd(2, bound + 1))
+    lam = mock_mod.mock_series("lambda", 6 * bound + 5).coefficient
+    p2d = partitions.p_rd(2, bound + 1).coefficient
     lhs = []
     for n in range(bound + 1):
         total, m = 0, 0
@@ -805,7 +796,8 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
     ``#`` starts a comment.  Returns fully-built claims.  Malformed input
     raises ValueError naming the source and the offending line, or the claim
     and field: a missing field, a non-integer, an unparsable expression, or
-    an order or count below 1 (a bound below 0), which would check nothing.
+    an order, count or congruence step A below 1 (a bound below 0, a modulus
+    M below 2), which would check nothing.
     """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
@@ -872,7 +864,8 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
     if kind is ClaimKind.CONGRUENCE:
         return Claim(
             cid, kind, cite=cite, expr=expr("expr"),
-            A=num("A", 1), B=num("B", 0), M=num("M"), count=num("count", 100, least=1),
+            A=num("A", 1, least=1), B=num("B", 0), M=num("M", least=2),
+            count=num("count", 100, least=1),
         )
     if kind is ClaimKind.CONGRUENCE_FAMILY:
         return Claim(
@@ -887,6 +880,15 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
 
 
 # -- report serialisation ------------------------------------------------------
+
+def tally(reports: Sequence[VerificationReport]) -> tuple[str, int]:
+    """Status counts as ``"70 pass, 7 fail, 0 skipped, 0 error"``, and the exit
+    code: 2 if any report is an error, 1 if any fails, else 0."""
+    statuses = ("pass", "fail", "skipped", "error")
+    counts = {s: sum(1 for r in reports if r.status == s) for s in statuses}
+    text = ", ".join(f"{counts[s]} {s}" for s in statuses)
+    return text, 2 if counts["error"] else 1 if counts["fail"] else 0
+
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
@@ -905,5 +907,5 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 __all__ = [
     "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "verify_all", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
-    "to_text",
+    "tally", "to_text",
 ]

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=_positive_int, default=None, help="override congruence count")
     v.add_argument("--claims", action="append", default=[], metavar="FILE")
     v.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    v.add_argument("--max-order", type=int, default=MAX_ORDER)
+    v.add_argument("--max-order", type=_positive_int, default=MAX_ORDER)
 
     e = sub.add_parser("enumerate", help="signed colored-partition count")
     e.add_argument("ruleset", help="one of " + ", ".join(sorted(partitions.RULESETS)))
@@ -139,6 +139,7 @@ def _cmd_verify(args) -> int:
         return 2
 
     reports = _run_claims(to_run, args.order, args.count, args.max_order)
+    summary, code = claims_mod.tally(reports)
     if args.format == "json":
         print(claims_mod.reports_to_json(reports))
     elif args.format == "csv":
@@ -152,12 +153,8 @@ def _cmd_verify(args) -> int:
             if r.message:
                 line += f"  [{r.message}]"
             print(line)
-        statuses = ("pass", "fail", "skipped", "error")
-        counts = {s: sum(1 for r in reports if r.status == s) for s in statuses}
-        print("-- " + ", ".join(f"{counts[s]} {s}" for s in statuses))
-    if any(r.status == "error" for r in reports):
-        return 2
-    return 1 if any(r.status == "fail" for r in reports) else 0
+        print("-- " + summary)
+    return code
 
 
 def _cmd_enumerate(args) -> int:

@@ -8,7 +8,7 @@ Grammar (precedence low to high: + - then * / then ^):
     atom  := "l(" nat ")" | "q" ["^" int] | int | "-" atom
            | "mock(" name ")"
            | "f(" sq "," sq ")"            sq := ["-"] "q" ["^" nat]
-           | "phi(" sq ")" | "psi(" sq ")"
+           | "phi(" sq ")" | "psi(" sq ")" read as f(c, c) and f(c, c^3)
            | "poch(" sq "," nat ")"        (sign q^a ; q^step)_inf
            | "stream(" kind "," nat ")"    kind in pentagonal|jacobi|phi|psi
            | "ruleset(" name ")"
@@ -83,18 +83,6 @@ class Eta:
 
 
 @dataclass(frozen=True)
-class Phi:
-    sign: int
-    k: int
-
-
-@dataclass(frozen=True)
-class Psi:
-    sign: int
-    k: int
-
-
-@dataclass(frozen=True)
 class Theta:
     sign1: int
     a: int
@@ -162,7 +150,7 @@ class Alt:
 
 
 Expr = (
-    Lit | Mono | Eta | Phi | Psi | Theta | Poch | Mock | Stream | RulesetRef
+    Lit | Mono | Eta | Theta | Poch | Mock | Stream | RulesetRef
     | Neg | BinOp | Pow | Ap | Subst | Alt
 )
 
@@ -368,7 +356,8 @@ class _Parser:
             if k < 1:
                 raise ParseError("expected a positive power of q", arg_pos)
             self.expect_sym(")")
-            return Phi(sign, k) if val == "phi" else Psi(sign, k)
+            # phi(c) = f(c, c) and psi(c) = f(c, c^3)
+            return Theta(sign, k, sign, k if val == "phi" else 3 * k)
         if val == "poch":
             self.expect_sym("(")
             sign, a = self.signed_q_power()
@@ -435,7 +424,8 @@ def _sq(sign: int, k: int) -> str:
 
 
 def to_text(node: Expr) -> str:
-    """Canonical rendering; ``parse_expr(to_text(e))`` reproduces ``e``."""
+    """Canonical rendering; ``parse_expr(to_text(e))`` reproduces ``e`` unless
+    an exponent is past ``MAX_EXPONENT``, as in ``psi(q^k)`` = ``f(q^k,q^3k)``."""
     return _print(node, 0)
 
 
@@ -448,10 +438,6 @@ def _print(node: Expr, level: int) -> str:
         return "q" if node.k == 1 else f"q^{node.k}"
     if isinstance(node, Eta):
         return f"l({node.k})"
-    if isinstance(node, Phi):
-        return f"phi({_sq(node.sign, node.k)})"
-    if isinstance(node, Psi):
-        return f"psi({_sq(node.sign, node.k)})"
     if isinstance(node, Theta):
         return f"f({_sq(node.sign1, node.a)},{_sq(node.sign2, node.b)})"
     if isinstance(node, Poch):
@@ -489,7 +475,7 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-_LEAVES = (Lit, Mono, Eta, Phi, Psi, Theta, Poch, Mock, Stream, RulesetRef)
+_LEAVES = (Lit, Mono, Eta, Theta, Poch, Mock, Stream, RulesetRef)
 
 
 def _valuation(node: Expr) -> int:
@@ -668,12 +654,6 @@ def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeri
         return products.eta(node.k, order)
     if isinstance(node, products.EtaQuotientSpec):
         return products.eta_quotient(node, order)
-    if isinstance(node, (Phi, Psi)):
-        expand = products.phi if isinstance(node, Phi) else products.psi
-        base = expand(-(-order // node.k))
-        if node.sign == -1:
-            base = base.alternate()
-        return base.substitute(node.k)
     if isinstance(node, Theta):
         return products.theta_f(node.sign1, node.a, node.sign2, node.b, order)
     if isinstance(node, Poch):

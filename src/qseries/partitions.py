@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .products import eta, eta_quotient
+from .products import eta, eta_quotient, jacobi_cube, theta_f
 from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 
 
@@ -294,37 +294,26 @@ class ThetaStreamKind(enum.Enum):
 def theta_stream(
     kind: ThetaStreamKind | str, scale: int, order: int
 ) -> TruncatedSeries:
-    """Weighted exponent streams used by the recurrence verifier.
+    """Weighted exponent streams used by the recurrence verifier, each one
+    ``products`` generator with its exponents scaled by s (m >= 0 for jacobi
+    and psi, every integer m for the others):
 
-    pentagonal:  sum (-1)^m q^(s m(3m-1)/2)          (= l_s)
-    jacobi:      sum (-1)^k (2k+1) q^(s k(k+1)/2)    (= l_s^3)
-    phi:         1 + 2 sum (-1)^k q^(s k^2)          (= phi(-q^s))
-    psi:         sum q^(s k(k+1)/2)                  (= psi(q^s))
+    pentagonal:  sum (-1)^m q^(s m(3m-1)/2)         = l_s        eta(s, N)
+    jacobi:      sum (-1)^m (2m+1) q^(s m(m+1)/2)   = l_s^3      jacobi_cube(N, s)
+    phi:         sum (-1)^m q^(s m^2)               = phi(-q^s)  theta_f(-1, s, -1, s, N)
+    psi:         sum q^(s m(m+1)/2)                 = psi(q^s)   theta_f(1, s, 1, 3s, N)
     """
     if isinstance(kind, str):
         kind = ThetaStreamKind.from_name(kind)
     if scale < 1:
         raise SeriesError(f"scale must be positive, got {scale}")
-    terms: dict[int, int] = {}
     if kind is ThetaStreamKind.PENTAGONAL:
         return eta(scale, order)
     if kind is ThetaStreamKind.TRIANGULAR_JACOBI:
-        k = 0
-        while scale * k * (k + 1) // 2 < order:
-            terms[scale * k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
-            k += 1
-    elif kind is ThetaStreamKind.SQUARE_PHI:
-        terms[0] = 1
-        k = 1
-        while scale * k * k < order:
-            terms[scale * k * k] = -2 if k % 2 else 2
-            k += 1
-    else:  # TRIANGULAR_PSI
-        k = 0
-        while scale * k * (k + 1) // 2 < order:
-            terms[scale * k * (k + 1) // 2] = 1
-            k += 1
-    return TruncatedSeries.from_terms(terms, order)
+        return jacobi_cube(order, scale)
+    if kind is ThetaStreamKind.SQUARE_PHI:
+        return theta_f(-1, scale, -1, scale, order)
+    return theta_f(1, scale, 1, 3 * scale, order)  # TRIANGULAR_PSI
 
 
 # -- brute-force enumerators (test oracles) ---------------------------------

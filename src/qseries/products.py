@@ -151,14 +151,10 @@ def theta_f(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeri
     m = 0
     while (a + b) * m * (m - 1) // 2 < order:
         for mm in (m, -m) if m else (0,):
-            e = a * (mm * (mm + 1) // 2) + b * (mm * (mm - 1) // 2)
+            up, down = mm * (mm + 1) // 2, mm * (mm - 1) // 2  # both >= 0
+            e = a * up + b * down
             if e < order:
-                sign = 1
-                if sign1 == -1 and (mm * (mm + 1) // 2) % 2:
-                    sign = -sign
-                if sign2 == -1 and (mm * (mm - 1) // 2) % 2:
-                    sign = -sign
-                terms[e] = terms.get(e, 0) + sign
+                terms[e] = terms.get(e, 0) + sign1 ** up * sign2 ** down
         m += 1
     return TruncatedSeries.from_terms(terms, order)
 
@@ -173,13 +169,15 @@ def psi(order: int) -> TruncatedSeries:
     return theta_f(1, 1, 1, 3, order)
 
 
-def jacobi_cube(order: int) -> TruncatedSeries:
-    """``l_1^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}``."""
+def jacobi_cube(order: int, k: int = 1) -> TruncatedSeries:
+    """Jacobi's ``l_k^3 = sum_{m>=0} (-1)^m (2m+1) q^{k m(m+1)/2}``, k as in ``eta``."""
+    if k < 1:
+        raise DomainError(f"jacobi_cube index must be positive, got {k}")
     terms: dict[int, int] = {}
-    k = 0
-    while k * (k + 1) // 2 < order:
-        terms[k * (k + 1) // 2] = (2 * k + 1) * (1 if k % 2 == 0 else -1)
-        k += 1
+    m = 0
+    while k * m * (m + 1) // 2 < order:
+        terms[k * m * (m + 1) // 2] = (2 * m + 1) * (1 if m % 2 == 0 else -1)
+        m += 1
     return TruncatedSeries.from_terms(terms, order)
 
 
@@ -302,7 +300,6 @@ def f1cubed_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
     sh = (p * p - 1) // 8
     if sh >= order:
         return TruncatedSeries.zero(order)
-    sub = -(-(order - sh) // (p * p))  # ceil
-    cube = jacobi_cube(sub).substitute(p * p).truncate(order - sh)
+    cube = jacobi_cube(order - sh, p * p)
     sign = 1 if ((p - 1) // 2) % 2 == 0 else -1
     return cube.shift(sh).scale(sign * p)

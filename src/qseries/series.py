@@ -127,13 +127,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        lo = min(self.valuation, other.valuation)
-        return all(
-            self.coefficient(e) == other.coefficient(e)
-            for e in range(lo, self.order)
-        )
+        return self.order == other.order and self.agrees_with(other)[0]
 
     def __hash__(self) -> int:
         nz = tuple(self.nonzero_items())

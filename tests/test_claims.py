@@ -11,11 +11,13 @@ from qseries import products
 from qseries.claims import (
     Claim,
     ClaimKind,
+    VerificationReport,
     parse_claim_file,
     registry,
     registry_by_id,
     reports_to_csv,
     reports_to_json,
+    tally,
     verify,
     verify_all,
 )
@@ -315,6 +317,20 @@ class TestErrors:
         for r in (verify(claim, **override), verify_all([claim], **override)[0]):
             assert (r.status, r.first_failure, r.message) == ("error", None, message)
 
+    @pytest.mark.parametrize(
+        "A, M, message",
+        [
+            (1, 0, "claim 'c': modulus M must be at least 2, got 0"),
+            (1, 1, "claim 'c': modulus M must be at least 2, got 1"),
+            (0, 5, "claim 'c': step A must be positive, got 0"),
+            (-2, 5, "claim 'c': step A must be positive, got -2"),
+        ],
+    )
+    def test_degenerate_congruence_is_an_error_not_a_pass(self, A, M, message):
+        claim = Claim("c", ClaimKind.CONGRUENCE, expr=parse_expr("l(1)"), A=A, M=M, count=10)
+        for r in (verify(claim), verify_all([claim])[0]):
+            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+
     def test_claim_without_an_order_is_an_error(self):
         claim = Claim("unset", ClaimKind.IDENTITY, lhs=parse_expr("l(1)"), rhs=parse_expr("l(2)"))
         r = verify(claim)
@@ -432,6 +448,11 @@ class TestClaimFiles:
             ("type=identity\nlhs=l(1)\nrhs=l(2)\norder=0", "order", 1, 0),
             ("type=recurrence\nlhs=l(1)\nrhs=l(2)\norder=-5", "order", 1, -5),
             ("type=congruence\nexpr=l(1)\nM=2\ncount=0", "count", 1, 0),
+            ("type=congruence\nexpr=l(1)\nM=0", "M", 2, 0),
+            ("type=congruence\nexpr=l(1)\nM=1", "M", 2, 1),
+            ("type=congruence\nexpr=l(1)\nM=-3", "M", 2, -3),
+            ("type=congruence\nexpr=l(1)\nM=2\nA=0", "A", 1, 0),
+            ("type=congruence\nexpr=l(1)\nM=2\nA=-1", "A", 1, -1),
             ("type=congruence-family\nfamily=thm4.3\np=5\ncount=-1", "count", 1, -1),
             ("type=interpretation\nmock=v\nruleset=thm3.2\norder=0", "order", 1, 0),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),
@@ -490,6 +511,15 @@ class TestReports:
         a = scrub(reports_to_json([verify(claim)]))
         b = scrub(reports_to_json([verify(claim)]))
         assert a == b
+
+    def test_tally_counts_statuses_and_gives_the_exit_code(self):
+        def reports(*statuses):
+            return [VerificationReport("x", s) for s in statuses]
+
+        assert tally([]) == ("0 pass, 0 fail, 0 skipped, 0 error", 0)
+        assert tally(reports("pass", "skipped")) == ("1 pass, 0 fail, 1 skipped, 0 error", 0)
+        assert tally(reports("pass", "fail", "fail")) == ("1 pass, 2 fail, 0 skipped, 0 error", 1)
+        assert tally(reports("fail", "error")) == ("0 pass, 1 fail, 0 skipped, 1 error", 2)
 
     def test_csv_columns(self):
         text = reports_to_csv([verify(registry_by_id()["eq2.6.fneg"])])

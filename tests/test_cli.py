@@ -142,7 +142,20 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: claim 'x' field 'order' must be at least 1, got 0\n"
 
-    @pytest.mark.parametrize("flag, value", [("--order", "0"), ("--count", "0"), ("--order", "-5")])
+    def test_claim_file_modulus_zero_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=x\ntype=congruence\nexpr=l(1)\nM=0\n")
+        code, out, err = run_cli(capsys, "verify", "x", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: claim 'x' field 'M' must be at least 2, got 0\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--order", "0"), ("--count", "0"), ("--order", "-5"),
+            ("--max-order", "0"), ("--max-order", "-7"),
+        ],
+    )
     def test_empty_range_override_exits_two(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "verify", "thm3.1", flag, value)
         assert (code, out) == (2, "")

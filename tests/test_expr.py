@@ -19,6 +19,7 @@ from qseries.expr import (
     ParseError,
     Pow,
     Subst,
+    Theta,
     UnknownSymbolError,
     eval_expr,
     leaf_demands,
@@ -133,6 +134,25 @@ random_exprs = st.recursive(ATOMS, _compound, max_leaves=12)
 @given(random_exprs)
 def test_roundtrip_random(node):
     assert parse_expr(to_text(node)) == node
+
+
+class TestThetaAsF:
+    """phi(c) = f(c, c) and psi(c) = f(c, c^3), at orders that are not multiples of k."""
+
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("order", [0, 1, 7, 50, 101])
+    def test_scaled_leaf_equals_its_substitution(self, name, k, order):
+        qk = "q" if k == 1 else f"q^{k}"
+        at = lambda text: eval_expr(parse_expr(text), order)
+        assert at(f"{name}({qk})") == at(f"SUB({name}(q),{k})")
+        assert at(f"{name}(-{qk})") == at(f"SUB(ALT({name}(q)),{k})")
+
+    def test_parsed_as_f(self):
+        assert parse_expr("phi(-q^3)") == Theta(-1, 3, -1, 3)
+        assert parse_expr("psi(q^2)") == Theta(1, 2, 1, 6)
+        assert to_text(parse_expr("phi(-q^3)")) == "f(-q^3,-q^3)"
+        assert to_text(parse_expr("psi(-q^2)")) == "f(-q^2,-q^6)"
 
 
 class TestEval:

@@ -23,7 +23,7 @@ from qseries.partitions import (
     regular_brute,
     theta_stream,
 )
-from qseries.products import eta, phi
+from qseries.products import eta, phi, psi
 from qseries.series import SeriesError
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -183,6 +183,19 @@ class TestThetaStream:
     def test_psi_stream(self):
         s = theta_stream("psi", 2, 30)
         assert [e for e, _ in s.nonzero_items()] == [0, 2, 6, 12, 20]
+
+    @pytest.mark.parametrize("scale", range(1, 7))
+    @pytest.mark.parametrize("order", [0, 1, 7, 50, 101])
+    def test_every_kind_equals_its_eta_or_substitution(self, scale, order):
+        sub = -(-order // scale)
+        expected = {
+            "pentagonal": eta(scale, order),
+            "jacobi": eta(scale, order) ** 3,
+            "phi": phi(sub).alternate().substitute(scale).truncate(order),
+            "psi": psi(sub).substitute(scale).truncate(order),
+        }
+        for kind, series in expected.items():
+            assert theta_stream(kind, scale, order) == series, kind
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):

@@ -149,6 +149,20 @@ class TestJacobiCube:
     def test_equals_eta_cubed(self):
         assert jacobi_cube(500) == eta(1, 500) ** 3
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 25])
+    @pytest.mark.parametrize("order", [0, 1, 7, 50, 101])
+    def test_scaled_equals_substitution(self, k, order):
+        expected = jacobi_cube(-(-order // k)).substitute(k).truncate(order)
+        assert jacobi_cube(order, k) == expected
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scaled_equals_eta_cubed(self, k):
+        assert jacobi_cube(301, k) == eta(k, 301) ** 3
+
+    def test_index_must_be_positive(self):
+        with pytest.raises(DomainError):
+            jacobi_cube(10, 0)
+
 
 @pytest.mark.parametrize(
     "s1,a,s2,b",
