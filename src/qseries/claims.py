@@ -24,14 +24,13 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions
 from .expr import Expr, ParseError, eval_expr, leaf_demands, parse_expr, to_text
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
-from .series import TruncatedSeries
 
 
 class ClaimKind(enum.Enum):
@@ -94,32 +93,51 @@ class VerificationReport:
 MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
 
 
-def _plan(claim: Claim, order: int | None, count: int | None) -> tuple[int, dict[Expr, int]]:
-    """The order a claim's report states, and the leaf demands of reaching it.
+def within_cap(
+    reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = ""
+) -> dict[Expr, int]:
+    """The merged leaf demands of the ``(series, order)`` reads, evaluating nothing.
 
-    A non-positive order, count or step, a modulus below 2, or a negative
-    enumeration bound raises ValueError: a pass would be vacuous.
+    A read or leaf deeper than ``max_order`` raises PreconditionError, its
+    message ending in ``advice``.
+    """
+    demands: dict[Expr, int] = {}
+    for node, order in reads:
+        for leaf, o in leaf_demands(node, order).items():
+            demands[leaf] = max(demands.get(leaf, o), o)
+    deepest = max([*(o for _, o in reads), *demands.values()], default=0)
+    if deepest > max_order:
+        raise PreconditionError(f"needs order {deepest}, beyond the cap {max_order}{advice}")
+    return demands
+
+
+def _plan(
+    claim: Claim, order: int | None, count: int | None, max_order: int
+) -> tuple[int, list[tuple[Expr, int]], dict[Expr, int]]:
+    """The order a claim's report states, the ``(series, order)`` reads its
+    check evaluates, in that sequence, and their leaf demands within the cap.
+
+    A non-positive order, count, step or congruence range, a modulus below 2,
+    or a negative enumeration bound raises ValueError: a pass would be vacuous.
     """
     kind = claim.kind
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         target = _positive(claim, "order", claim.order if order is None else order)
-        nodes = [(claim.lhs, target), (claim.rhs, target)]
-        if claim.direct is not None:
-            # the direct summation reads the lhs leaves for n = 0..bound
-            nodes.append((claim.lhs, claim.bound + 1))
+        reads = [(claim.lhs, target), (claim.rhs, target)]
     elif kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
         node, indices, c = _progressions(claim, count)
-        target = max(ix.A * (c - 1) + ix.B for ix in indices) + 1
-        nodes = [(node, target)]
+        target = _positive(claim, "order", max(ix.A * (c - 1) + ix.B for ix in indices) + 1)
+        reads = [(node, target)]
     else:
         bound = _bound(claim, count)
         target = _positive(claim, "order", claim.dp_order or bound + 1)
-        nodes = [(_mock_progression(claim), max(bound + 1, target))]
-    demands: dict[Expr, int] = {}
-    for node, node_order in nodes:
-        for leaf, o in leaf_demands(node, node_order).items():
-            demands[leaf] = max(demands.get(leaf, o), o)
-    return target, demands
+        mock = _mock_progression(claim)
+        if claim.ruleset not in partitions.RULESETS:
+            raise KeyError(f"unknown ruleset {claim.ruleset!r}")
+        reads = [(mock, max(bound + 1, target)), (expr_mod.RulesetRef(claim.ruleset), target)]
+    # a recurrence's direct summation reads the lhs leaves for n = 0..bound
+    proxy = [(claim.lhs, claim.bound + 1)] if claim.direct is not None else []
+    return target, reads, within_cap(reads + proxy, max_order, "; rerun with a higher cap")
 
 
 def _positive(claim: Claim, field: str, value: int) -> int:
@@ -161,9 +179,13 @@ def _mock_progression(claim: Claim) -> Expr:
     return expr_mod.BinOp("*", expr_mod.Mono(-k), node) if k else node
 
 
-def _first_difference(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
-    same, e = lhs.agrees_with(rhs)
-    return None if same else {"n": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)}
+def _first_difference(pairs: Iterable[tuple[int, int]]) -> dict | None:
+    """``{"n", "lhs", "rhs"}`` at the first ``(lhs, rhs)`` pair, counted from
+    n = 0, whose sides differ, or None if they all agree."""
+    for n, (a, b) in enumerate(pairs):
+        if a != b:
+            return {"n": n, "lhs": a, "rhs": b}
+    return None
 
 
 def verify(
@@ -199,99 +221,72 @@ def verify_all(
     count: int | None = None,
     max_order: int = MAX_ORDER,
 ) -> list[VerificationReport]:
-    """Verify several claims, expanding each memoised leaf once for the run.
+    """Verify several claims, expanding each mock stream once for the run.
 
-    The claims' leaf demands are merged first, and every mock stream and eta
-    factor is expanded once at the deepest order any claim within the cap
-    asks of it; the ``verify`` calls that follow read prefixes of those
-    expansions.  Reports come back in the order of ``claims`` and equal what
-    ``verify`` gives for each claim alone, apart from ``elapsed_ms``.
+    The claims' plans are merged first, and every mock stream is expanded
+    once at the deepest order any claim within the cap asks of it; the
+    ``verify`` calls that follow read prefixes of that memoised expansion.
+    Reports come back in the order of ``claims`` and equal what ``verify``
+    gives for each claim alone, apart from ``elapsed_ms``.
     """
-    peak: dict[Expr, int] = {}
+    mocks: list[tuple[Expr, int]] = []
     for claim in claims:
         try:
-            target, demands = _plan(claim, order, count)
+            demands = _plan(claim, order, count, max_order)[2]
         except (KeyError, ValueError):
             continue  # verify reports it
-        if max([target, *demands.values()]) > max_order:
-            continue
-        for leaf, o in demands.items():
-            peak[leaf] = max(peak.get(leaf, o), o)
-    for leaf, o in peak.items():
-        if isinstance(leaf, (expr_mod.Mock, expr_mod.Eta)):
-            eval_expr(leaf, o)
+        mocks += [(leaf, o) for leaf, o in demands.items() if isinstance(leaf, expr_mod.Mock)]
+    for leaf, o in within_cap(mocks, max_order).items():
+        eval_expr(leaf, o)
     return [verify(c, order=order, count=count, max_order=max_order) for c in claims]
 
 
 def _verify_inner(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> VerificationReport:
-    target, demands = _plan(claim, order, count)
-    deepest = max([target, *demands.values()])
-    if deepest > max_order:
-        raise PreconditionError(
-            f"needs order {deepest}, beyond the cap {max_order}; rerun with a higher cap"
-        )
+    target, reads, _ = _plan(claim, order, count, max_order)
+    # the planned reads, each evaluated when the check first needs it
+    series = (eval_expr(node, o) for node, o in reads)
+
+    def fail(at: int, failure: dict, message: str = "") -> VerificationReport:
+        return VerificationReport(claim.id, "fail", at, failure, message)
 
     if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        lhs = eval_expr(claim.lhs, target)
-        rhs = eval_expr(claim.rhs, target)
-        failure = _first_difference(lhs, rhs)
-        if failure is not None:
-            return VerificationReport(claim.id, "fail", target, failure)
-        if claim.kind is ClaimKind.RECURRENCE and claim.direct is not None:
-            lv, rv = claim.direct(claim.bound)
-            for n, (a, b) in enumerate(zip(lv, rv)):
-                if a != b:
-                    return VerificationReport(
-                        claim.id, "fail", target,
-                        {"n": n, "lhs": a, "rhs": b},
-                        message="direct summation route disagrees",
-                    )
+        lhs, rhs = series
+        same, n = lhs.agrees_with(rhs)
+        if not same:
+            return fail(target, {"n": n, "lhs": lhs.coefficient(n), "rhs": rhs.coefficient(n)})
+        if claim.direct is not None:
+            failure = _first_difference(zip(*claim.direct(claim.bound)))
+            if failure is not None:
+                return fail(target, failure, "direct summation route disagrees")
         return VerificationReport(claim.id, "pass", target)
 
     if claim.kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
-        node, indices, c = _progressions(claim, count)
-        s = eval_expr(node, target)
+        _, indices, c = _progressions(claim, count)
+        (s,) = series
         for j, ix in enumerate(indices, start=1):
-            for n in range(c):
-                residue = s.coefficient(ix.A * n + ix.B) % ix.M
-                if residue:
-                    message = ""
-                    if claim.kind is ClaimKind.CONGRUENCE_FAMILY:
-                        message = f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})"
-                    return VerificationReport(
-                        claim.id, "fail", target,
-                        {"n": n, "lhs": residue, "rhs": 0}, message=message,
-                    )
+            residues = ((s.coefficient(ix.A * n + ix.B) % ix.M, 0) for n in range(c))
+            failure = _first_difference(residues)
+            if failure is not None:
+                family = claim.kind is ClaimKind.CONGRUENCE_FAMILY
+                message = f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})" if family else ""
+                return fail(target, failure, message)
         return VerificationReport(claim.id, "pass", target)
 
-    if claim.kind is ClaimKind.INTERPRETATION:
-        rs = partitions.RULESETS[claim.ruleset]
-        bound = _bound(claim, count)
-        coeffs = eval_expr(_mock_progression(claim), max(bound + 1, target))  # serves both routes
-        for n in range(bound + 1):
-            counted = partitions.count_signed(rs, n)
-            expected = coeffs.coefficient(n)
-            if counted != expected:
-                return VerificationReport(
-                    claim.id, "fail", bound,
-                    {"n": n, "lhs": counted, "rhs": expected},
-                    message="backtracking enumeration disagrees",
-                )
-        dp = partitions.count_dp(rs, target)
-        for n in range(target):
-            a = dp.coefficient(n)
-            b = coeffs.coefficient(n)
-            if a != b:
-                return VerificationReport(
-                    claim.id, "fail", target,
-                    {"n": n, "lhs": a, "rhs": b},
-                    message="generating function route disagrees",
-                )
-        return VerificationReport(claim.id, "pass", target)
-
-    raise ValueError(f"unhandled claim kind {claim.kind}")
+    rs = partitions.RULESETS[claim.ruleset]
+    bound = _bound(claim, count)
+    coeffs = next(series)  # serves both routes
+    failure = _first_difference(
+        (partitions.count_signed(rs, n), coeffs.coefficient(n)) for n in range(bound + 1)
+    )
+    if failure is not None:
+        return fail(bound, failure, "backtracking enumeration disagrees")
+    gf = next(series)  # only once the enumeration agrees
+    failure = _first_difference((gf.coefficient(n), coeffs.coefficient(n)) for n in range(target))
+    if failure is not None:
+        return fail(target, failure, "generating function route disagrees")
+    return VerificationReport(claim.id, "pass", target)
 
 
 # -- direct summation evaluators for the recurrence claims -------------------
@@ -796,8 +791,8 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
     ``#`` starts a comment.  Returns fully-built claims.  Malformed input
     raises ValueError naming the source and the offending line, or the claim
     and field: a missing field, a non-integer, an unparsable expression, or
-    an order, count or congruence step A below 1 (a bound below 0, a modulus
-    M below 2), which would check nothing.
+    an order, count or congruence step A below 1 (a bound or a congruence
+    offset B below 0, a modulus M below 2), which would check nothing.
     """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
@@ -864,7 +859,7 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
     if kind is ClaimKind.CONGRUENCE:
         return Claim(
             cid, kind, cite=cite, expr=expr("expr"),
-            A=num("A", 1, least=1), B=num("B", 0), M=num("M", least=2),
+            A=num("A", 1, least=1), B=num("B", 0, least=0), M=num("M", least=2),
             count=num("count", 100, least=1),
         )
     if kind is ClaimKind.CONGRUENCE_FAMILY:
@@ -907,5 +902,5 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 __all__ = [
     "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "verify_all", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
-    "tally", "to_text",
+    "tally", "to_text", "within_cap",
 ]

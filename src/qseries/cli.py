@@ -10,6 +10,8 @@ Subcommands:
 Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 (including a claim whose evaluation raised, reported with status ``error``,
 and a command whose deepest expansion is beyond ``claims.MAX_ORDER``).
+``coeff``, ``series`` and ``verify`` pass the ``(series, order)`` reads they
+will expand to ``claims.within_cap`` before any work.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import sys
 
 from . import claims as claims_mod
 from . import partitions
-from .claims import MAX_ORDER, Claim, VerificationReport, verify_all
-from .expr import ParseError, eval_expr, leaf_demands, parse_expr
+from .claims import MAX_ORDER, Claim, verify_all, within_cap
+from .expr import Mock, ParseError, eval_expr, parse_expr
 from .mock import MockThetaId, mock_series
+from .ntheory import PreconditionError
 from .series import SeriesError, format_series
 
 _COLOR_NAMES = "abcdefghij"
@@ -71,15 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeff(args) -> int:
+    top = max(args.indices)
     try:
         mock_id = MockThetaId.from_name(args.name)
+        within_cap([(Mock(mock_id.value), top + 1)], MAX_ORDER)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    top = max(args.indices)
-    if top + 1 > MAX_ORDER:
-        print(f"error: index {top} needs order {top + 1}, beyond the cap {MAX_ORDER}",
-              file=sys.stderr)
+    except PreconditionError as exc:
+        print(f"error: index {top} {exc}", file=sys.stderr)
         return 2
     series = mock_series(mock_id, top + 1)
     print(" ".join(str(series.coefficient(n)) for n in args.indices))
@@ -89,12 +92,11 @@ def _cmd_coeff(args) -> int:
 def _cmd_series(args) -> int:
     try:
         node = parse_expr(args.expr)
-        deepest = max([args.order, *leaf_demands(node, args.order).values()])
-        if deepest > MAX_ORDER:
-            print(f"error: expansion needs order {deepest}, beyond the cap {MAX_ORDER}",
-                  file=sys.stderr)
-            return 2
+        within_cap([(node, args.order)], MAX_ORDER)
         series = eval_expr(node, args.order)
+    except PreconditionError as exc:
+        print(f"error: expansion {exc}", file=sys.stderr)
+        return 2
     except (ParseError, SeriesError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -108,14 +110,6 @@ def _load_claims(paths: list[str]) -> list[Claim]:
         with open(path, "r", encoding="utf-8") as handle:
             out.extend(claims_mod.parse_claim_file(handle.read(), source=path))
     return out
-
-
-def _run_claims(
-    claim_list: list[Claim], order: int | None, count: int | None, max_order: int
-) -> list[VerificationReport]:
-    reports = verify_all(claim_list, order=order, count=count, max_order=max_order)
-    # stable output contract: reports are ordered by claim id
-    return sorted(reports, key=lambda r: r.claim_id)
 
 
 def _cmd_verify(args) -> int:
@@ -138,7 +132,8 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown claim id {args.claim!r} (try 'qseries list')", file=sys.stderr)
         return 2
 
-    reports = _run_claims(to_run, args.order, args.count, args.max_order)
+    reports = verify_all(to_run, order=args.order, count=args.count, max_order=args.max_order)
+    reports.sort(key=lambda r: r.claim_id)  # stable output contract: ordered by claim id
     summary, code = claims_mod.tally(reports)
     if args.format == "json":
         print(claims_mod.reports_to_json(reports))

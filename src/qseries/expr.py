@@ -35,8 +35,8 @@ fold into one sparse ``products.eta_quotient`` call.
 
 The parser bounds its input: nesting deeper than ``MAX_NESTING``, a tree
 deeper than ``MAX_DEPTH`` (a chain of n terms is n deep) and ``^`` exponents
-past ``MAX_EXPONENT`` are parse errors, never a ``RecursionError`` or an
-unbounded expansion.
+past ``MAX_EXPONENT`` (the 3k of ``psi(q^k)`` too) are parse errors, never a
+``RecursionError`` or an unbounded expansion.
 """
 
 from __future__ import annotations
@@ -355,9 +355,12 @@ class _Parser:
             sign, k = self.signed_q_power()
             if k < 1:
                 raise ParseError("expected a positive power of q", arg_pos)
+            # phi(c) = f(c, c) and psi(c) = f(c, c^3), whose c^3 must print and parse back
+            b = k if val == "phi" else 3 * k
+            if b > MAX_EXPONENT:
+                raise ParseError(f"exponent {b} is beyond the limit {MAX_EXPONENT}", arg_pos)
             self.expect_sym(")")
-            # phi(c) = f(c, c) and psi(c) = f(c, c^3)
-            return Theta(sign, k, sign, k if val == "phi" else 3 * k)
+            return Theta(sign, k, sign, b)
         if val == "poch":
             self.expect_sym("(")
             sign, a = self.signed_q_power()
@@ -424,8 +427,7 @@ def _sq(sign: int, k: int) -> str:
 
 
 def to_text(node: Expr) -> str:
-    """Canonical rendering; ``parse_expr(to_text(e))`` reproduces ``e`` unless
-    an exponent is past ``MAX_EXPONENT``, as in ``psi(q^k)`` = ``f(q^k,q^3k)``."""
+    """Canonical rendering; ``parse_expr(to_text(e)) == e`` for every parsed ``e``."""
     return _print(node, 0)
 
 

@@ -84,20 +84,15 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, out, order)
 
 
-_PENTAGONAL_CACHE: dict[int, TruncatedSeries] = {}
-
-
 def eta(k: int, order: int) -> TruncatedSeries:
     """``l_k = (q^k;q^k)_inf`` by the pentagonal number sum.
 
-    O(sqrt(order/k)) terms, and the result doubles as a standing check of the
-    pentagonal expansion against the factor-by-factor product.
+    O(sqrt(order/k)) terms, cheap enough to recompute on every call, so it is
+    not memoised.  The result doubles as a standing check of the pentagonal
+    expansion against the factor-by-factor product.
     """
     if k < 1:
         raise DomainError(f"eta index must be positive, got {k}")
-    cached = _PENTAGONAL_CACHE.get(k)
-    if cached is not None and cached.order >= order:
-        return cached.truncate(order)
     terms: dict[int, int] = {}
     m = 0
     while True:
@@ -110,9 +105,7 @@ def eta(k: int, order: int) -> TruncatedSeries:
         if m and not hit:
             break
         m += 1
-    result = TruncatedSeries.from_terms(terms, order)
-    _PENTAGONAL_CACHE[k] = result
-    return result
+    return TruncatedSeries.from_terms(terms, order)
 
 
 def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> TruncatedSeries:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from qseries import claims as claims_mod
 from qseries import mock as mock_mod
 from qseries import products
 from qseries.claims import (
+    MAX_ORDER,
     Claim,
     ClaimKind,
     VerificationReport,
@@ -21,8 +23,8 @@ from qseries.claims import (
     verify,
     verify_all,
 )
-from qseries.expr import Expr, Mock, eval_expr, parse_expr, to_text
-from qseries.ntheory import family_indices
+from qseries.expr import Ap, Eta, Expr, Mock, RulesetRef, eval_expr, parse_expr, to_text
+from qseries.ntheory import PreconditionError, family_indices
 
 EXPECTED_DEFECTS = {
     "thm5.1", "thm5.2", "thm5.3", "eq5.3", "thm5.4", "thm5.5", "eq6.3",
@@ -69,6 +71,19 @@ class TestVerify:
     def test_mu_mod4_pass(self):
         r = verify(registry_by_id()["remark3.6"])
         assert r.status == "pass"
+
+    @pytest.mark.parametrize(
+        "cid, route, lhs, rhs",
+        [("thm5.4", claims_mod._direct_thm5_4, 1, 2), ("thm5.5", claims_mod._direct_thm5_5, 5, 6)],
+    )
+    def test_refuted_recurrence_direct_route_disagrees_at_zero(self, cid, route, lhs, rhs):
+        # verify never reaches these routes: the series route fails first, at the same n
+        claim = registry_by_id()[cid]
+        assert claim.direct is route
+        lv, rv = route(claim.bound)
+        assert len(lv) == len(rv) == claim.bound + 1
+        assert claims_mod._first_difference(zip(lv, rv)) == {"n": 0, "lhs": lhs, "rhs": rhs}
+        assert verify(claim).first_failure == {"n": 0, "lhs": lhs, "rhs": rhs}
 
     def test_engineered_counterexample(self):
         claim = Claim(
@@ -214,7 +229,7 @@ class TestDissectionTexts:
 class TestDemandPlan:
     def test_every_claim_has_leaf_demands(self):
         for claim in registry():
-            target, demands = claims_mod._plan(claim, None, None)
+            target, _, demands = claims_mod._plan(claim, None, None, MAX_ORDER)
             assert target > 0 and demands, claim.id
 
     def test_cap_sees_the_enumeration_bound(self, monkeypatch):
@@ -231,8 +246,39 @@ class TestDemandPlan:
         assert (r.status, r.order) == ("pass", 5)
 
     def test_interpretation_reads_ap_of_its_mock_stream(self):
-        plan = claims_mod._plan(registry_by_id()["thm6.1"], None, None)
-        assert plan == (200, {Mock("lambda"): 399})
+        target, _, demands = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        assert (target, demands) == (200, {Mock("lambda"): 399, RulesetRef("thm6.1"): 200})
+
+    def test_interpretation_plan_lists_both_routes(self):
+        _, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        assert reads == [(Ap(Mock("lambda"), 2, 0), 200), (RulesetRef("thm6.1"), 200)]
+
+    def test_check_evaluates_exactly_the_planned_reads(self, monkeypatch):
+        evaluated = []
+        real = claims_mod.eval_expr
+
+        def record(node, order):
+            evaluated.append((node, order))
+            return real(node, order)
+
+        monkeypatch.setattr(claims_mod, "eval_expr", record)
+        for claim in registry():
+            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            evaluated.clear()
+            r = verify(claim)
+            # a failed enumeration stops before the generating-function route
+            if r.message == "backtracking enumeration disagrees":
+                reads = reads[:1]
+            assert evaluated == reads, claim.id
+
+    def test_within_cap_merges_leaves_and_caps_the_deepest(self):
+        reads = [(Mock("v"), 10), (parse_expr("AP(mock(v),2,1)*l(3)"), 10)]
+        assert claims_mod.within_cap(reads, 20) == {Mock("v"): 20, Eta(3): 10}
+        with pytest.raises(PreconditionError, match="^needs order 20, beyond the cap 19; more$"):
+            claims_mod.within_cap(reads, 19, "; more")
+        with pytest.raises(PreconditionError, match="^needs order 30, beyond the cap 29$"):
+            claims_mod.within_cap([(parse_expr("1"), 30)], 29)
+        assert claims_mod.within_cap([], 0) == {}
 
     def test_laurent_shift_keeps_the_requested_order(self):
         claim = Claim(
@@ -277,6 +323,8 @@ class TestDemandPlan:
         for claim, r in zip(claims, reports):
             assert r.claim_id == claim.id
             assert r.order == _requested_order(claim, r.status), claim.id
+        pinned = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())
+        assert [_scrub(r) for r in reports] == pinned
 
 
 class TestErrors:
@@ -331,6 +379,14 @@ class TestErrors:
         for r in (verify(claim), verify_all([claim])[0]):
             assert (r.status, r.first_failure, r.message) == ("error", None, message)
 
+    @pytest.mark.parametrize("B, order", [(-5, 0), (-9, -4)])
+    def test_congruence_below_q0_is_an_error_not_a_pass(self, B, order):
+        # A*(count-1) + B + 1 < 1: every coefficient read is below q^0
+        claim = Claim("c", ClaimKind.CONGRUENCE, expr=parse_expr("l(1)"), B=B, M=7, count=5)
+        message = f"claim 'c': order must be positive, got {order}"
+        for r in (verify(claim), verify_all([claim])[0]):
+            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+
     def test_claim_without_an_order_is_an_error(self):
         claim = Claim("unset", ClaimKind.IDENTITY, lhs=parse_expr("l(1)"), rhs=parse_expr("l(2)"))
         r = verify(claim)
@@ -349,7 +405,7 @@ class TestErrors:
             "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=bogus\nbound=5\n"
         )
         r = verify_all(claims)[0]
-        assert r.status == "error" and r.first_failure is None
+        assert (r.status, r.first_failure, r.message) == ("error", None, "unknown ruleset 'bogus'")
 
     def test_under_delivered_side_is_an_error(self, monkeypatch):
         real = mock_mod.mock_series
@@ -453,6 +509,7 @@ class TestClaimFiles:
             ("type=congruence\nexpr=l(1)\nM=-3", "M", 2, -3),
             ("type=congruence\nexpr=l(1)\nM=2\nA=0", "A", 1, 0),
             ("type=congruence\nexpr=l(1)\nM=2\nA=-1", "A", 1, -1),
+            ("type=congruence\nexpr=l(1)\nA=1\nB=-5\nM=7\ncount=5", "B", 0, -5),
             ("type=congruence-family\nfamily=thm4.3\np=5\ncount=-1", "count", 1, -1),
             ("type=interpretation\nmock=v\nruleset=thm3.2\norder=0", "order", 1, 0),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),

@@ -149,6 +149,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: claim 'x' field 'M' must be at least 2, got 0\n"
 
+    def test_claim_file_negative_offset_exits_two(self, capsys, tmp_path):
+        # B=-5 would read coefficients below q^0, which are 0: a vacuous pass
+        path = tmp_path / "user.claims"
+        path.write_text("[claim]\nid=x\ntype=congruence\nexpr=l(1)\nA=1\nB=-5\nM=7\ncount=5\n")
+        code, out, err = run_cli(capsys, "verify", "x", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: claim 'x' field 'B' must be at least 0, got -5\n"
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -154,6 +154,18 @@ class TestThetaAsF:
         assert to_text(parse_expr("phi(-q^3)")) == "f(-q^3,-q^3)"
         assert to_text(parse_expr("psi(-q^2)")) == "f(-q^2,-q^6)"
 
+    @pytest.mark.parametrize("text, exponent", [("psi(q^334)", 1002), ("psi(-q^1000)", 3000)])
+    def test_psi_beyond_the_exponent_limit_is_rejected(self, text, exponent):
+        # psi(q^k) prints as f(q^k,q^3k), so 3k must be within the limit
+        with pytest.raises(ParseError, match=f"^exponent {exponent} is beyond the limit") as err:
+            parse_expr(text)
+        assert err.value.position == 4
+
+    @pytest.mark.parametrize("text", ["psi(q^333)", "phi(-q^1000)"])
+    def test_theta_at_the_exponent_limit_round_trips(self, text):
+        node = parse_expr(text)
+        assert parse_expr(to_text(node)) == node
+
 
 class TestEval:
     def test_eta_pentagonal(self):
