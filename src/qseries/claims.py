@@ -4,10 +4,11 @@ A :class:`Claim` is a declarative, finitely-checkable statement about the
 coefficient streams: an identity between two expressions, a congruence on an
 arithmetic progression, a whole congruence family, a recurrence (verified
 both as a series identity and by literal nested summation), or a partition
-interpretation (enumeration against mock coefficients, read as the series
-``AP(mock(name), A, B)``).  Every series a claim reads is a claim-language
-expression, so ``_plan`` knows each leaf it expands, and at what order,
-before any work.
+interpretation (enumeration against mock coefficients).  Every series a
+claim reads is a claim-language expression (a progression P(A*n + B) is
+``AP(node, A, B)``; a direct summation reads its lhs progression and its
+partition counts), so ``_plan`` knows each leaf it expands, and at what
+order, before any work.
 
 ``registry()`` returns the built-in claim set.  Each claim carries a citation
 label and a default order or count chosen to run in seconds.  Some built-in
@@ -66,8 +67,10 @@ class Claim:
     ruleset: str | None = None
     bound: int = 0
     dp_order: int = 0
-    # recurrence direct route: bound -> lhs and rhs values for n = 0..bound
-    direct: Callable[[int], tuple[list[int], list[int]]] | None = None
+    # recurrence direct route: the series it reads, each at bound + 1, and
+    # (bound, their coefficient functions) -> lhs and rhs for n = 0..bound
+    direct_reads: tuple[Expr, ...] = ()
+    direct: Callable[..., tuple[list[int], list[int]]] | None = None
 
 
 @dataclass
@@ -115,7 +118,8 @@ def _plan(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> tuple[int, list[tuple[Expr, int]], dict[Expr, int]]:
     """The order a claim's report states, the ``(series, order)`` reads its
-    check evaluates, in that sequence, and their leaf demands within the cap.
+    check evaluates, in that sequence (a recurrence's direct summation reads
+    at bound + 1, after both sides), and their leaf demands within the cap.
 
     A non-positive order, count, step or congruence range, a modulus below 2,
     or a negative enumeration bound raises ValueError: a pass would be vacuous.
@@ -124,20 +128,20 @@ def _plan(
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         target = _positive(claim, "order", claim.order if order is None else order)
         reads = [(claim.lhs, target), (claim.rhs, target)]
+        reads += [(node, claim.bound + 1) for node in claim.direct_reads]
     elif kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
         node, indices, c = _progressions(claim, count)
         target = _positive(claim, "order", max(ix.A * (c - 1) + ix.B for ix in indices) + 1)
-        reads = [(node, target)]
+        reads = [(_progression(node, ix.A, ix.B), c) for ix in indices]
     else:
         bound = _bound(claim, count)
         target = _positive(claim, "order", claim.dp_order or bound + 1)
-        mock = _mock_progression(claim)
+        name = mock_mod.MockThetaId.from_name(claim.mock).value
+        mock = _progression(expr_mod.Mock(name), _positive(claim, "modulus A", claim.A), claim.B)
         if claim.ruleset not in partitions.RULESETS:
             raise KeyError(f"unknown ruleset {claim.ruleset!r}")
         reads = [(mock, max(bound + 1, target)), (expr_mod.RulesetRef(claim.ruleset), target)]
-    # a recurrence's direct summation reads the lhs leaves for n = 0..bound
-    proxy = [(claim.lhs, claim.bound + 1)] if claim.direct is not None else []
-    return target, reads, within_cap(reads + proxy, max_order, "; rerun with a higher cap")
+    return target, reads, within_cap(reads, max_order, "; rerun with a higher cap")
 
 
 def _positive(claim: Claim, field: str, value: int) -> int:
@@ -169,14 +173,12 @@ def _progressions(claim: Claim, count: int | None) -> tuple[Expr, list[FamilyInd
     return node, indices, c
 
 
-def _mock_progression(claim: Claim) -> Expr:
-    """``P(A*n + B)`` as ``AP(mock(name), A, B)``, or ``q^-k*AP(..., B - k*A)`` past A."""
-    if claim.A < 1:
-        raise ValueError(f"claim {claim.id!r}: progression modulus A must be positive")
-    name = mock_mod.MockThetaId.from_name(claim.mock).value
-    k, r = divmod(claim.B, claim.A)
-    node = expr_mod.Ap(expr_mod.Mock(name), claim.A, r)
-    return expr_mod.BinOp("*", expr_mod.Mono(-k), node) if k else node
+def _progression(node: Expr, A: int, B: int) -> Expr:
+    """``P(A*n + B)`` of the series ``node``: ``AP(node, A, B)``, or
+    ``q^-k*AP(node, A, B - k*A)`` for the k = floor(B/A) that brings B below A."""
+    k, r = divmod(B, A)
+    ap = expr_mod.Ap(node, A, r)
+    return expr_mod.BinOp("*", expr_mod.Mono(-k), ap) if k else ap
 
 
 def _first_difference(pairs: Iterable[tuple[int, int]]) -> dict | None:
@@ -252,22 +254,22 @@ def _verify_inner(
         return VerificationReport(claim.id, "fail", at, failure, message)
 
     if claim.kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        lhs, rhs = series
+        lhs, rhs = next(series), next(series)
         same, n = lhs.agrees_with(rhs)
         if not same:
             return fail(target, {"n": n, "lhs": lhs.coefficient(n), "rhs": rhs.coefficient(n)})
         if claim.direct is not None:
-            failure = _first_difference(zip(*claim.direct(claim.bound)))
+            sums = claim.direct(claim.bound, *(s.coefficient for s in series))
+            failure = _first_difference(zip(*sums))
             if failure is not None:
                 return fail(target, failure, "direct summation route disagrees")
         return VerificationReport(claim.id, "pass", target)
 
     if claim.kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
         _, indices, c = _progressions(claim, count)
-        (s,) = series
-        for j, ix in enumerate(indices, start=1):
-            residues = ((s.coefficient(ix.A * n + ix.B) % ix.M, 0) for n in range(c))
-            failure = _first_difference(residues)
+        # one read per progression: coefficient n of read j is P(A_j*n + B_j)
+        for j, (ix, s) in enumerate(zip(indices, series), start=1):
+            failure = _first_difference((s.coefficient(n) % ix.M, 0) for n in range(c))
             if failure is not None:
                 family = claim.kind is ClaimKind.CONGRUENCE_FAMILY
                 message = f"progression j={j} (A={ix.A}, B={ix.B}, M={ix.M})" if family else ""
@@ -290,11 +292,15 @@ def _verify_inner(
 
 
 # -- direct summation evaluators for the recurrence claims -------------------
+# Each takes the bound, then the coefficient functions of the claim's direct
+# reads: its lhs progression P (P(k) = 0 for k < 0), then its partition counts.
 
-def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
-    v = mock_mod.mock_series("v", 2 * bound + 2).coefficient
-    a4 = partitions.regular4(bound + 1).coefficient
-    lhs = [v(2 * n + 1) for n in range(bound + 1)]
+_Coeffs = Callable[[int], int]
+_Sums = tuple[list[int], list[int]]
+
+
+def _direct_thm3_4(bound: int, pv: _Coeffs, a4: _Coeffs) -> _Sums:
+    lhs = [pv(n) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
         total, k = 0, 0
@@ -305,17 +311,14 @@ def _direct_thm3_4(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
-    v = mock_mod.mock_series("v", 6 * bound + 6).coefficient
-    p2d = partitions.p_rd(2, bound + 1).coefficient
-    pbar = partitions.overpartition_r(1, bound + 1).coefficient
+def _direct_thm3_5(bound: int, pv: _Coeffs, p2d: _Coeffs, pbar: _Coeffs) -> _Sums:
+    # v(6n - 9m^2 -+ 3m + 5) = pv(n - m(3m +- 1)/2)
     lhs = []
     for n in range(bound + 1):
-        total = v(6 * n + 5)
-        m = 1
-        while 6 * n - 9 * m * m + 3 * m + 5 >= 0:
+        total, m = pv(n), 1
+        while n - m * (3 * m - 1) // 2 >= 0:
             sign = -1 if m % 2 else 1
-            total += sign * (v(6 * n - 9 * m * m - 3 * m + 5) + v(6 * n - 9 * m * m + 3 * m + 5))
+            total += sign * (pv(n - m * (3 * m + 1) // 2) + pv(n - m * (3 * m - 1) // 2))
             m += 1
         lhs.append(total)
     rhs = []
@@ -330,10 +333,8 @@ def _direct_thm3_5(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
-    sig = mock_mod.mock_series("sigma", 2 * bound + 2).coefficient
-    p2d = partitions.p_rd(2, bound + 1).coefficient
-    lhs = [sig(2 * n + 1) for n in range(bound + 1)]
+def _direct_thm4_4(bound: int, ps: _Coeffs, p2d: _Coeffs) -> _Sums:
+    lhs = [ps(n) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
         total, k = 0, 0
@@ -344,14 +345,13 @@ def _direct_thm4_4(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
-    beta = mock_mod.mock_series("beta", 3 * bound + 3).coefficient
-    pbar = partitions.overpartition_r(1, bound + 1).coefficient
+def _direct_thm5_4(bound: int, pb: _Coeffs, pbar: _Coeffs) -> _Sums:
+    # beta(3n - 3k(k+1)/2 + 2) = pb(n - k(k+1)/2)
     lhs = []
     for n in range(bound + 1):
         total, k = 0, 0
-        while 3 * n - 3 * k * (k + 1) // 2 + 2 >= 0:
-            total += beta(3 * n - 3 * k * (k + 1) // 2 + 2)
+        while n - k * (k + 1) // 2 >= 0:
+            total += pb(n - k * (k + 1) // 2)
             k += 1
         lhs.append(total)
     rhs = []
@@ -364,16 +364,15 @@ def _direct_thm5_4(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
+def _direct_thm5_5(bound: int, pb: _Coeffs, pbar2: _Coeffs) -> _Sums:
     # The displayed statement writes a one-copy overpartition weight, but the
     # generating function forces two copies; the two-copy reading is used here.
-    beta = mock_mod.mock_series("beta", 9 * bound + 9).coefficient
-    pbar2 = partitions.overpartition_r(2, bound + 1).coefficient
+    # beta(9(n - m^2 - m) + 8) = pb(n - m^2 - m)
     lhs = []
     for n in range(bound + 1):
         total, m = 0, 0
-        while 9 * (n - m * m - m) + 8 >= 0:
-            total += (-1 if m % 2 else 1) * (2 * m + 1) * beta(9 * (n - m * m - m) + 8)
+        while n - m * m - m >= 0:
+            total += (-1 if m % 2 else 1) * (2 * m + 1) * pb(n - m * m - m)
             m += 1
         lhs.append(total)
     rhs = []
@@ -392,18 +391,14 @@ def _direct_thm5_5(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
-    beta = mock_mod.mock_series("beta", 3 * bound + 2).coefficient
-    pbar = partitions.overpartition_r(1, bound + 1).coefficient
+def _direct_thm5_6(bound: int, pb: _Coeffs, pbar: _Coeffs) -> _Sums:
+    # beta(3n - 3m(3m -+ 1) + 1) = pb(n - m(3m -+ 1))
     lhs = []
     for n in range(bound + 1):
-        total = beta(3 * n + 1)
-        m = 1
-        while 3 * n - 3 * m * (3 * m - 1) + 1 >= 0:
+        total, m = pb(n), 1
+        while n - m * (3 * m - 1) >= 0:
             sign = -1 if m % 2 else 1
-            total += sign * (
-                beta(3 * n - 3 * m * (3 * m + 1) + 1) + beta(3 * n - 3 * m * (3 * m - 1) + 1)
-            )
+            total += sign * (pb(n - m * (3 * m + 1)) + pb(n - m * (3 * m - 1)))
             m += 1
         lhs.append(total)
     rhs = []
@@ -416,10 +411,8 @@ def _direct_thm5_6(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
-    lam = mock_mod.mock_series("lambda", 2 * bound + 1).coefficient
-    p3d = partitions.p_rd(3, bound + 1).coefficient
-    lhs = [lam(2 * n) for n in range(bound + 1)]
+def _direct_thm6_2(bound: int, pl: _Coeffs, p3d: _Coeffs) -> _Sums:
+    lhs = [pl(n) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
         total = p3d(n)
@@ -431,10 +424,8 @@ def _direct_thm6_2(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
-    lam = mock_mod.mock_series("lambda", 6 * bound + 3).coefficient
-    pbar3 = partitions.overpartition_r(3, bound + 1).coefficient
-    lhs = [lam(6 * n + 2) for n in range(bound + 1)]
+def _direct_thm6_3(bound: int, pl: _Coeffs, pbar3: _Coeffs) -> _Sums:
+    lhs = [pl(n) for n in range(bound + 1)]
     rhs = []
     for n in range(bound + 1):
         total, l = 0, 0
@@ -451,14 +442,13 @@ def _direct_thm6_3(bound: int) -> tuple[list[int], list[int]]:
     return lhs, rhs
 
 
-def _direct_thm6_4(bound: int) -> tuple[list[int], list[int]]:
-    lam = mock_mod.mock_series("lambda", 6 * bound + 5).coefficient
-    p2d = partitions.p_rd(2, bound + 1).coefficient
+def _direct_thm6_4(bound: int, pl: _Coeffs, p2d: _Coeffs) -> _Sums:
+    # lambda(6n - 3m(m+1) + 4) = pl(n - m(m+1)/2)
     lhs = []
     for n in range(bound + 1):
         total, m = 0, 0
-        while 6 * n - 3 * m * (m + 1) + 4 >= 0:
-            total += (-1 if m % 2 else 1) * (2 * m + 1) * lam(6 * n - 3 * m * (m + 1) + 4)
+        while n - m * (m + 1) // 2 >= 0:
+            total += (-1 if m % 2 else 1) * (2 * m + 1) * pl(n - m * (m + 1) // 2)
             m += 1
         lhs.append(total)
     rhs = []
@@ -493,11 +483,11 @@ def _congruence(cid, text, A, B, M, count, cite, notes="") -> Claim:
     )
 
 
-def _recurrence(cid, lhs, rhs, order, bound, direct, cite, notes="") -> Claim:
+def _recurrence(cid, lhs, rhs, order, bound, direct, reads, cite, notes="") -> Claim:
     return Claim(
         cid, ClaimKind.RECURRENCE, cite=cite, notes=notes,
         lhs=parse_expr(lhs), rhs=parse_expr(rhs), order=order,
-        bound=bound, direct=direct,
+        bound=bound, direct=direct, direct_reads=tuple(map(parse_expr, reads)),
     )
 
 
@@ -655,11 +645,13 @@ def _build_registry() -> list[Claim]:
                 "Theorem 3.3(ii) family at p = 5, alpha = 1 (stretch)"))
     add(_family("thm3.3iii.p5", "thm3.3iii", 5, 0, 5, "Theorem 3.3(iii) family at p = 5"))
     add(_recurrence("thm3.4", "AP(mock(v),2,1)", "(l(4)/l(1))*stream(psi,2)", 300, 60,
-                    _direct_thm3_4, "Theorem 3.4: P_v(2n+1) from 4-regular counts"))
+                    _direct_thm3_4, ["AP(mock(v),2,1)", "l(4)/l(1)"],
+                    "Theorem 3.4: P_v(2n+1) from 4-regular counts"))
     add(_recurrence(
         "thm3.5", "AP(mock(v),6,5)*stream(pentagonal,1)",
         "3*(l(4)/l(2)^2)*(l(2)/l(1))^2*stream(jacobi,6)", 300, 60,
-        _direct_thm3_5, "Theorem 3.5: P_v(6n+5) from overpartitions and 2-copy distinct parts"))
+        _direct_thm3_5, ["AP(mock(v),6,5)", "(l(2)/l(1))^2", "l(2)/l(1)^2"],
+        "Theorem 3.5: P_v(6n+5) from overpartitions and 2-copy distinct parts"))
     add(_congruence("remark3.6", "mock(mu) - 1/l(1)^3", 1, 0, 4, 300,
                     "Remark 3.6: P_mu(n) = p_3(n) mod 4"))
 
@@ -677,7 +669,8 @@ def _build_registry() -> list[Claim]:
                     "Theorem 4.3 base: P_sigma(2n+1) = l_2 psi(q^3) mod 2"))
     add(_family("thm4.3.p5", "thm4.3", 5, 0, 10, "Theorem 4.3 family at p = 5"))
     add(_recurrence("thm4.4", "AP(mock(sigma),2,1)", "(l(2)/l(1))^2*stream(psi,3)", 300, 60,
-                    _direct_thm4_4, "Theorem 4.4: P_sigma(2n+1) from 2-copy distinct parts"))
+                    _direct_thm4_4, ["AP(mock(sigma),2,1)", "(l(2)/l(1))^2"],
+                    "Theorem 4.4: P_sigma(2n+1) from 2-copy distinct parts"))
 
     # beta(q)
     add(_identity(
@@ -711,7 +704,8 @@ def _build_registry() -> list[Claim]:
                   "6*l(3)^3*l(6)^3/(l(1)^4*l(2)) - q^-1*AP(mock(psi6),3,0)", 300,
                   "P_beta(9n+8) with the surviving mock term restored"))
     add(_recurrence("thm5.4", "AP(mock(beta),3,2)*stream(psi,1)",
-                    "2*(l(2)/l(1)^2)*stream(jacobi,6)", 300, 60, _direct_thm5_4,
+                    "2*(l(2)/l(1)^2)*stream(jacobi,6)", 300, 60,
+                    _direct_thm5_4, ["AP(mock(beta),3,2)", "l(2)/l(1)^2"],
                     "Theorem 5.4: P_beta(3n+2) from overpartitions as stated",
                     notes=_BROKEN_NOTE + " (see thm5.4.corrected)"))
     add(_identity("thm5.4.corrected",
@@ -720,7 +714,7 @@ def _build_registry() -> list[Claim]:
                   "Theorem 5.4 with the surviving mock term restored"))
     add(_recurrence("thm5.5", "AP(mock(beta),9,8)*stream(jacobi,2)",
                     "6*(l(2)/l(1)^2)^2*stream(jacobi,3)*stream(jacobi,6)", 300, 60,
-                    _direct_thm5_5,
+                    _direct_thm5_5, ["AP(mock(beta),9,8)", "(l(2)/l(1)^2)^2"],
                     "Theorem 5.5: P_beta(9n+8) from 2-copy overpartitions as stated",
                     notes=_BROKEN_NOTE + " (see thm5.5.corrected)"))
     add(_identity("thm5.5.corrected",
@@ -728,7 +722,8 @@ def _build_registry() -> list[Claim]:
                   "6*(l(2)/l(1)^2)^2*stream(jacobi,3)*stream(jacobi,6)", 300,
                   "Theorem 5.5 with the surviving mock term restored"))
     add(_recurrence("thm5.6", "AP(mock(beta),3,1)*stream(pentagonal,2)",
-                    "(l(2)/l(1)^2)*stream(jacobi,3)", 300, 60, _direct_thm5_6,
+                    "(l(2)/l(1)^2)*stream(jacobi,3)", 300, 60,
+                    _direct_thm5_6, ["AP(mock(beta),3,1)", "l(2)/l(1)^2"],
                     "Theorem 5.6: P_beta(3n+1) from overpartitions"))
 
     # lambda(q)
@@ -747,14 +742,16 @@ def _build_registry() -> list[Claim]:
     add(_identity("thm6.1.gf", "ruleset(thm6.1)", "l(2)^3*l(3)^2/(l(1)^3*l(6))", 300,
                   "Theorem 6.1 ruleset generating function"))
     add(_recurrence("thm6.2", "AP(mock(lambda),2,0)", "(l(2)/l(1))^3*stream(phi,3)",
-                    300, 60, _direct_thm6_2,
+                    300, 60, _direct_thm6_2, ["AP(mock(lambda),2,0)", "(l(2)/l(1))^3"],
                     "Theorem 6.2: P_lambda(2n) from 3-copy distinct parts"))
     add(_recurrence("thm6.3", "AP(mock(lambda),6,2)",
                     "3*(l(2)/l(1)^2)^3*stream(phi,3)*stream(jacobi,3)", 300, 60,
-                    _direct_thm6_3, "Theorem 6.3: P_lambda(6n+2) from 3-copy overpartitions"))
+                    _direct_thm6_3, ["AP(mock(lambda),6,2)", "(l(2)/l(1)^2)^3"],
+                    "Theorem 6.3: P_lambda(6n+2) from 3-copy overpartitions"))
     add(_recurrence("thm6.4", "AP(mock(lambda),6,4)*stream(jacobi,1)",
                     "6*(l(2)/l(1))^2*stream(phi,3)*stream(jacobi,6)", 300, 60,
-                    _direct_thm6_4, "Theorem 6.4: P_lambda(6n+4) from 2-copy distinct parts"))
+                    _direct_thm6_4, ["AP(mock(lambda),6,4)", "(l(2)/l(1))^2"],
+                    "Theorem 6.4: P_lambda(6n+4) from 2-copy distinct parts"))
 
     ids = [c.id for c in claims]
     assert len(ids) == len(set(ids)), "duplicate claim ids"
@@ -791,7 +788,7 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
     ``#`` starts a comment.  Returns fully-built claims.  Malformed input
     raises ValueError naming the source and the offending line, or the claim
     and field: a missing field, a non-integer, an unparsable expression, or
-    an order, count or congruence step A below 1 (a bound or a congruence
+    an order, count or progression step A below 1 (a bound or a progression
     offset B below 0, a modulus M below 2), which would check nothing.
     """
     records: list[dict[str, str]] = []
@@ -869,7 +866,7 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
         )
     return Claim(
         cid, kind, cite=cite, mock=text("mock"), ruleset=text("ruleset"),
-        A=num("A", 1), B=num("B", 0), bound=num("bound", 20, least=0),
+        A=num("A", 1, least=1), B=num("B", 0, least=0), bound=num("bound", 20, least=0),
         dp_order=num("order", 0, least=1),
     )
 

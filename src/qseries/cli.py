@@ -79,7 +79,7 @@ def _cmd_coeff(args) -> int:
         mock_id = MockThetaId.from_name(args.name)
         within_cap([(Mock(mock_id.value), top + 1)], MAX_ORDER)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: index {top} {exc}", file=sys.stderr)
@@ -98,7 +98,8 @@ def _cmd_series(args) -> int:
         print(f"error: expansion {exc}", file=sys.stderr)
         return 2
     except (ParseError, SeriesError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     print(format_series(series))
     return 0

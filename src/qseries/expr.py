@@ -489,6 +489,8 @@ def _valuation(node: Expr) -> int:
     """
     if isinstance(node, Mono):
         return node.k
+    if isinstance(node, Mock):  # where term 0 of its sum starts
+        return mock_mod.valuation_schedule(mock_mod.MockThetaId.from_name(node.name), 0)
     if isinstance(node, (Neg, Alt)):
         return _valuation(node.child)
     if isinstance(node, Pow):
@@ -502,7 +504,7 @@ def _valuation(node: Expr) -> int:
         if node.op in "+-":
             return min(a, b)
         return a + b if node.op == "*" else a - b
-    return 0  # constants and every product, theta, mock and ruleset leaf
+    return 0  # constants and every product, theta and ruleset leaf
 
 
 def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
@@ -662,8 +664,12 @@ def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeri
         return products.pochhammer(
             products.PochhammerSpec(node.sign, node.a, node.step), order
         )
-    if isinstance(node, Mock):
-        return mock_mod.mock_series(node.name, order)
+    if isinstance(node, Mock):  # mock_series starts at q^0; the plan at the valuation
+        v = _valuation(node)
+        if order <= v:
+            return TruncatedSeries.zero(order)
+        s = mock_mod.mock_series(node.name, order)
+        return TruncatedSeries(v, s.coeffs[v:], s.order)
     if isinstance(node, Stream):
         return partitions.theta_stream(node.kind, node.scale, order)
     if isinstance(node, RulesetRef):

@@ -1,5 +1,6 @@
 """Claim registry, verification engine, claim files, and reports."""
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from qseries import claims as claims_mod
 from qseries import mock as mock_mod
-from qseries import products
+from qseries import partitions, products
 from qseries.claims import (
     MAX_ORDER,
     Claim,
@@ -25,6 +26,16 @@ from qseries.claims import (
 )
 from qseries.expr import Ap, Eta, Expr, Mock, RulesetRef, eval_expr, parse_expr, to_text
 from qseries.ntheory import PreconditionError, family_indices
+
+# the partition counts a recurrence's direct summation reads, as claim-language
+# text, and the partitions function each replaces (checked against brute force
+# in test_partitions.py)
+PARTITION_READS = {
+    "l(4)/l(1)": partitions.regular4,
+    **{f"(l(2)/l(1))^{k}": functools.partial(partitions.p_rd, k) for k in (2, 3)},
+    "l(2)/l(1)^2": functools.partial(partitions.overpartition_r, 1),
+    **{f"(l(2)/l(1)^2)^{k}": functools.partial(partitions.overpartition_r, k) for k in (2, 3)},
+}
 
 EXPECTED_DEFECTS = {
     "thm5.1", "thm5.2", "thm5.3", "eq5.3", "thm5.4", "thm5.5", "eq6.3",
@@ -80,7 +91,7 @@ class TestVerify:
         # verify never reaches these routes: the series route fails first, at the same n
         claim = registry_by_id()[cid]
         assert claim.direct is route
-        lv, rv = route(claim.bound)
+        lv, rv = _direct_sums(claim)
         assert len(lv) == len(rv) == claim.bound + 1
         assert claims_mod._first_difference(zip(lv, rv)) == {"n": 0, "lhs": lhs, "rhs": rhs}
         assert verify(claim).first_failure == {"n": 0, "lhs": lhs, "rhs": rhs}
@@ -145,7 +156,8 @@ class TestVerify:
         table = registry_by_id()
         for cid in ("thm3.4", "thm3.5", "thm4.4", "thm5.6", "thm6.2", "thm6.3", "thm6.4"):
             claim = table[cid]
-            lv, rv = claim.direct(60)
+            assert claim.bound == 60, cid
+            lv, rv = _direct_sums(claim)
             assert lv == rv, cid
             series = verify(claim)
             assert series.status == "pass", cid
@@ -172,6 +184,12 @@ def _count_computes(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(mock_mod, "_cache", {})
     monkeypatch.setattr(mock_mod, "_compute", counting)
     return counts
+
+
+def _direct_sums(claim: Claim) -> tuple[list[int], list[int]]:
+    """A recurrence's direct summation, fed from the reads its plan lists after both sides."""
+    _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+    return claim.direct(claim.bound, *(eval_expr(node, o).coefficient for node, o in reads[2:]))
 
 
 def _requested_order(claim: Claim, status: str) -> int:
@@ -266,10 +284,59 @@ class TestDemandPlan:
             _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             evaluated.clear()
             r = verify(claim)
-            # a failed enumeration stops before the generating-function route
+            # a failed comparison stops the check before the reads it no longer needs
             if r.message == "backtracking enumeration disagrees":
-                reads = reads[:1]
+                reads = reads[:1]  # not the generating-function route
+            elif r.status == "fail" and claim.kind is ClaimKind.RECURRENCE and not r.message:
+                reads = reads[:2]  # the series route failed: not the direct summation
             assert evaluated == reads, claim.id
+
+    def test_failed_progression_stops_the_family_check(self, monkeypatch):
+        evaluated = []
+        real = claims_mod.eval_expr
+        monkeypatch.setattr(
+            claims_mod, "eval_expr", lambda node, o: evaluated.append(node) or real(node, o)
+        )
+        claim = Claim(
+            "f", ClaimKind.CONGRUENCE_FAMILY, family="thm3.3ii", p=5, count=3,
+            expr=parse_expr("1/l(1)"),
+        )
+        r = verify(claim)  # p(29) = 4565 is odd
+        assert (r.status, r.message) == ("fail", "progression j=1 (A=50, B=29, M=2)")
+        assert evaluated == [parse_expr("AP(1/l(1),50,29)")]
+
+    def test_recurrence_plan_lists_the_direct_reads(self):
+        for claim in registry():
+            if claim.kind is not ClaimKind.RECURRENCE:
+                continue
+            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            progression, *counts = claim.direct_reads
+            assert reads == [
+                (claim.lhs, claim.order), (claim.rhs, claim.order),
+                *((node, claim.bound + 1) for node in claim.direct_reads),
+            ], claim.id
+            # the lhs progression, then the partition counts the summation weighs
+            assert isinstance(progression, Ap) and isinstance(progression.child, Mock)
+            assert to_text(progression) in to_text(claim.lhs), claim.id
+            assert set(counts) <= set(map(parse_expr, PARTITION_READS)), claim.id
+
+    @pytest.mark.parametrize("text", sorted(PARTITION_READS))
+    def test_partition_read_is_the_partitions_function_it_replaces(self, text):
+        assert eval_expr(parse_expr(text), 200) == PARTITION_READS[text](200)
+
+    def test_congruence_plan_reads_each_progression(self):
+        table = registry_by_id()
+        _, reads, _ = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
+        assert reads == [(parse_expr("AP(1/l(1),5,4)"), 150)]
+        # B = 59 is past A = 50: P(50n + 59) is q^-1*AP(mock(v),50,9)
+        target, reads, demands = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
+        assert reads == [
+            (parse_expr(text), 10) for text in (
+                "AP(mock(v),50,29)", "AP(mock(v),50,39)", "AP(mock(v),50,49)",
+                "q^-1*AP(mock(v),50,9)",
+            )
+        ]
+        assert target == demands[Mock("v")] == 50 * 9 + 59 + 1
 
     def test_within_cap_merges_leaves_and_caps_the_deepest(self):
         reads = [(Mock("v"), 10), (parse_expr("AP(mock(v),2,1)*l(3)"), 10)]
@@ -338,10 +405,7 @@ class TestErrors:
         assert r.first_failure is None
         assert "leading coefficient 2" in r.message
 
-    @pytest.mark.parametrize(
-        "lhs, rhs, order",
-        [("q^2/(l(1)-1)", "0", 2), ("mock(mu)+q^3/mock(v)", "mock(mu)", 3)],
-    )
+    @pytest.mark.parametrize("lhs, rhs, order", [("q^2/(l(1)-1)", "0", 2)])
     def test_late_divisor_is_an_error_not_a_pass(self, lhs, rhs, order):
         claim = Claim(
             "late", ClaimKind.IDENTITY,
@@ -350,6 +414,17 @@ class TestErrors:
         r = verify(claim)
         assert (r.status, r.first_failure) == ("error", None)
         assert "leading coefficient 0" in r.message
+
+    @pytest.mark.parametrize("order", [3, 15, 27, 43])
+    def test_late_mock_divisor_is_checked_not_skipped(self, order):
+        # v(q) starts at q^1, so q^3/v(q) = q^2 - q^3 - ... and the sides differ at q^2
+        claim = Claim(
+            "late", ClaimKind.IDENTITY,
+            lhs=parse_expr("mock(mu)+q^3/mock(v)"), rhs=parse_expr("mock(mu)"), order=order,
+        )
+        r = verify(claim)
+        assert (r.status, r.order) == ("fail", order)
+        assert r.first_failure == {"n": 2, "lhs": 2, "rhs": 1}
 
     @pytest.mark.parametrize(
         "claim_id, override, message",
@@ -513,6 +588,8 @@ class TestClaimFiles:
             ("type=congruence-family\nfamily=thm4.3\np=5\ncount=-1", "count", 1, -1),
             ("type=interpretation\nmock=v\nruleset=thm3.2\norder=0", "order", 1, 0),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),
+            ("type=interpretation\nmock=v\nruleset=thm3.2\nA=0", "A", 1, 0),
+            ("type=interpretation\nmock=v\nruleset=thm3.2\nB=-1", "B", 0, -1),
         ],
     )
     def test_range_that_checks_nothing_is_rejected(self, fields, field, least, value):
@@ -546,8 +623,9 @@ class TestClaimFiles:
         assert r.first_failure["rhs"] == coeffs.coefficient(2 * r.first_failure["n"] + 3)
 
     def test_interpretation_modulus_must_be_positive(self):
-        (claim,) = parse_claim_file(
-            "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=thm3.2\nA=0\n"
+        # a claim file rejects A=0 when it is read; a claim built in code is an error
+        claim = Claim(
+            "i", ClaimKind.INTERPRETATION, mock="v", ruleset="thm3.2", A=0, bound=20,
         )
         r = verify_all([claim])[0]
         assert (r.status, r.first_failure) == ("error", None)

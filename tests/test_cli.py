@@ -23,9 +23,8 @@ class TestCoeff:
         assert out.strip() == "1 1 3"
 
     def test_unknown_mock(self, capsys):
-        code, _, err = run_cli(capsys, "coeff", "omega", "1")
-        assert code == 2
-        assert "omega" in err
+        code, out, err = run_cli(capsys, "coeff", "omega", "1")
+        assert (code, out, err) == (2, "", "error: unknown mock theta function 'omega'\n")
 
     def test_index_beyond_the_cap(self, capsys):
         code, out, err = run_cli(capsys, "coeff", "lambda", "100000")
@@ -69,6 +68,15 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "q^-2*l(1)", "--order", "3")
         assert code == 0
         assert out.strip() == "q^-2 - q^-1 - 1 + O(q^3)"
+
+    def test_reciprocal_of_a_mock_stream(self, capsys):
+        # v(q) starts at q^1, so 1/v(q) starts at q^-1
+        code, out, _ = run_cli(capsys, "series", "1/mock(v)", "--order", "6")
+        assert (code, out) == (0, "q^-1 - 1 - q^2 + q^4 + O(q^6)\n")
+
+    def test_unknown_ruleset(self, capsys):
+        code, out, err = run_cli(capsys, "series", "ruleset(bogus)")
+        assert (code, out, err) == (2, "", "error: unknown ruleset 'bogus'\n")
 
 
 class TestVerify:

@@ -253,7 +253,7 @@ class TestInputBoundary:
 class TestDemandPlan:
     def test_shift_is_exact(self):
         s = eval_expr(parse_expr("q^-20*mock(v)"), 100)
-        assert s.order == 100 and s.valuation == -20
+        assert s.order == 100 and s.valuation == -19  # v(q) starts at q^1
         assert leaf_demands(parse_expr("q^-20*mock(v)"), 100) == {Mock("v"): 120}
 
     def test_progression_demand(self):
@@ -290,10 +290,7 @@ class TestDemandPlan:
     @pytest.mark.parametrize(
         "text, order",
         [
-            ("q^2/mock(v)", 2),  # v starts at q^1, so the quotient has a q^1 term
-            ("q^2*mock(v)^-1", 2),
             ("q^2/(l(1)-1)", 2),  # the divisor's constant term cancels
-            ("mock(mu)+q^3/mock(v)", 3),
         ],
     )
     def test_unproven_divisor_is_always_checked(self, text, order):
@@ -302,14 +299,44 @@ class TestDemandPlan:
         with pytest.raises(NonUnitError):
             eval_expr(node, order)
 
+    def test_mock_leaf_starts_at_its_first_term(self):
+        starts = {}
+        for m in mock_mod.MockThetaId:
+            s = eval_expr(Mock(m.value), 10)
+            assert s == mock_mod.mock_series(m, 10) and s.coeffs[0], m
+            starts[m.value] = s.valuation
+        assert starts == {
+            "mu": 0, "sigma": 1, "beta": 1, "lambda": 0, "v": 1, "nu": 1, "phi6": 0, "psi6": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "text, order, value",
+        [
+            # v(q) = q + q^2 + ... starts at q^1, so the quotient has a q^1 term
+            ("q^2/mock(v)", 2, {1: 1}),
+            ("q^2*mock(v)^-1", 2, {1: 1}),
+            ("mock(mu)+q^3/mock(v)", 3, {0: 1, 1: -1, 2: 2}),
+            ("1/mock(v)", 6, {-1: 1, 0: -1, 2: -1, 4: 1}),
+        ],
+    )
+    def test_mock_divisor_starts_at_its_valuation(self, text, order, value):
+        node = parse_expr(text)
+        assert leaf_demands(node, order)  # the divisor is planned, not skipped
+        s = eval_expr(node, order)
+        assert s == TruncatedSeries.from_terms(value, order)
+        for deeper in (order + 12, order + 24, order + 40):
+            assert eval_expr(node, deeper).truncate(order) == s
+
     def test_unknown_ruleset_is_never_skipped(self):
         with pytest.raises(KeyError):
             eval_expr(parse_expr("q^5*ruleset(bogus)"), 3)
 
-    def test_unit_divisor_is_checked_below_the_valuation(self):
-        # 1 + v(q) starts with 1, so q^5/(1 + v(q)) is O(q^5)
+    def test_unit_divisor_is_checked_below_the_valuation(self, monkeypatch):
+        # 1 + v(q) starts with 1, so q^5/(1 + v(q)) is O(q^5); v itself is
+        # asked only at its valuation 1, where it is zero and never expanded
+        monkeypatch.setattr(mock_mod, "mock_series", None)
         node = parse_expr("q^5/(mock(v)+1)")
-        assert leaf_demands(node, 3) == {Mock("v"): 1, Lit(1): 1}
+        assert leaf_demands(node, 3) == {Lit(1): 1}
         assert eval_expr(node, 3) == TruncatedSeries.zero(3)
 
     @pytest.mark.parametrize(
