@@ -10,11 +10,14 @@ claim reads is a claim-language expression (a progression P(A*n + B) is
 partition counts), so ``_plan`` knows each leaf it expands, and at what
 order, before any work.
 
-``registry()`` returns the built-in claim set.  Each claim carries a citation
-label and a default order or count chosen to run in seconds.  Some built-in
-claims do not hold as stated; they are kept in the registry so the verifier
-reports their first counterexamples, and each has a ``.corrected`` companion
-that passes (``thm5.2``'s companion is ``thm5.2.gf``; see the notes fields).
+There is one way to build a claim from text: ``parse_claim_file``.
+``registry()`` reads the built-in claim set with it from the packaged
+``registry.claims``.  Each claim carries a citation label and a default order
+or count chosen to run in seconds.  Some built-in claims do not hold as
+stated; they are kept in the registry so the verifier reports their first
+counterexamples, and each has a ``.corrected`` companion that passes
+(``thm5.2``'s companion is ``thm5.2.gf``; see the notes fields).  The nine
+direct summation routes a recurrence can name stay here as code.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from . import expr as expr_mod
@@ -469,303 +473,28 @@ def _direct_thm6_4(bound: int, pl: _Coeffs, p2d: _Coeffs) -> _Sums:
 
 # -- the registry -------------------------------------------------------------
 
-def _identity(cid, lhs, rhs, order, cite, notes="") -> Claim:
-    return Claim(
-        cid, ClaimKind.IDENTITY, cite=cite, notes=notes,
-        lhs=parse_expr(lhs), rhs=parse_expr(rhs), order=order,
-    )
-
-
-def _congruence(cid, text, A, B, M, count, cite, notes="") -> Claim:
-    return Claim(
-        cid, ClaimKind.CONGRUENCE, cite=cite, notes=notes,
-        expr=parse_expr(text), A=A, B=B, M=M, count=count,
-    )
-
-
-def _recurrence(cid, lhs, rhs, order, bound, direct, reads, cite, notes="") -> Claim:
-    return Claim(
-        cid, ClaimKind.RECURRENCE, cite=cite, notes=notes,
-        lhs=parse_expr(lhs), rhs=parse_expr(rhs), order=order,
-        bound=bound, direct=direct, direct_reads=tuple(map(parse_expr, reads)),
-    )
-
-
-def _interpretation(cid, mock, A, B, ruleset, bound, dp_order, cite, notes="") -> Claim:
-    return Claim(
-        cid, ClaimKind.INTERPRETATION, cite=cite, notes=notes,
-        mock=mock, A=A, B=B, ruleset=ruleset, bound=bound, dp_order=dp_order,
-    )
-
-
-def _family(cid, family, p, alpha, count, cite, notes="") -> Claim:
-    return Claim(
-        cid, ClaimKind.CONGRUENCE_FAMILY, cite=cite, notes=notes,
-        family=family, p=p, alpha=alpha, count=count,
-    )
-
-
-def _times_q(k: int, text: str) -> str:
-    return text if k == 0 else f"q*{text}" if k == 1 else f"q^{k}*{text}"
-
-
-def _sum_text(terms: list[tuple[int, str]]) -> str:
-    """Join ``(sign, text)`` terms into one claim-language sum."""
-    text = " ".join(f"{'+' if sign > 0 else '-'} {term}" for sign, term in terms)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def _psi_dissection_text(p: int) -> str:
-    """Lemma 2.1, the p-dissection of ``psi(q)``, term by term as in ``products``."""
-    terms = []
-    for m in range((p - 1) // 2):
-        a, b = (p * p + (2 * m + 1) * p) // 2, (p * p - (2 * m + 1) * p) // 2
-        terms.append((1, _times_q((m * m + m) // 2, f"f(q^{a},q^{b})")))
-    terms.append((1, _times_q((p * p - 1) // 8, f"psi(q^{p * p})")))
-    return _sum_text(terms)
-
-
-def _l1_dissection_text(p: int) -> str:
-    """Lemma 2.2, the p-dissection of ``l_1`` for p >= 5, term by term as in ``products``."""
-    tstar = (p - 1) // 6 if p % 6 == 1 else (-p - 1) // 6
-    terms = []
-    for t in range(-(p - 1) // 2, (p - 1) // 2 + 1):
-        if t != tstar:
-            a, b = (3 * p * p + (6 * t + 1) * p) // 2, (3 * p * p - (6 * t + 1) * p) // 2
-            terms.append((-1 if t % 2 else 1, _times_q((3 * t * t + t) // 2, f"f(-q^{a},-q^{b})")))
-    terms.append((-1 if tstar % 2 else 1, _times_q((p * p - 1) // 24, f"l({p * p})")))
-    return _sum_text(terms)
-
-
-def _l1cubed_dissection_text(p: int) -> str:
-    """Lemma 2.3, the p-dissection of ``l_1^3``.
-
-    Its double sum over m = pn + k, k != (p-1)/2, is Jacobi's stream less the
-    exponents = (p^2-1)/8 (mod p), the one class that k = (p-1)/2 reaches.
-    """
-    shift = (p * p - 1) // 8
-    r = shift % p
-    return _sum_text([
-        (1, "stream(jacobi,1)"),
-        (-1, _times_q(r, f"SUB(AP(stream(jacobi,1),{p},{r}),{p})")),
-        (-1 if ((p - 1) // 2) % 2 else 1, f"{p}*" + _times_q(shift, f"l({p * p})^3")),
-    ])
-
-
-_BROKEN_NOTE = "does not hold as stated; kept so the counterexample is on record"
-
-
-def _build_registry() -> list[Claim]:
-    claims: list[Claim] = []
-    add = claims.append
-
-    # sanity layer: classical partition facts
-    add(_congruence("ramanujan.p5", "1/l(1)", 5, 4, 5, 150, "Ramanujan: p(5n+4) = 0 mod 5"))
-    add(_congruence("ramanujan.p7", "1/l(1)", 7, 5, 7, 150, "Ramanujan: p(7n+5) = 0 mod 7"))
-    add(_congruence("ramanujan.p11", "1/l(1)", 11, 6, 11, 150, "Ramanujan: p(11n+6) = 0 mod 11"))
-    add(_identity("euler.pentagonal", "(1/l(1))*stream(pentagonal,1)", "1", 300,
-                  "Euler's pentagonal number theorem"))
-
-    # theta product forms and the triple product
-    add(_identity("eq2.4.phi", "phi(q)", "l(2)^5/(l(1)^2*l(4)^2)", 400,
-                  "phi(q) eta-quotient form"))
-    add(_identity("eq2.5.psi", "psi(q)", "l(2)^2/l(1)", 400, "psi(q) eta-quotient form"))
-    add(_identity("eq2.6.fneg", "f(-q,-q^2)", "l(1)", 400, "f(-q) = l_1"))
-    add(_identity("eq2.8.phineg", "phi(-q)", "l(1)^2/l(2)", 400, "phi(-q) eta-quotient form"))
-    add(_identity("eq2.9.jacobi", "stream(jacobi,1)", "l(1)^3", 400, "Jacobi's identity for l_1^3"))
-    add(_identity("triple.phi", "f(q,q)", "poch(-q,2)^2*poch(q^2,2)", 400,
-                  "triple product at (q, q)"))
-    add(_identity("triple.psi", "f(q,q^3)", "poch(-q,4)*poch(-q^3,4)*poch(q^4,4)", 400,
-                  "triple product at (q, q^3)"))
-    add(_identity("triple.fneg", "f(-q,-q^2)", "poch(q,3)*poch(q^2,3)*poch(q^3,3)", 400,
-                  "triple product at (-q, -q^2)"))
-    add(_identity("triple.f15", "f(q,q^5)", "poch(-q,6)*poch(-q^5,6)*poch(q^6,6)", 400,
-                  "triple product at (q, q^5)"))
-
-    # 3-dissection lemmas
-    add(_identity(
-        "lemma2.4a", "l(2)/l(1)^2",
-        "l(6)^4*l(9)^6/(l(3)^8*l(18)^3) + 2*q*l(6)^3*l(9)^3/l(3)^7"
-        " + 4*q^2*l(6)^2*l(18)^3/l(3)^6",
-        500, "3-dissection of l_2/l_1^2"))
-    add(_identity(
-        "lemma2.4b", "1/(l(1)*l(2))",
-        "l(9)^9/(l(3)^6*l(6)^2*l(18)^3) + q*l(9)^6/(l(3)^5*l(6)^3)"
-        " + 3*q^2*l(9)^3*l(18)^3/(l(3)^4*l(6)^4) - 2*q^3*l(18)^6/(l(3)^3*l(6)^5)"
-        " + 4*q^4*l(18)^9/(l(3)^2*l(6)^6*l(9)^3)",
-        500, "3-dissection of 1/(l_1 l_2)"))
-    add(_identity(
-        "lemma2.4c", "l(4)/l(1)",
-        "l(12)*l(18)^4/(l(3)^3*l(36)^2) + q*l(6)^2*l(9)^3*l(36)/(l(3)^4*l(18)^2)"
-        " + 2*q^2*l(6)*l(18)*l(36)/l(3)^3",
-        500, "3-dissection of l_4/l_1"))
-
-    # binomial-theorem congruences
-    add(_congruence("binom.lm1.p3", "l(1)^3 - l(3)", 1, 0, 3, 200, "l_1^3 = l_3 mod 3"))
-    add(_congruence("binom.lm1.p5", "l(2)^5 - l(10)", 1, 0, 5, 200, "l_2^5 = l_10 mod 5"))
-    add(_congruence("binom.lm1.p7", "l(1)^7 - l(7)", 1, 0, 7, 200, "l_1^7 = l_7 mod 7"))
-    add(_congruence("binom.lm2.t1", "l(1)^2 - l(2)", 1, 0, 2, 200, "l_1^2 = l_2 mod 2"))
-    add(_congruence("binom.lm2.t2", "l(1)^4 - l(2)^2", 1, 0, 4, 200, "l_1^4 = l_2^2 mod 4"))
-    add(_congruence("binom.lm2.t3", "l(1)^8 - l(2)^4", 1, 0, 8, 200, "l_1^8 = l_2^4 mod 8"))
-
-    # prime dissection lemmas
-    for p in (3, 5, 7):
-        add(_identity(f"lemma2.1.p{p}", "psi(q)", _psi_dissection_text(p), 300,
-                      f"p-dissection of psi(q) at p = {p}"))
-    for p in (5, 7, 11):
-        add(_identity(f"lemma2.2.p{p}", "l(1)", _l1_dissection_text(p), 300,
-                      f"p-dissection of l_1 at p = {p}"))
-    for p in (3, 5, 7):
-        add(_identity(f"lemma2.3.p{p}", "l(1)^3", _l1cubed_dissection_text(p), 300,
-                      f"p-dissection of l_1^3 at p = {p}"))
-
-    # v(q)
-    add(_identity("thm3.1", "AP(mock(v),2,1)", "l(4)^3/(l(1)*l(2))", 500,
-                  "Theorem 3.1: odd part of v(q)"))
-    add(_interpretation("thm3.2", "v", 2, 1, "thm3.2", 25, 200,
-                        "Theorem 3.2: colored partition interpretation of P_v(2n+1)"))
-    add(_identity("thm3.2.gf", "ruleset(thm3.2)", "l(4)^3/(l(1)*l(2))", 300,
-                  "Theorem 3.2 ruleset generating function"))
-    add(_congruence("thm3.3i", "mock(v)", 6, 5, 3, 150, "Theorem 3.3(i): P_v(6n+5) = 0 mod 3"))
-    add(_identity(
-        "eq3.2",
-        "SUB(ALT(mock(mu)),2) + 4*mock(v)",
-        "poch(q^4,4)*poch(-q^2,4)^3/(poch(q^2,4)^2*poch(-q^4,4)^2)"
-        " + 4*q*poch(q^8,8)*poch(-q^4,4)/(poch(q^4,8)*poch(q^2,4))",
-        400, "mu(-q^2) + 4v(q) as Pochhammer products"))
-    add(_identity("eq3.3", "AP(mock(v),6,5)", "3*l(4)*l(6)^3/l(1)^3", 300,
-                  "P_v(6n+5) eta-quotient form"))
-    add(_congruence("eq3.4", "AP(mock(v),2,1) - psi(q)*psi(q^2)", 1, 0, 2, 200,
-                    "Theorem 3.3(ii) base: P_v(2n+1) = psi psi(q^2) mod 2"))
-    add(_congruence("eq3.5", "AP(mock(v),6,5) - 3*l(1)*l(6)^3", 1, 0, 6, 150,
-                    "Theorem 3.3(iii) base: P_v(6n+5) = 3 l_1 l_6^3 mod 6"))
-    add(_family("thm3.3ii.p5", "thm3.3ii", 5, 0, 10, "Theorem 3.3(ii) family at p = 5"))
-    add(_family("thm3.3ii.p7", "thm3.3ii", 7, 0, 10, "Theorem 3.3(ii) family at p = 7"))
-    add(_family("thm3.3ii.p5a1", "thm3.3ii", 5, 1, 1,
-                "Theorem 3.3(ii) family at p = 5, alpha = 1 (stretch)"))
-    add(_family("thm3.3iii.p5", "thm3.3iii", 5, 0, 5, "Theorem 3.3(iii) family at p = 5"))
-    add(_recurrence("thm3.4", "AP(mock(v),2,1)", "(l(4)/l(1))*stream(psi,2)", 300, 60,
-                    _direct_thm3_4, ["AP(mock(v),2,1)", "l(4)/l(1)"],
-                    "Theorem 3.4: P_v(2n+1) from 4-regular counts"))
-    add(_recurrence(
-        "thm3.5", "AP(mock(v),6,5)*stream(pentagonal,1)",
-        "3*(l(4)/l(2)^2)*(l(2)/l(1))^2*stream(jacobi,6)", 300, 60,
-        _direct_thm3_5, ["AP(mock(v),6,5)", "(l(2)/l(1))^2", "l(2)/l(1)^2"],
-        "Theorem 3.5: P_v(6n+5) from overpartitions and 2-copy distinct parts"))
-    add(_congruence("remark3.6", "mock(mu) - 1/l(1)^3", 1, 0, 4, 300,
-                    "Remark 3.6: P_mu(n) = p_3(n) mod 4"))
-
-    # sigma(q)
-    add(_identity("eq4.1", "SUB(mock(nu),2) - ALT(mock(sigma))",
-                  "q*l(4)^2*l(12)^2/(l(2)^2*l(6))", 400,
-                  "nu(q^2) - sigma(-q) eta-quotient form"))
-    add(_identity("thm4.1", "AP(mock(sigma),2,1)", "l(2)^2*l(6)^2/(l(1)^2*l(3))", 500,
-                  "Theorem 4.1: odd part of sigma(q)"))
-    add(_interpretation("thm4.2", "sigma", 2, 1, "thm4.2", 25, 200,
-                        "Theorem 4.2: colored partition interpretation of P_sigma(2n+1)"))
-    add(_identity("thm4.2.gf", "ruleset(thm4.2)", "l(2)^2*l(6)^2/(l(1)^2*l(3))", 300,
-                  "Theorem 4.2 ruleset generating function"))
-    add(_congruence("eq4.2", "AP(mock(sigma),2,1) - l(2)*psi(q^3)", 1, 0, 2, 200,
-                    "Theorem 4.3 base: P_sigma(2n+1) = l_2 psi(q^3) mod 2"))
-    add(_family("thm4.3.p5", "thm4.3", 5, 0, 10, "Theorem 4.3 family at p = 5"))
-    add(_recurrence("thm4.4", "AP(mock(sigma),2,1)", "(l(2)/l(1))^2*stream(psi,3)", 300, 60,
-                    _direct_thm4_4, ["AP(mock(sigma),2,1)", "(l(2)/l(1))^2"],
-                    "Theorem 4.4: P_sigma(2n+1) from 2-copy distinct parts"))
-
-    # beta(q)
-    add(_identity(
-        "eq5.1", "SUB(mock(phi6),3) + 2*q^-1*SUB(mock(psi6),3) + 2*mock(beta)",
-        "l(2)*l(3)^5/(l(1)^2*l(6)^3)", 400,
-        "phi(q^3) + 2q^-1 psi(q^3) + 2beta(q) eta-quotient form"))
-    add(_identity("eq5.2", "AP(mock(beta),3,1)", "l(3)^3/l(1)^2", 500,
-                  "P_beta(3n+1) eta-quotient form"))
-    add(_identity("thm5.1", "AP(mock(beta),3,2)", "2*l(6)^3/(l(1)*l(2))", 500,
-                  "Theorem 5.1: P_beta(3n+2) as stated",
-                  notes=_BROKEN_NOTE + "; the mock term survives the extraction"
-                  " (see thm5.1.corrected)"))
-    add(_identity("thm5.1.corrected", "AP(mock(beta),3,2)",
-                  "2*l(6)^3/(l(1)*l(2)) - q^-1*mock(psi6)", 500,
-                  "Theorem 5.1 with the surviving mock term restored"))
-    add(_interpretation("thm5.2", "beta", 3, 2, "thm5.2", 25, 200,
-                        "Theorem 5.2: colored partition interpretation of P_beta(3n+2)",
-                        notes=_BROKEN_NOTE + "; see thm5.2.gf for what the ruleset counts"))
-    add(_identity("thm5.2.gf", "ruleset(thm5.2)", "l(6)^3/(l(1)*l(2))", 300,
-                  "Theorem 5.2 ruleset generating function"))
-    add(_congruence("thm5.3", "mock(beta)", 9, 8, 6, 100,
-                    "Theorem 5.3: P_beta(9n+8) = 0 mod 6 as stated",
-                    notes=_BROKEN_NOTE + " (see thm5.3.corrected)"))
-    add(_congruence("thm5.3.corrected",
-                    "AP(mock(beta),9,8) + q^-1*AP(mock(psi6),3,0)", 1, 0, 6, 100,
-                    "Theorem 5.3 with the surviving mock term restored"))
-    add(_identity("eq5.3", "AP(mock(beta),9,8)", "6*l(3)^3*l(6)^3/(l(1)^4*l(2))", 300,
-                  "P_beta(9n+8) eta-quotient form as stated",
-                  notes=_BROKEN_NOTE + " (see eq5.3.corrected)"))
-    add(_identity("eq5.3.corrected", "AP(mock(beta),9,8)",
-                  "6*l(3)^3*l(6)^3/(l(1)^4*l(2)) - q^-1*AP(mock(psi6),3,0)", 300,
-                  "P_beta(9n+8) with the surviving mock term restored"))
-    add(_recurrence("thm5.4", "AP(mock(beta),3,2)*stream(psi,1)",
-                    "2*(l(2)/l(1)^2)*stream(jacobi,6)", 300, 60,
-                    _direct_thm5_4, ["AP(mock(beta),3,2)", "l(2)/l(1)^2"],
-                    "Theorem 5.4: P_beta(3n+2) from overpartitions as stated",
-                    notes=_BROKEN_NOTE + " (see thm5.4.corrected)"))
-    add(_identity("thm5.4.corrected",
-                  "(AP(mock(beta),3,2) + q^-1*mock(psi6))*stream(psi,1)",
-                  "2*(l(2)/l(1)^2)*stream(jacobi,6)", 300,
-                  "Theorem 5.4 with the surviving mock term restored"))
-    add(_recurrence("thm5.5", "AP(mock(beta),9,8)*stream(jacobi,2)",
-                    "6*(l(2)/l(1)^2)^2*stream(jacobi,3)*stream(jacobi,6)", 300, 60,
-                    _direct_thm5_5, ["AP(mock(beta),9,8)", "(l(2)/l(1)^2)^2"],
-                    "Theorem 5.5: P_beta(9n+8) from 2-copy overpartitions as stated",
-                    notes=_BROKEN_NOTE + " (see thm5.5.corrected)"))
-    add(_identity("thm5.5.corrected",
-                  "(AP(mock(beta),9,8) + q^-1*AP(mock(psi6),3,0))*stream(jacobi,2)",
-                  "6*(l(2)/l(1)^2)^2*stream(jacobi,3)*stream(jacobi,6)", 300,
-                  "Theorem 5.5 with the surviving mock term restored"))
-    add(_recurrence("thm5.6", "AP(mock(beta),3,1)*stream(pentagonal,2)",
-                    "(l(2)/l(1)^2)*stream(jacobi,3)", 300, 60,
-                    _direct_thm5_6, ["AP(mock(beta),3,1)", "l(2)/l(1)^2"],
-                    "Theorem 5.6: P_beta(3n+1) from overpartitions"))
-
-    # lambda(q)
-    add(_identity("eq6.1", "AP(mock(lambda),2,0)", "l(2)^3*l(3)^2/(l(1)^3*l(6))", 400,
-                  "P_lambda(2n) eta-quotient form"))
-    add(_identity("eq6.2", "AP(mock(lambda),6,2)", "3*(l(3)^5/l(6))*(l(2)/l(1)^2)^3", 400,
-                  "P_lambda(6n+2) eta-quotient form"))
-    add(_identity("eq6.3", "AP(mock(lambda),6,4)", "l(2)^2*l(3)^2*l(6)^2/l(1)^5", 400,
-                  "P_lambda(6n+4) eta-quotient form as stated",
-                  notes=_BROKEN_NOTE + "; a factor 6 is missing (see eq6.3.corrected)"))
-    add(_identity("eq6.3.corrected", "AP(mock(lambda),6,4)",
-                  "6*l(2)^2*l(3)^2*l(6)^2/l(1)^5", 400,
-                  "P_lambda(6n+4) eta-quotient form with the constant restored"))
-    add(_interpretation("thm6.1", "lambda", 2, 0, "thm6.1", 25, 200,
-                        "Theorem 6.1: colored partition interpretation of P_lambda(2n)"))
-    add(_identity("thm6.1.gf", "ruleset(thm6.1)", "l(2)^3*l(3)^2/(l(1)^3*l(6))", 300,
-                  "Theorem 6.1 ruleset generating function"))
-    add(_recurrence("thm6.2", "AP(mock(lambda),2,0)", "(l(2)/l(1))^3*stream(phi,3)",
-                    300, 60, _direct_thm6_2, ["AP(mock(lambda),2,0)", "(l(2)/l(1))^3"],
-                    "Theorem 6.2: P_lambda(2n) from 3-copy distinct parts"))
-    add(_recurrence("thm6.3", "AP(mock(lambda),6,2)",
-                    "3*(l(2)/l(1)^2)^3*stream(phi,3)*stream(jacobi,3)", 300, 60,
-                    _direct_thm6_3, ["AP(mock(lambda),6,2)", "(l(2)/l(1)^2)^3"],
-                    "Theorem 6.3: P_lambda(6n+2) from 3-copy overpartitions"))
-    add(_recurrence("thm6.4", "AP(mock(lambda),6,4)*stream(jacobi,1)",
-                    "6*(l(2)/l(1))^2*stream(phi,3)*stream(jacobi,6)", 300, 60,
-                    _direct_thm6_4, ["AP(mock(lambda),6,4)", "(l(2)/l(1))^2"],
-                    "Theorem 6.4: P_lambda(6n+4) from 2-copy distinct parts"))
-
-    ids = [c.id for c in claims]
-    assert len(ids) == len(set(ids)), "duplicate claim ids"
-    return claims
-
+# the direct summation routes a recurrence record names in its ``direct`` field
+_DIRECT_ROUTES = {
+    "thm3.4": _direct_thm3_4,
+    "thm3.5": _direct_thm3_5,
+    "thm4.4": _direct_thm4_4,
+    "thm5.4": _direct_thm5_4,
+    "thm5.5": _direct_thm5_5,
+    "thm5.6": _direct_thm5_6,
+    "thm6.2": _direct_thm6_2,
+    "thm6.3": _direct_thm6_3,
+    "thm6.4": _direct_thm6_4,
+}
 
 _registry_cache: list[Claim] | None = None
 
 
 def registry() -> list[Claim]:
-    """The built-in claim set, in a stable order."""
+    """The built-in claim set: the packaged ``registry.claims``, in file order."""
     global _registry_cache
     if _registry_cache is None:
-        _registry_cache = _build_registry()
+        text = resources.files(__package__).joinpath("registry.claims").read_text("utf-8")
+        _registry_cache = parse_claim_file(text, "registry.claims")
     return list(_registry_cache)
 
 
@@ -775,24 +504,38 @@ def registry_by_id() -> dict[str, Claim]:
 
 # -- claim files --------------------------------------------------------------
 
-_CLAIM_FIELDS = {
-    "id", "type", "lhs", "rhs", "expr", "A", "B", "M", "count",
-    "family", "p", "alpha", "order", "ruleset", "mock", "bound", "cite",
+_COMMON_FIELDS = {"id", "type", "cite", "notes"}
+# the fields each claim type reads, besides the common ones
+_KIND_FIELDS = {
+    ClaimKind.IDENTITY: {"lhs", "rhs", "order"},
+    ClaimKind.RECURRENCE: {"lhs", "rhs", "order", "bound", "direct", "reads"},
+    ClaimKind.CONGRUENCE: {"expr", "A", "B", "M", "count"},
+    ClaimKind.CONGRUENCE_FAMILY: {"family", "p", "alpha", "count"},
+    ClaimKind.INTERPRETATION: {"mock", "ruleset", "A", "B", "bound", "order"},
 }
+_CLAIM_FIELDS = _COMMON_FIELDS.union(*_KIND_FIELDS.values())
 
 
 def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
     """Parse the line-oriented claim file format.
 
     Records start with a ``[claim]`` line followed by ``key=value`` lines;
-    ``#`` starts a comment.  Returns fully-built claims.  Malformed input
-    raises ValueError naming the source and the offending line, or the claim
-    and field: a missing field, a non-integer, an unparsable expression, or
-    an order, count or progression step A below 1 (a bound or a progression
-    offset B below 0, a modulus M below 2), which would check nothing.
+    ``#`` starts a comment.  Every record takes ``id``, ``type``, ``cite`` and
+    ``notes``, plus the fields of its type.  A recurrence may name a direct
+    summation route (``direct``), the series it reads (``reads``, separated
+    by ``;``) and its bound.  Returns fully-built claims.
+
+    Malformed input raises ValueError naming the source and the offending
+    line (an unknown or repeated field, a duplicate claim id), or the claim
+    and field: a missing field or one its type does not read, a non-integer,
+    an unparsable expression, an unknown route or a read count it does not
+    take, or an order, count or progression step A below 1 (a bound or a
+    progression offset B below 0, a modulus M below 2), which would check
+    nothing.
     """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
+    ids: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -805,11 +548,16 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
             raise ValueError(f"{source}:{lineno}: field outside a [claim] record")
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CLAIM_FIELDS:
             raise ValueError(f"{source}:{lineno}: unknown field {key!r}")
-        current[key] = value.strip()
+        if key in current:
+            raise ValueError(f"{source}:{lineno}: repeated field {key!r}")
+        if key == "id":
+            if value in ids:
+                raise ValueError(f"{source}:{lineno}: duplicate claim id {value!r}")
+            ids.add(value)
+        current[key] = value
     return [_claim_from_record(r, source) for r in records]
 
 
@@ -821,6 +569,11 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
         raise ValueError(f"{source}: claim record missing {exc}") from None
     except ValueError:
         raise ValueError(f"{source}: unknown claim type {rec.get('type')!r}") from None
+    for key in rec:
+        if key not in _COMMON_FIELDS and key not in _KIND_FIELDS[kind]:
+            raise ValueError(
+                f"{source}: claim {cid!r} field {key!r} is not read by {kind.value} claims"
+            )
 
     def text(key: str) -> str:
         if key not in rec:
@@ -841,34 +594,44 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
             )
         return value
 
-    def expr(key: str) -> Expr:
+    def expr(key: str, value: str | None = None, where: str = "") -> Expr:
         try:
-            return parse_expr(text(key))
+            return parse_expr(text(key) if value is None else value)
         except ParseError as exc:
-            raise ValueError(f"{source}: claim {cid!r} field {key!r}: {exc}") from None
+            raise ValueError(f"{source}: claim {cid!r} field {key!r}: {where}{exc}") from None
 
-    cite = rec.get("cite", "")
+    claim = Claim(cid, kind, cite=rec.get("cite", ""), notes=rec.get("notes", ""))
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
-        return Claim(
-            cid, kind, cite=cite, lhs=expr("lhs"), rhs=expr("rhs"),
-            order=num("order", 200, least=1),
+        claim.lhs, claim.rhs = expr("lhs"), expr("rhs")
+        claim.order = num("order", 200, least=1)
+    if kind is ClaimKind.RECURRENCE and rec.keys() & {"bound", "direct", "reads"}:
+        name = text("direct")
+        if name not in _DIRECT_ROUTES:
+            raise ValueError(f"{source}: claim {cid!r} field 'direct': unknown route {name!r}")
+        claim.direct = _DIRECT_ROUTES[name]
+        claim.direct_reads = tuple(
+            expr("reads", part, f"part {i}: ")
+            for i, part in enumerate(text("reads").split(";"), start=1)
         )
+        arity = claim.direct.__code__.co_argcount - 1  # the bound, then one per read
+        if len(claim.direct_reads) != arity:
+            raise ValueError(
+                f"{source}: claim {cid!r} field 'reads': route {name!r} takes {arity} reads,"
+                f" got {len(claim.direct_reads)}"
+            )
+        claim.bound = num("bound", 20, least=0)
     if kind is ClaimKind.CONGRUENCE:
-        return Claim(
-            cid, kind, cite=cite, expr=expr("expr"),
-            A=num("A", 1, least=1), B=num("B", 0, least=0), M=num("M", least=2),
-            count=num("count", 100, least=1),
-        )
+        claim.expr = expr("expr")
+        claim.A, claim.B = num("A", 1, least=1), num("B", 0, least=0)
+        claim.M, claim.count = num("M", least=2), num("count", 100, least=1)
     if kind is ClaimKind.CONGRUENCE_FAMILY:
-        return Claim(
-            cid, kind, cite=cite, family=text("family"),
-            p=num("p"), alpha=num("alpha", 0), count=num("count", 5, least=1),
-        )
-    return Claim(
-        cid, kind, cite=cite, mock=text("mock"), ruleset=text("ruleset"),
-        A=num("A", 1, least=1), B=num("B", 0, least=0), bound=num("bound", 20, least=0),
-        dp_order=num("order", 0, least=1),
-    )
+        claim.family, claim.p, claim.alpha = text("family"), num("p"), num("alpha", 0)
+        claim.count = num("count", 5, least=1)
+    if kind is ClaimKind.INTERPRETATION:
+        claim.mock, claim.ruleset = text("mock"), text("ruleset")
+        claim.A, claim.B = num("A", 1, least=1), num("B", 0, least=0)
+        claim.bound, claim.dp_order = num("bound", 20, least=0), num("order", 0, least=1)
+    return claim
 
 
 # -- report serialisation ------------------------------------------------------

@@ -105,26 +105,28 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _load_claims(paths: list[str]) -> list[Claim]:
-    out = []
+def _claim_table(paths: list[str]) -> dict[str, Claim]:
+    """The registry and the claims of each file, by id; a repeated id raises ValueError."""
+    table = claims_mod.registry_by_id()
+    source: dict[str, str] = {}
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
-            out.extend(claims_mod.parse_claim_file(handle.read(), source=path))
-    return out
+            for c in claims_mod.parse_claim_file(handle.read(), source=path):
+                if c.id in source:
+                    raise ValueError(f"claim id {c.id!r} is in both {source[c.id]} and {path}")
+                if c.id in table:
+                    raise ValueError(f"claim id {c.id!r} collides with a registry claim")
+                source[c.id] = path
+                table[c.id] = c
+    return table
 
 
 def _cmd_verify(args) -> int:
     try:
-        user_claims = _load_claims(args.claims)
+        table = _claim_table(args.claims)
     except (OSError, ValueError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = claims_mod.registry_by_id()
-    for c in user_claims:
-        if c.id in table:
-            print(f"error: claim id {c.id!r} collides with a registry claim", file=sys.stderr)
-            return 2
-        table[c.id] = c
     if args.claim == "all":
         to_run = list(table.values())
     elif args.claim in table:

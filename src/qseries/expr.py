@@ -461,9 +461,9 @@ def _print(node: Expr, level: int) -> str:
         text = f"-{inner}"
         return f"({text})" if level >= 1 else text
     if isinstance(node, Pow):
-        base = _print(node.base, 4)
-        # Mono carries its own ^k syntax, so a monomial base needs parens
-        if isinstance(node.base, (BinOp, Neg, Pow, Mono)):
+        base = _print(node.base, 4)  # parenthesises a sum, product or negation
+        # a power or monomial base prints its own ^k, so it needs parens here
+        if isinstance(node.base, (Pow, Mono)):
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, BinOp):

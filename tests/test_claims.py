@@ -1,8 +1,10 @@
 """Claim registry, verification engine, claim files, and reports."""
 
 import functools
+import hashlib
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -209,30 +211,75 @@ def _scrub(report) -> dict:
     return data
 
 
+REGISTRY_FILE = resources.files("qseries").joinpath("registry.claims")
+
+# the seven records of published statements that do not hold, pinned as written
+REFUTED_RECORD_SHA256 = {
+    "thm5.1": "7c93ec0b335299cd1fdca09735ef11ed3388c64724e6712544a01dad03da3b01",
+    "thm5.2": "04e47fea010c26afb9d9bb30ddc36d9767a5644e0b36386e54de327745cf1101",
+    "thm5.3": "0c63d575065f090b87d6bee0d83887c280d43dedaec3836b7d880f3097b54395",
+    "eq5.3": "d0482f71943f973cc7173f575d3d916738e2237904c25a7546218ac456fc9f17",
+    "thm5.4": "780cab8a218786972134bc7e9ec3f67c6d210faf95adbcbabae70640c02a2423",
+    "thm5.5": "9d52f4e9293e95f6601675be1db8fb8b73e832897189676625f0a0a7a01c9926",
+    "eq6.3": "b4795c99fff09f720fd2302bd56c10e8924fea7ad88264e7cc65847d095abf72",
+}
+
+
+def _record_text(cid: str) -> str:
+    """A registry record as written: its lines from ``[claim]`` to its last line
+    before the next record, less the blank and comment lines that end it."""
+    for block in REGISTRY_FILE.read_text("utf-8").split("[claim]\n")[1:]:
+        lines = block.splitlines()
+        while lines and (not lines[-1].strip() or lines[-1].lstrip().startswith("#")):
+            lines.pop()
+        if f"id={cid}" in lines:
+            return "[claim]\n" + "\n".join(lines) + "\n"
+    raise KeyError(cid)
+
+
+def _raw_field(cid: str, key: str) -> str:
+    fields = dict(line.split("=", 1) for line in _record_text(cid).splitlines()[1:])
+    return fields[key]
+
+
+class TestRegistryFile:
+    @pytest.mark.parametrize("cid", sorted(REFUTED_RECORD_SHA256))
+    def test_refuted_record_is_unchanged(self, cid):
+        digest = hashlib.sha256(_record_text(cid).encode("utf-8")).hexdigest()
+        assert digest == REFUTED_RECORD_SHA256[cid], f"{cid} is recorded as published"
+
+    def test_pins_cover_the_expected_defects(self):
+        assert set(REFUTED_RECORD_SHA256) == EXPECTED_DEFECTS
+
+    def test_registry_is_the_packaged_claim_file(self):
+        text = REGISTRY_FILE.read_text("utf-8")
+        assert registry() == parse_claim_file(text, "registry.claims")
+        assert len(registry()) == 77
+
+
 class TestDissectionTexts:
-    """The lemma2.1-2.3 texts against the term-by-term products reference."""
+    """The written-out lemma2.1-2.3 records against the term-by-term products reference."""
 
     @pytest.mark.parametrize(
-        "build, reference, p",
-        [(claims_mod._psi_dissection_text, products.psi_p_dissection_rhs, p)
-         for p in (3, 5, 7, 11, 13)]
-        + [(claims_mod._l1_dissection_text, products.f1_p_dissection_rhs, p)
-           for p in (5, 7, 11, 13)]
-        + [(claims_mod._l1cubed_dissection_text, products.f1cubed_p_dissection_rhs, p)
-           for p in (3, 5, 7, 11, 13)],
+        "lemma, lhs, reference, p",
+        [("lemma2.1", "psi(q)", products.psi_p_dissection_rhs, p) for p in (3, 5, 7)]
+        + [("lemma2.2", "l(1)", products.f1_p_dissection_rhs, p) for p in (5, 7, 11)]
+        + [("lemma2.3", "l(1)^3", products.f1cubed_p_dissection_rhs, p) for p in (3, 5, 7)],
     )
-    def test_text_equals_the_reference(self, build, reference, p):
-        assert eval_expr(parse_expr(build(p)), 1000) == reference(p, 1000)
+    def test_record_equals_the_reference(self, lemma, lhs, reference, p):
+        claim = registry_by_id()[f"{lemma}.p{p}"]
+        assert claim.lhs == parse_expr(lhs)
+        assert eval_expr(claim.rhs, 1000) == reference(p, 1000)
 
     def test_texts_as_written(self):
-        assert claims_mod._psi_dissection_text(5) == (
+        assert _raw_field("lemma2.1.p5", "rhs") == (
             "f(q^15,q^10) + q*f(q^20,q^5) + q^3*psi(q^25)"
         )
-        assert claims_mod._l1_dissection_text(5) == (
+        assert _raw_field("lemma2.2.p5", "rhs") == (
             "q^5*f(-q^10,-q^65) + f(-q^40,-q^35) - q^2*f(-q^55,-q^20)"
             " + q^7*f(-q^70,-q^5) - q*l(25)"
         )
-        assert claims_mod._l1cubed_dissection_text(3) == (
+        assert _raw_field("lemma2.3.p3", "rhs") == (
             "stream(jacobi,1) - q*SUB(AP(stream(jacobi,1),3,1),3) - 3*q*l(9)^3"
         )
 
@@ -515,6 +562,9 @@ count=60
 """
 
 
+RECURRENCE = "type=recurrence\nlhs=l(1)\nrhs=l(1)"
+
+
 class TestClaimFiles:
     def test_parse_and_verify(self):
         claims = parse_claim_file(CLAIM_FILE)
@@ -562,6 +612,9 @@ class TestClaimFiles:
             ("type=congruence-family\np=5", "family"),
             ("type=interpretation\nruleset=thm3.2", "mock"),
             ("type=interpretation\nmock=v", "ruleset"),
+            (f"{RECURRENCE}\ndirect=thm3.4", "reads"),
+            (f"{RECURRENCE}\nreads=l(1); l(2)", "direct"),
+            (f"{RECURRENCE}\nbound=5", "direct"),
         ],
     )
     def test_missing_text_field(self, fields, missing):
@@ -590,6 +643,7 @@ class TestClaimFiles:
             ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nA=0", "A", 1, 0),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nB=-1", "B", 0, -1),
+            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(2)\nbound=-1", "bound", 0, -1),
         ],
     )
     def test_range_that_checks_nothing_is_rejected(self, fields, field, least, value):
@@ -604,12 +658,64 @@ class TestClaimFiles:
             ("type=identity\nlhs=l(1)\nrhs=mock(omega)", "rhs",
              "unknown mock theta function 'omega' at offset 0"),
             ("type=congruence\nexpr=l(1)+\nM=2", "expr", "unexpected '' at offset 5"),
+            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(", "reads",
+             "part 2: expected an integer at offset 3"),
+            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(2);", "reads",
+             "part 3: unexpected '' at offset 0"),
         ],
     )
     def test_expression_error_names_its_field(self, fields, field, error):
         with pytest.raises(ValueError) as info:
             parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
         assert str(info.value) == f"f: claim 'x' field '{field}': {error}"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (f"{RECURRENCE}\ndirect=thm9.9\nreads=l(1)", "field 'direct': unknown route 'thm9.9'"),
+            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1)",
+             "field 'reads': route 'thm3.4' takes 2 reads, got 1"),
+            (f"{RECURRENCE}\ndirect=thm5.4\nreads=l(1); l(2); l(3)",
+             "field 'reads': route 'thm5.4' takes 2 reads, got 3"),
+            ("type=identity\nlhs=l(1)\nrhs=l(1)\ndirect=thm3.4",
+             "field 'direct' is not read by identity claims"),
+            ("type=congruence\nexpr=l(1)\nM=2\nreads=l(1)",
+             "field 'reads' is not read by congruence claims"),
+            ("type=interpretation\nmock=v\nruleset=thm3.2\ndirect=thm3.4",
+             "field 'direct' is not read by interpretation claims"),
+        ],
+    )
+    def test_direct_route_fields_are_checked(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
+        assert str(info.value) == f"f: claim 'x' {message}"
+
+    def test_repeated_field_rejected(self):
+        with pytest.raises(ValueError) as info:
+            parse_claim_file("[claim]\nid=x\ntype=identity\nlhs=l(1)\nlhs=l(2)\n", source="f")
+        assert str(info.value) == "f:5: repeated field 'lhs'"
+
+    def test_duplicate_id_rejected(self):
+        record = "[claim]\nid=mine\ntype=identity\nlhs=l(1)\nrhs=l(1)\n"
+        with pytest.raises(ValueError) as info:
+            parse_claim_file(record + "\n" + record, source="f")
+        assert str(info.value) == "f:8: duplicate claim id 'mine'"
+
+    def test_recurrence_with_a_direct_route(self):
+        (claim,) = parse_claim_file(
+            "[claim]\nid=user.rec\ntype=recurrence\nlhs=AP(mock(v),2,1)\n"
+            "rhs=(l(4)/l(1))*stream(psi,2)\norder=100\nbound=30\n"
+            "direct=thm3.4\nreads=AP(mock(v),2,1); l(4)/l(1)\n"
+        )
+        assert claim.direct is claims_mod._direct_thm3_4
+        assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
+        assert (claim.bound, claim.order) == (30, 100)
+        report = verify(claim)
+        assert (report.status, report.order, report.first_failure) == ("pass", 100, None)
+        # the direct route runs: reading 2-regular counts for 4-regular ones fails it
+        claim.direct_reads = (claim.direct_reads[0], parse_expr("l(2)/l(1)"))
+        report = verify(claim)
+        assert (report.status, report.message) == ("fail", "direct summation route disagrees")
 
     def test_interpretation_residue_beyond_the_modulus(self):
         # P(2n+3) is P(2(n+1)+1): the stream is q^-1*AP(mock(v),2,1)

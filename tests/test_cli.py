@@ -129,6 +129,36 @@ class TestVerify:
         assert code == 2
         assert "collides" in err
 
+    def test_claim_file_duplicate_id_exits_two(self, capsys, tmp_path):
+        # no registry claim is named 'mine': the file names it twice
+        path = tmp_path / "user.claims"
+        record = "[claim]\nid=mine\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=10\n"
+        path.write_text(record + record)
+        code, out, err = run_cli(capsys, "verify", "mine", "--claims", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:8: duplicate claim id 'mine'\n"
+
+    def test_claim_files_sharing_an_id_exit_two(self, capsys, tmp_path):
+        first, second = tmp_path / "a.claims", tmp_path / "b.claims"
+        for path in (first, second):
+            path.write_text("[claim]\nid=mine\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=10\n")
+        code, out, err = run_cli(
+            capsys, "verify", "mine", "--claims", str(first), "--claims", str(second)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: claim id 'mine' is in both {first} and {second}\n"
+
+    def test_claim_file_direct_route_arity_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text(
+            "[claim]\nid=x\ntype=recurrence\nlhs=l(1)\nrhs=l(1)\ndirect=thm3.5\n"
+            "reads=l(1); l(2)\n"
+        )
+        code, out, err = run_cli(capsys, "verify", "x", "--claims", str(path))
+        assert (code, out) == (2, "")
+        message = "field 'reads': route 'thm3.5' takes 3 reads, got 2"
+        assert err == f"error: {path}: claim 'x' {message}\n"
+
     def test_claim_file_missing_a_field_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"
         path.write_text("[claim]\nid=x\ntype=identity\nrhs=l(1)\n")

@@ -88,10 +88,29 @@ class TestPrinterRoundTrip:
             "1 - 2 - 3",
             "2^3",
             "(1+q)^-2",
+            "(l(2)/l(1))^2",
+            "(-l(1))^2",
         ],
     )
     def test_examples(self, text):
         node = parse_expr(text)
+        assert parse_expr(to_text(node)) == node
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(l(2)/l(1))^2",
+            "(-l(1))^2",
+            "(l(1)*l(2))^3",
+            "(1 + q)^-2",
+            "(l(1)^2)^3",
+            "(q^2)^3",
+            "3*(l(2)/l(1)^2)^3",
+        ],
+    )
+    def test_power_base_is_parenthesised_once(self, text):
+        node = parse_expr(text)
+        assert to_text(node) == text
         assert parse_expr(to_text(node)) == node
 
     def test_registry_expressions(self):
