@@ -473,17 +473,19 @@ def _direct_thm6_4(bound: int, pl: _Coeffs, p2d: _Coeffs) -> _Sums:
 
 # -- the registry -------------------------------------------------------------
 
-# the direct summation routes a recurrence record names in its ``direct`` field
+# the direct summation routes a recurrence record names in its ``direct``
+# field: each sum and the series it reads at _DIRECT_BOUND + 1
+_DIRECT_BOUND = 60
 _DIRECT_ROUTES = {
-    "thm3.4": _direct_thm3_4,
-    "thm3.5": _direct_thm3_5,
-    "thm4.4": _direct_thm4_4,
-    "thm5.4": _direct_thm5_4,
-    "thm5.5": _direct_thm5_5,
-    "thm5.6": _direct_thm5_6,
-    "thm6.2": _direct_thm6_2,
-    "thm6.3": _direct_thm6_3,
-    "thm6.4": _direct_thm6_4,
+    "thm3.4": (_direct_thm3_4, ("AP(mock(v),2,1)", "l(4)/l(1)")),
+    "thm3.5": (_direct_thm3_5, ("AP(mock(v),6,5)", "(l(2)/l(1))^2", "l(2)/l(1)^2")),
+    "thm4.4": (_direct_thm4_4, ("AP(mock(sigma),2,1)", "(l(2)/l(1))^2")),
+    "thm5.4": (_direct_thm5_4, ("AP(mock(beta),3,2)", "l(2)/l(1)^2")),
+    "thm5.5": (_direct_thm5_5, ("AP(mock(beta),9,8)", "(l(2)/l(1)^2)^2")),
+    "thm5.6": (_direct_thm5_6, ("AP(mock(beta),3,1)", "l(2)/l(1)^2")),
+    "thm6.2": (_direct_thm6_2, ("AP(mock(lambda),2,0)", "(l(2)/l(1))^3")),
+    "thm6.3": (_direct_thm6_3, ("AP(mock(lambda),6,2)", "(l(2)/l(1)^2)^3")),
+    "thm6.4": (_direct_thm6_4, ("AP(mock(lambda),6,4)", "(l(2)/l(1))^2")),
 }
 
 _registry_cache: list[Claim] | None = None
@@ -508,7 +510,7 @@ _COMMON_FIELDS = {"id", "type", "cite", "notes"}
 # the fields each claim type reads, besides the common ones
 _KIND_FIELDS = {
     ClaimKind.IDENTITY: {"lhs", "rhs", "order"},
-    ClaimKind.RECURRENCE: {"lhs", "rhs", "order", "bound", "direct", "reads"},
+    ClaimKind.RECURRENCE: {"lhs", "rhs", "order", "direct"},
     ClaimKind.CONGRUENCE: {"expr", "A", "B", "M", "count"},
     ClaimKind.CONGRUENCE_FAMILY: {"family", "p", "alpha", "count"},
     ClaimKind.INTERPRETATION: {"mock", "ruleset", "A", "B", "bound", "order"},
@@ -521,17 +523,16 @@ def parse_claim_file(text: str, source: str = "<claims>") -> list[Claim]:
 
     Records start with a ``[claim]`` line followed by ``key=value`` lines;
     ``#`` starts a comment.  Every record takes ``id``, ``type``, ``cite`` and
-    ``notes``, plus the fields of its type.  A recurrence may name a direct
-    summation route (``direct``), the series it reads (``reads``, separated
-    by ``;``) and its bound.  Returns fully-built claims.
+    ``notes``, plus the fields of its type.  A recurrence may name one of the
+    direct summation routes (``direct``), which fixes the series that route
+    reads and its bound.  Returns fully-built claims.
 
     Malformed input raises ValueError naming the source and the offending
     line (an unknown or repeated field, a duplicate claim id), or the claim
     and field: a missing field or one its type does not read, a non-integer,
-    an unparsable expression, an unknown route or a read count it does not
-    take, or an order, count or progression step A below 1 (a bound or a
-    progression offset B below 0, a modulus M below 2), which would check
-    nothing.
+    an unparsable expression, an unknown route, or an order, count or
+    progression step A below 1 (a bound or a progression offset B below 0, a
+    modulus M below 2), which would check nothing.
     """
     records: list[dict[str, str]] = []
     current: dict[str, str] | None = None
@@ -594,32 +595,24 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
             )
         return value
 
-    def expr(key: str, value: str | None = None, where: str = "") -> Expr:
+    def expr(key: str) -> Expr:
         try:
-            return parse_expr(text(key) if value is None else value)
+            return parse_expr(text(key))
         except ParseError as exc:
-            raise ValueError(f"{source}: claim {cid!r} field {key!r}: {where}{exc}") from None
+            raise ValueError(f"{source}: claim {cid!r} field {key!r}: {exc}") from None
 
     claim = Claim(cid, kind, cite=rec.get("cite", ""), notes=rec.get("notes", ""))
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         claim.lhs, claim.rhs = expr("lhs"), expr("rhs")
         claim.order = num("order", 200, least=1)
-    if kind is ClaimKind.RECURRENCE and rec.keys() & {"bound", "direct", "reads"}:
-        name = text("direct")
-        if name not in _DIRECT_ROUTES:
-            raise ValueError(f"{source}: claim {cid!r} field 'direct': unknown route {name!r}")
-        claim.direct = _DIRECT_ROUTES[name]
-        claim.direct_reads = tuple(
-            expr("reads", part, f"part {i}: ")
-            for i, part in enumerate(text("reads").split(";"), start=1)
-        )
-        arity = claim.direct.__code__.co_argcount - 1  # the bound, then one per read
-        if len(claim.direct_reads) != arity:
+    if kind is ClaimKind.RECURRENCE and "direct" in rec:
+        if rec["direct"] not in _DIRECT_ROUTES:
             raise ValueError(
-                f"{source}: claim {cid!r} field 'reads': route {name!r} takes {arity} reads,"
-                f" got {len(claim.direct_reads)}"
+                f"{source}: claim {cid!r} field 'direct': unknown route {rec['direct']!r}"
             )
-        claim.bound = num("bound", 20, least=0)
+        claim.direct, reads = _DIRECT_ROUTES[rec["direct"]]
+        claim.direct_reads = tuple(map(parse_expr, reads))
+        claim.bound = _DIRECT_BOUND
     if kind is ClaimKind.CONGRUENCE:
         claim.expr = expr("expr")
         claim.A, claim.B = num("A", 1, least=1), num("B", 0, least=0)

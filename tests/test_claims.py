@@ -219,8 +219,8 @@ REFUTED_RECORD_SHA256 = {
     "thm5.2": "04e47fea010c26afb9d9bb30ddc36d9767a5644e0b36386e54de327745cf1101",
     "thm5.3": "0c63d575065f090b87d6bee0d83887c280d43dedaec3836b7d880f3097b54395",
     "eq5.3": "d0482f71943f973cc7173f575d3d916738e2237904c25a7546218ac456fc9f17",
-    "thm5.4": "780cab8a218786972134bc7e9ec3f67c6d210faf95adbcbabae70640c02a2423",
-    "thm5.5": "9d52f4e9293e95f6601675be1db8fb8b73e832897189676625f0a0a7a01c9926",
+    "thm5.4": "ae6fab95ff9444d79e27895d549058ea71b6d251fd06f0e92b508618596527cf",
+    "thm5.5": "751e5a4adf3489ba515f5259112de81ee5049f5dd0a0dbd455972581cf1f4c73",
     "eq6.3": "b4795c99fff09f720fd2302bd56c10e8924fea7ad88264e7cc65847d095abf72",
 }
 
@@ -612,9 +612,6 @@ class TestClaimFiles:
             ("type=congruence-family\np=5", "family"),
             ("type=interpretation\nruleset=thm3.2", "mock"),
             ("type=interpretation\nmock=v", "ruleset"),
-            (f"{RECURRENCE}\ndirect=thm3.4", "reads"),
-            (f"{RECURRENCE}\nreads=l(1); l(2)", "direct"),
-            (f"{RECURRENCE}\nbound=5", "direct"),
         ],
     )
     def test_missing_text_field(self, fields, missing):
@@ -643,7 +640,6 @@ class TestClaimFiles:
             ("type=interpretation\nmock=v\nruleset=thm3.2\nbound=-1", "bound", 0, -1),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nA=0", "A", 1, 0),
             ("type=interpretation\nmock=v\nruleset=thm3.2\nB=-1", "B", 0, -1),
-            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(2)\nbound=-1", "bound", 0, -1),
         ],
     )
     def test_range_that_checks_nothing_is_rejected(self, fields, field, least, value):
@@ -658,10 +654,6 @@ class TestClaimFiles:
             ("type=identity\nlhs=l(1)\nrhs=mock(omega)", "rhs",
              "unknown mock theta function 'omega' at offset 0"),
             ("type=congruence\nexpr=l(1)+\nM=2", "expr", "unexpected '' at offset 5"),
-            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(", "reads",
-             "part 2: expected an integer at offset 3"),
-            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1); l(2);", "reads",
-             "part 3: unexpected '' at offset 0"),
         ],
     )
     def test_expression_error_names_its_field(self, fields, field, error):
@@ -672,15 +664,14 @@ class TestClaimFiles:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (f"{RECURRENCE}\ndirect=thm9.9\nreads=l(1)", "field 'direct': unknown route 'thm9.9'"),
-            (f"{RECURRENCE}\ndirect=thm3.4\nreads=l(1)",
-             "field 'reads': route 'thm3.4' takes 2 reads, got 1"),
-            (f"{RECURRENCE}\ndirect=thm5.4\nreads=l(1); l(2); l(3)",
-             "field 'reads': route 'thm5.4' takes 2 reads, got 3"),
+            (f"{RECURRENCE}\ndirect=thm9.9", "field 'direct': unknown route 'thm9.9'"),
+            (f"{RECURRENCE}\ndirect=", "field 'direct': unknown route ''"),
+            (f"{RECURRENCE}\ndirect=thm3.4\nbound=5",
+             "field 'bound' is not read by recurrence claims"),
             ("type=identity\nlhs=l(1)\nrhs=l(1)\ndirect=thm3.4",
              "field 'direct' is not read by identity claims"),
-            ("type=congruence\nexpr=l(1)\nM=2\nreads=l(1)",
-             "field 'reads' is not read by congruence claims"),
+            ("type=congruence\nexpr=l(1)\nM=2\ndirect=thm3.4",
+             "field 'direct' is not read by congruence claims"),
             ("type=interpretation\nmock=v\nruleset=thm3.2\ndirect=thm3.4",
              "field 'direct' is not read by interpretation claims"),
         ],
@@ -689,6 +680,12 @@ class TestClaimFiles:
         with pytest.raises(ValueError) as info:
             parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
         assert str(info.value) == f"f: claim 'x' {message}"
+
+    def test_reads_are_not_a_field(self):
+        # a route's reads are fixed by the route, not written in the record
+        with pytest.raises(ValueError) as info:
+            parse_claim_file(f"[claim]\nid=x\n{RECURRENCE}\nreads=l(1)\n", source="f")
+        assert str(info.value) == "f:6: unknown field 'reads'"
 
     def test_repeated_field_rejected(self):
         with pytest.raises(ValueError) as info:
@@ -704,18 +701,24 @@ class TestClaimFiles:
     def test_recurrence_with_a_direct_route(self):
         (claim,) = parse_claim_file(
             "[claim]\nid=user.rec\ntype=recurrence\nlhs=AP(mock(v),2,1)\n"
-            "rhs=(l(4)/l(1))*stream(psi,2)\norder=100\nbound=30\n"
-            "direct=thm3.4\nreads=AP(mock(v),2,1); l(4)/l(1)\n"
+            "rhs=(l(4)/l(1))*stream(psi,2)\norder=100\ndirect=thm3.4\n"
         )
         assert claim.direct is claims_mod._direct_thm3_4
         assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
-        assert (claim.bound, claim.order) == (30, 100)
+        assert (claim.bound, claim.order) == (60, 100)
+        _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+        assert reads[2:] == [(node, 61) for node in claim.direct_reads]
         report = verify(claim)
         assert (report.status, report.order, report.first_failure) == ("pass", 100, None)
-        # the direct route runs: reading 2-regular counts for 4-regular ones fails it
-        claim.direct_reads = (claim.direct_reads[0], parse_expr("l(2)/l(1)"))
-        report = verify(claim)
-        assert (report.status, report.message) == ("fail", "direct summation route disagrees")
+
+    def test_direct_route_reads_are_the_registry_reads(self):
+        # each route has one registry record, and a claim file naming it gets its reads
+        table = registry_by_id()
+        for name, (route, _) in claims_mod._DIRECT_ROUTES.items():
+            (claim,) = parse_claim_file(f"[claim]\nid=x\n{RECURRENCE}\ndirect={name}\n")
+            assert table[name].direct is claim.direct is route, name
+            assert table[name].direct_reads == claim.direct_reads, name
+            assert table[name].bound == claim.bound == 60, name
 
     def test_interpretation_residue_beyond_the_modulus(self):
         # P(2n+3) is P(2(n+1)+1): the stream is q^-1*AP(mock(v),2,1)

@@ -148,16 +148,12 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: claim id 'mine' is in both {first} and {second}\n"
 
-    def test_claim_file_direct_route_arity_exits_two(self, capsys, tmp_path):
+    def test_claim_file_unknown_direct_route_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"
-        path.write_text(
-            "[claim]\nid=x\ntype=recurrence\nlhs=l(1)\nrhs=l(1)\ndirect=thm3.5\n"
-            "reads=l(1); l(2)\n"
-        )
+        path.write_text("[claim]\nid=x\ntype=recurrence\nlhs=l(1)\nrhs=l(1)\ndirect=thm9.9\n")
         code, out, err = run_cli(capsys, "verify", "x", "--claims", str(path))
         assert (code, out) == (2, "")
-        message = "field 'reads': route 'thm3.5' takes 3 reads, got 2"
-        assert err == f"error: {path}: claim 'x' {message}\n"
+        assert err == f"error: {path}: claim 'x' field 'direct': unknown route 'thm9.9'\n"
 
     def test_claim_file_missing_a_field_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"
