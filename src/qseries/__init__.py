@@ -10,7 +10,6 @@ from .claims import (
     registry,
     registry_by_id,
     verify,
-    verify_all,
 )
 from .expr import eval_expr, parse_expr, to_text
 from .mock import MockThetaId, mock_series, valuation_schedule
@@ -69,5 +68,4 @@ __all__ = [
     "to_text",
     "valuation_schedule",
     "verify",
-    "verify_all",
 ]

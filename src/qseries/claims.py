@@ -100,30 +100,24 @@ class VerificationReport:
 MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
 
 
-def within_cap(
-    reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = ""
-) -> dict[Expr, int]:
-    """The merged leaf demands of the ``(series, order)`` reads, evaluating nothing.
+def within_cap(reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = "") -> None:
+    """Check the ``(series, order)`` reads against the cap, evaluating nothing.
 
     A read or leaf deeper than ``max_order`` raises PreconditionError, its
     message ending in ``advice``.
     """
-    demands: dict[Expr, int] = {}
-    for node, order in reads:
-        for leaf, o in leaf_demands(node, order).items():
-            demands[leaf] = max(demands.get(leaf, o), o)
-    deepest = max([*(o for _, o in reads), *demands.values()], default=0)
+    deepest = max((max([o, *leaf_demands(node, o).values()]) for node, o in reads), default=0)
     if deepest > max_order:
         raise PreconditionError(f"needs order {deepest}, beyond the cap {max_order}{advice}")
-    return demands
 
 
 def _plan(
     claim: Claim, order: int | None, count: int | None, max_order: int
-) -> tuple[int, list[tuple[Expr, int]], dict[Expr, int]]:
-    """The order a claim's report states, the ``(series, order)`` reads its
+) -> tuple[int, list[tuple[Expr, int]]]:
+    """The order a claim's report states and the ``(series, order)`` reads its
     check evaluates, in that sequence (a recurrence's direct summation reads
-    at bound + 1, after both sides), and their leaf demands within the cap.
+    at bound + 1, after both sides).  The reads are checked against the cap
+    before any work.
 
     A non-positive order, count, step or congruence range, a modulus below 2,
     or a negative enumeration bound raises ValueError: a pass would be vacuous.
@@ -145,7 +139,8 @@ def _plan(
         if claim.ruleset not in partitions.RULESETS:
             raise KeyError(f"unknown ruleset {claim.ruleset!r}")
         reads = [(mock, max(bound + 1, target)), (expr_mod.RulesetRef(claim.ruleset), target)]
-    return target, reads, within_cap(reads, max_order, "; rerun with a higher cap")
+    within_cap(reads, max_order, "; rerun with a higher cap")
+    return target, reads
 
 
 def _positive(claim: Claim, field: str, value: int) -> int:
@@ -220,37 +215,10 @@ def verify(
     return report
 
 
-def verify_all(
-    claims: Sequence[Claim],
-    *,
-    order: int | None = None,
-    count: int | None = None,
-    max_order: int = MAX_ORDER,
-) -> list[VerificationReport]:
-    """Verify several claims, expanding each mock stream once for the run.
-
-    The claims' plans are merged first, and every mock stream is expanded
-    once at the deepest order any claim within the cap asks of it; the
-    ``verify`` calls that follow read prefixes of that memoised expansion.
-    Reports come back in the order of ``claims`` and equal what ``verify``
-    gives for each claim alone, apart from ``elapsed_ms``.
-    """
-    mocks: list[tuple[Expr, int]] = []
-    for claim in claims:
-        try:
-            demands = _plan(claim, order, count, max_order)[2]
-        except (KeyError, ValueError):
-            continue  # verify reports it
-        mocks += [(leaf, o) for leaf, o in demands.items() if isinstance(leaf, expr_mod.Mock)]
-    for leaf, o in within_cap(mocks, max_order).items():
-        eval_expr(leaf, o)
-    return [verify(c, order=order, count=count, max_order=max_order) for c in claims]
-
-
 def _verify_inner(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> VerificationReport:
-    target, reads, _ = _plan(claim, order, count, max_order)
+    target, reads = _plan(claim, order, count, max_order)
     # the planned reads, each evaluated when the check first needs it
     series = (eval_expr(node, o) for node, o in reads)
 
@@ -653,7 +621,7 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 
 
 __all__ = [
-    "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "verify_all", "registry",
+    "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
     "tally", "to_text", "within_cap",
 ]

@@ -21,7 +21,7 @@ import sys
 
 from . import claims as claims_mod
 from . import partitions
-from .claims import MAX_ORDER, Claim, verify_all, within_cap
+from .claims import MAX_ORDER, Claim, verify, within_cap
 from .expr import Mock, ParseError, eval_expr, parse_expr
 from .mock import MockThetaId, mock_series
 from .ntheory import PreconditionError
@@ -58,8 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify registry and/or file claims")
     v.add_argument("claim", nargs="?", default="all")
-    v.add_argument("--order", type=_positive_int, default=None, help="override identity order")
-    v.add_argument("--count", type=_positive_int, default=None, help="override congruence count")
+    v.add_argument(
+        "--order", type=_positive_int, default=None,
+        help="override the series order of identities and recurrences",
+    )
+    v.add_argument(
+        "--count", type=_positive_int, default=None,
+        help="override the term count of congruences and families, and the enumeration "
+        "bound of interpretations, which is not capped",
+    )
     v.add_argument("--claims", action="append", default=[], metavar="FILE")
     v.add_argument("--format", choices=["text", "json", "csv"], default="text")
     v.add_argument("--max-order", type=_positive_int, default=MAX_ORDER)
@@ -135,7 +142,9 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown claim id {args.claim!r} (try 'qseries list')", file=sys.stderr)
         return 2
 
-    reports = verify_all(to_run, order=args.order, count=args.count, max_order=args.max_order)
+    reports = [
+        verify(c, order=args.order, count=args.count, max_order=args.max_order) for c in to_run
+    ]
     reports.sort(key=lambda r: r.claim_id)  # stable output contract: ordered by claim id
     summary, code = claims_mod.tally(reports)
     if args.format == "json":

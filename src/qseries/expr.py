@@ -1,11 +1,11 @@
 """The claim expression language: a small algebra over q-products.
 
-Grammar (precedence low to high: + - then * / then ^):
+Grammar (precedence low to high: + - then * / then unary - then ^):
 
     expr  := term { ("+" | "-") term }
     term  := factor { ("*" | "/") factor }
-    factor:= atom [ "^" int ]
-    atom  := "l(" nat ")" | "q" ["^" int] | int | "-" atom
+    factor:= "-" factor | atom [ "^" int ]     so -l(1)^2 is -(l(1)^2)
+    atom  := "l(" nat ")" | "q" ["^" int] | int
            | "mock(" name ")"
            | "f(" sq "," sq ")"            sq := ["-"] "q" ["^" nat]
            | "phi(" sq ")" | "psi(" sq ")" read as f(c, c) and f(c, c^3)
@@ -25,7 +25,7 @@ order it must reach so that its parent is exact below the requested order
 other factor's valuation).  ``eval_expr`` evaluates exactly those children
 and returns a series whose order is exactly the requested one;
 ``leaf_demands`` walks the same plan without evaluating anything, so a caller
-can check resource caps, or expand shared leaves once, before any work.
+can check resource caps before any work.
 No node is answered without evaluation: a child is never asked for less than
 its valuation, so a factor that is zero below the order still keeps its
 product exact, and every divisor is evaluated past its valuation, so its
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from . import mock as mock_mod
 from . import partitions, products
@@ -274,7 +275,12 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
-        node = self.atom()
+        kind, val, pos = self.peek()
+        if kind == "sym" and val == "-":
+            self.next()
+            child = self.nested(self.factor)
+            return self.grow(Neg(child), pos, child)
+        node = self.nested(self.atom)
         kind, val, pos = self.peek()
         if kind == "sym" and val == "^":
             self.next()
@@ -297,24 +303,22 @@ class _Parser:
             k = self.expect_exponent(signed=False)
         return sign, k
 
-    def atom(self) -> Expr:
+    def nested(self, parse: Callable[[], Expr]) -> Expr:
+        """``parse()`` one level deeper; each atom and unary minus is a level."""
         self.nesting += 1
         try:
             if self.nesting > MAX_NESTING:
                 raise ParseError(
                     f"expression nested deeper than {MAX_NESTING}", self.peek()[2]
                 )
-            return self._atom()
+            return parse()
         finally:
             self.nesting -= 1
 
-    def _atom(self) -> Expr:
+    def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "int":
             return Lit(int(val))
-        if kind == "sym" and val == "-":
-            child = self.atom()
-            return self.grow(Neg(child), pos, child)
         if kind == "sym" and val == "(":
             node = self.expr()
             self.expect_sym(")")
@@ -610,8 +614,8 @@ def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
 
     Keys are leaf nodes; a folded eta quotient contributes its ``l(k)``
     factors.  A leaf asked only at its valuation expands to the empty series
-    and is left out.  Nothing is evaluated, so callers can check caps and
-    expand shared leaves once before any work.
+    and is left out.  Nothing is evaluated, so callers can check caps before
+    any work.
     """
     out: dict[Expr, int] = {}
     stack = [(node, order)]

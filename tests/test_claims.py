@@ -24,9 +24,8 @@ from qseries.claims import (
     reports_to_json,
     tally,
     verify,
-    verify_all,
 )
-from qseries.expr import Ap, Eta, Expr, Mock, RulesetRef, eval_expr, parse_expr, to_text
+from qseries.expr import Ap, Expr, Mock, RulesetRef, eval_expr, leaf_demands, parse_expr, to_text
 from qseries.ntheory import PreconditionError, family_indices
 
 # the partition counts a recurrence's direct summation reads, as claim-language
@@ -190,7 +189,7 @@ def _count_computes(monkeypatch) -> dict[str, int]:
 
 def _direct_sums(claim: Claim) -> tuple[list[int], list[int]]:
     """A recurrence's direct summation, fed from the reads its plan lists after both sides."""
-    _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+    _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
     return claim.direct(claim.bound, *(eval_expr(node, o).coefficient for node, o in reads[2:]))
 
 
@@ -294,8 +293,9 @@ class TestDissectionTexts:
 class TestDemandPlan:
     def test_every_claim_has_leaf_demands(self):
         for claim in registry():
-            target, _, demands = claims_mod._plan(claim, None, None, MAX_ORDER)
-            assert target > 0 and demands, claim.id
+            target, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+            demands = [leaf_demands(node, o) for node, o in reads]
+            assert target > 0 and all(demands), claim.id
 
     def test_cap_sees_the_enumeration_bound(self, monkeypatch):
         # the enumeration reads v at 2*12+1, past the generating-function order 5
@@ -311,11 +311,12 @@ class TestDemandPlan:
         assert (r.status, r.order) == ("pass", 5)
 
     def test_interpretation_reads_ap_of_its_mock_stream(self):
-        target, _, demands = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
-        assert (target, demands) == (200, {Mock("lambda"): 399, RulesetRef("thm6.1"): 200})
+        target, reads = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        demands = [leaf_demands(node, o) for node, o in reads]
+        assert (target, demands) == (200, [{Mock("lambda"): 399}, {RulesetRef("thm6.1"): 200}])
 
     def test_interpretation_plan_lists_both_routes(self):
-        _, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        _, reads = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
         assert reads == [(Ap(Mock("lambda"), 2, 0), 200), (RulesetRef("thm6.1"), 200)]
 
     def test_check_evaluates_exactly_the_planned_reads(self, monkeypatch):
@@ -328,7 +329,7 @@ class TestDemandPlan:
 
         monkeypatch.setattr(claims_mod, "eval_expr", record)
         for claim in registry():
-            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
             evaluated.clear()
             r = verify(claim)
             # a failed comparison stops the check before the reads it no longer needs
@@ -356,7 +357,7 @@ class TestDemandPlan:
         for claim in registry():
             if claim.kind is not ClaimKind.RECURRENCE:
                 continue
-            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
             progression, *counts = claim.direct_reads
             assert reads == [
                 (claim.lhs, claim.order), (claim.rhs, claim.order),
@@ -373,26 +374,27 @@ class TestDemandPlan:
 
     def test_congruence_plan_reads_each_progression(self):
         table = registry_by_id()
-        _, reads, _ = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
+        _, reads = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
         assert reads == [(parse_expr("AP(1/l(1),5,4)"), 150)]
         # B = 59 is past A = 50: P(50n + 59) is q^-1*AP(mock(v),50,9)
-        target, reads, demands = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
+        target, reads = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
         assert reads == [
             (parse_expr(text), 10) for text in (
                 "AP(mock(v),50,29)", "AP(mock(v),50,39)", "AP(mock(v),50,49)",
                 "q^-1*AP(mock(v),50,9)",
             )
         ]
-        assert target == demands[Mock("v")] == 50 * 9 + 59 + 1
+        deepest = max(leaf_demands(node, o)[Mock("v")] for node, o in reads)
+        assert target == deepest == 50 * 9 + 59 + 1
 
-    def test_within_cap_merges_leaves_and_caps_the_deepest(self):
+    def test_within_cap_caps_the_deepest_leaf(self):
         reads = [(Mock("v"), 10), (parse_expr("AP(mock(v),2,1)*l(3)"), 10)]
-        assert claims_mod.within_cap(reads, 20) == {Mock("v"): 20, Eta(3): 10}
+        assert claims_mod.within_cap(reads, 20) is None
         with pytest.raises(PreconditionError, match="^needs order 20, beyond the cap 19; more$"):
             claims_mod.within_cap(reads, 19, "; more")
         with pytest.raises(PreconditionError, match="^needs order 30, beyond the cap 29$"):
             claims_mod.within_cap([(parse_expr("1"), 30)], 29)
-        assert claims_mod.within_cap([], 0) == {}
+        assert claims_mod.within_cap([], 0) is None
 
     def test_laurent_shift_keeps_the_requested_order(self):
         claim = Claim(
@@ -421,19 +423,9 @@ class TestDemandPlan:
         assert "needs order 365" in r.message
         assert counts == {}
 
-    def test_batch_expands_lambda_once(self, monkeypatch):
-        counts = _count_computes(monkeypatch)
-        table = registry_by_id()
-        claims = [table[c] for c in ("eq6.1", "eq6.2", "eq6.3", "eq6.3.corrected")]
-        batch = verify_all(claims)
-        assert counts == {"lambda": 1}
-        assert [_scrub(r) for r in batch] == [_scrub(verify(c)) for c in claims]
-
-    def test_registry_expands_each_stream_once_at_the_requested_orders(self, monkeypatch):
-        counts = _count_computes(monkeypatch)
+    def test_registry_reports_at_the_requested_orders(self):
         claims = registry()
-        reports = verify_all(claims)
-        assert counts == {m.value: 1 for m in mock_mod.MockThetaId}
+        reports = [verify(c) for c in claims]
         for claim, r in zip(claims, reports):
             assert r.claim_id == claim.id
             assert r.order == _requested_order(claim, r.status), claim.id
@@ -484,8 +476,8 @@ class TestErrors:
     )
     def test_empty_range_is_an_error_not_a_pass(self, claim_id, override, message):
         claim = registry_by_id()[claim_id]
-        for r in (verify(claim, **override), verify_all([claim], **override)[0]):
-            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+        r = verify(claim, **override)
+        assert (r.status, r.first_failure, r.message) == ("error", None, message)
 
     @pytest.mark.parametrize(
         "A, M, message",
@@ -498,16 +490,16 @@ class TestErrors:
     )
     def test_degenerate_congruence_is_an_error_not_a_pass(self, A, M, message):
         claim = Claim("c", ClaimKind.CONGRUENCE, expr=parse_expr("l(1)"), A=A, M=M, count=10)
-        for r in (verify(claim), verify_all([claim])[0]):
-            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+        r = verify(claim)
+        assert (r.status, r.first_failure, r.message) == ("error", None, message)
 
     @pytest.mark.parametrize("B, order", [(-5, 0), (-9, -4)])
     def test_congruence_below_q0_is_an_error_not_a_pass(self, B, order):
         # A*(count-1) + B + 1 < 1: every coefficient read is below q^0
         claim = Claim("c", ClaimKind.CONGRUENCE, expr=parse_expr("l(1)"), B=B, M=7, count=5)
         message = f"claim 'c': order must be positive, got {order}"
-        for r in (verify(claim), verify_all([claim])[0]):
-            assert (r.status, r.first_failure, r.message) == ("error", None, message)
+        r = verify(claim)
+        assert (r.status, r.first_failure, r.message) == ("error", None, message)
 
     def test_claim_without_an_order_is_an_error(self):
         claim = Claim("unset", ClaimKind.IDENTITY, lhs=parse_expr("l(1)"), rhs=parse_expr("l(2)"))
@@ -526,7 +518,7 @@ class TestErrors:
         claims = parse_claim_file(
             "[claim]\nid=i\ntype=interpretation\nmock=v\nruleset=bogus\nbound=5\n"
         )
-        r = verify_all(claims)[0]
+        r = verify(claims[0])
         assert (r.status, r.first_failure, r.message) == ("error", None, "unknown ruleset 'bogus'")
 
     def test_under_delivered_side_is_an_error(self, monkeypatch):
@@ -706,7 +698,7 @@ class TestClaimFiles:
         assert claim.direct is claims_mod._direct_thm3_4
         assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
         assert (claim.bound, claim.order) == (60, 100)
-        _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+        _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
         assert reads[2:] == [(node, 61) for node in claim.direct_reads]
         report = verify(claim)
         assert (report.status, report.order, report.first_failure) == ("pass", 100, None)
@@ -736,7 +728,7 @@ class TestClaimFiles:
         claim = Claim(
             "i", ClaimKind.INTERPRETATION, mock="v", ruleset="thm3.2", A=0, bound=20,
         )
-        r = verify_all([claim])[0]
+        r = verify(claim)
         assert (r.status, r.first_failure) == ("error", None)
         assert "modulus A must be positive" in r.message
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,15 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, "verify", "eq2.6.fneg", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "eq2.6.fneg", "--format", "json")
         assert scrub(out1) == scrub(out2)
+
+    def test_all_json_is_the_pinned_registry_reports(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 1
+        reports = json.loads(out)
+        for r in reports:
+            del r["elapsed_ms"]
+        pinned = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())
+        assert reports == sorted(pinned, key=lambda r: r["id"])
 
     def test_claim_file(self, capsys, tmp_path):
         path = tmp_path / "user.claims"

@@ -16,6 +16,7 @@ from qseries.expr import (
     Lit,
     Mock,
     Mono,
+    Neg,
     ParseError,
     Pow,
     Subst,
@@ -27,7 +28,7 @@ from qseries.expr import (
     to_text,
 )
 from qseries.products import eta, eta_quotient
-from qseries.series import NonUnitError, SeriesError, TruncatedSeries
+from qseries.series import NonUnitError, SeriesError, TruncatedSeries, format_series
 
 
 class TestParse:
@@ -70,6 +71,11 @@ class TestParse:
         s = eval_expr(node, 5)
         assert s.coefficient(0) == 1 and s.coefficient(1) == -1
 
+    def test_unary_minus_binds_looser_than_power(self):
+        assert parse_expr("-l(1)^2") == Neg(Pow(Eta(1), 2)) == parse_expr("-(l(1)^2)")
+        assert format_series(eval_expr(parse_expr("-l(1)^2"), 3)) == "-1 + 2q + q^2 + O(q^3)"
+        assert eval_expr(parse_expr("-2^2"), 1).coefficient(0) == -4
+
 
 class TestPrinterRoundTrip:
     @pytest.mark.parametrize(
@@ -90,6 +96,11 @@ class TestPrinterRoundTrip:
             "(1+q)^-2",
             "(l(2)/l(1))^2",
             "(-l(1))^2",
+            "-l(1)^2",
+            "-(l(1)^2)",
+            "-2^2",
+            "--2",
+            "l(1)*-l(2)^2",
         ],
     )
     def test_examples(self, text):
@@ -143,6 +154,7 @@ def _compound(children):
         st.tuples(children, st.integers(1, 4), st.integers(0, 3)).map(
             lambda t: Ap(t[0], t[1], min(t[2], t[1] - 1))
         ),
+        children.map(Neg),
     )
 
 
