@@ -17,7 +17,9 @@ or count chosen to run in seconds.  Some built-in claims do not hold as
 stated; they are kept in the registry so the verifier reports their first
 counterexamples, and each has a ``.corrected`` companion that passes
 (``thm5.2``'s companion is ``thm5.2.gf``; see the notes fields).  The nine
-direct summation routes a recurrence can name stay here as code.
+direct summation routes a recurrence can name are a table of factors here:
+each side is a scale times the product of some reads and naive theta
+streams, summed by one convolution.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import expr as expr_mod
 from . import mock as mock_mod
@@ -72,9 +74,9 @@ class Claim:
     bound: int = 0
     dp_order: int = 0
     # recurrence direct route: the series it reads, each at bound + 1, and
-    # (bound, their coefficient functions) -> lhs and rhs for n = 0..bound
+    # its lhs and rhs factors (see _DIRECT_ROUTES), summed for n = 0..bound
     direct_reads: tuple[Expr, ...] = ()
-    direct: Callable[..., tuple[list[int], list[int]]] | None = None
+    direct: tuple[_Side, _Side] | None = None
 
 
 @dataclass
@@ -108,7 +110,9 @@ def within_cap(reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = 
     """
     deepest = max((max([o, *leaf_demands(node, o).values()]) for node, o in reads), default=0)
     if deepest > max_order:
-        raise PreconditionError(f"needs order {deepest}, beyond the cap {max_order}{advice}")
+        # str() refuses an integer of more than 4300 digits
+        shown = deepest if deepest < 10**4000 else "above 10^4000"
+        raise PreconditionError(f"needs order {shown}, beyond the cap {max_order}{advice}")
 
 
 def _plan(
@@ -128,6 +132,15 @@ def _plan(
         reads = [(claim.lhs, target), (claim.rhs, target)]
         reads += [(node, claim.bound + 1) for node in claim.direct_reads]
     elif kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
+        spec = FAMILIES.get(claim.family)
+        # before family_indices tests p and raises it to full powers: each
+        # family's last progression reads past its step, so a step past the
+        # cap is a demand past it
+        if spec and claim.p >= 2 and spec.step_exceeds(claim.p, claim.alpha, max_order):
+            raise PreconditionError(
+                f"progression step {spec.c}*p^(2*alpha+2) for p = {claim.p}, "
+                f"alpha = {claim.alpha} is beyond the cap {max_order}; rerun with a higher cap"
+            )
         node, indices, c = _progressions(claim, count)
         target = _positive(claim, "order", max(ix.A * (c - 1) + ix.B for ix in indices) + 1)
         reads = [(_progression(node, ix.A, ix.B), c) for ix in indices]
@@ -231,7 +244,8 @@ def _verify_inner(
         if not same:
             return fail(target, {"n": n, "lhs": lhs.coefficient(n), "rhs": rhs.coefficient(n)})
         if claim.direct is not None:
-            sums = claim.direct(claim.bound, *(s.coefficient for s in series))
+            coeffs = [s.coefficients(claim.bound + 1) for s in series]
+            sums = (_direct_sum(claim.bound, coeffs, *side) for side in claim.direct)
             failure = _first_difference(zip(*sums))
             if failure is not None:
                 return fail(target, failure, "direct summation route disagrees")
@@ -263,198 +277,82 @@ def _verify_inner(
     return VerificationReport(claim.id, "pass", target)
 
 
-# -- direct summation evaluators for the recurrence claims -------------------
-# Each takes the bound, then the coefficient functions of the claim's direct
-# reads: its lhs progression P (P(k) = 0 for k < 0), then its partition counts.
+# -- the direct summation routes of the recurrence claims ---------------------
+# A recurrence's second check sums each side literally, with its own naive
+# theta streams, so it shares no generator with the series route.  A route
+# lists the series it reads, each at _DIRECT_BOUND + 1 (its lhs progression P,
+# then partition counts), and per side a scale and the factors it multiplies:
+# (i, t) is read i with its coefficient k at q^(t*k), and (kind, s) is a theta
+# stream of _stream_terms.
 
-_Coeffs = Callable[[int], int]
-_Sums = tuple[list[int], list[int]]
+_Side = tuple  # (scale, factor, ...)
 
-
-def _direct_thm3_4(bound: int, pv: _Coeffs, a4: _Coeffs) -> _Sums:
-    lhs = [pv(n) for n in range(bound + 1)]
-    rhs = []
-    for n in range(bound + 1):
-        total, k = 0, 0
-        while n - k * (k + 1) >= 0:
-            total += a4(n - k * (k + 1))
-            k += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm3_5(bound: int, pv: _Coeffs, p2d: _Coeffs, pbar: _Coeffs) -> _Sums:
-    # v(6n - 9m^2 -+ 3m + 5) = pv(n - m(3m +- 1)/2)
-    lhs = []
-    for n in range(bound + 1):
-        total, m = pv(n), 1
-        while n - m * (3 * m - 1) // 2 >= 0:
-            sign = -1 if m % 2 else 1
-            total += sign * (pv(n - m * (3 * m + 1) // 2) + pv(n - m * (3 * m - 1) // 2))
-            m += 1
-        lhs.append(total)
-    rhs = []
-    for n in range(bound + 1):
-        total, t = 0, 0
-        while n - 3 * t * t - 3 * t >= 0:
-            sign = (-1 if t % 2 else 1) * (2 * t + 1)
-            for c in range((n - 3 * t * t - 3 * t) // 2 + 1):
-                total += sign * p2d(n - 3 * t * t - 3 * t - 2 * c) * pbar(c)
-            t += 1
-        rhs.append(3 * total)
-    return lhs, rhs
-
-
-def _direct_thm4_4(bound: int, ps: _Coeffs, p2d: _Coeffs) -> _Sums:
-    lhs = [ps(n) for n in range(bound + 1)]
-    rhs = []
-    for n in range(bound + 1):
-        total, k = 0, 0
-        while n - 3 * k * (k + 1) // 2 >= 0:
-            total += p2d(n - 3 * k * (k + 1) // 2)
-            k += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm5_4(bound: int, pb: _Coeffs, pbar: _Coeffs) -> _Sums:
+_DIRECT_BOUND = 60
+_DIRECT_ROUTES: dict[str, tuple[tuple[str, ...], _Side, _Side]] = {
+    "thm3.4": (("AP(mock(v),2,1)", "l(4)/l(1)"), (1, (0, 1)), (1, (1, 1), ("psi", 2))),
+    # v(6n - 9m^2 -+ 3m + 5) = pv(n - m(3m +- 1)/2); pbar(c) sits at q^(2c)
+    "thm3.5": (("AP(mock(v),6,5)", "(l(2)/l(1))^2", "l(2)/l(1)^2"),
+               (1, (0, 1), ("pentagonal", 1)), (3, (1, 1), (2, 2), ("jacobi", 6))),
+    "thm4.4": (("AP(mock(sigma),2,1)", "(l(2)/l(1))^2"), (1, (0, 1)), (1, (1, 1), ("psi", 3))),
     # beta(3n - 3k(k+1)/2 + 2) = pb(n - k(k+1)/2)
-    lhs = []
-    for n in range(bound + 1):
-        total, k = 0, 0
-        while n - k * (k + 1) // 2 >= 0:
-            total += pb(n - k * (k + 1) // 2)
-            k += 1
-        lhs.append(total)
-    rhs = []
-    for n in range(bound + 1):
-        total, m = 0, 0
-        while n - 3 * m * (m + 1) >= 0:
-            total += 2 * (-1 if m % 2 else 1) * (2 * m + 1) * pbar(n - 3 * m * (m + 1))
-            m += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm5_5(bound: int, pb: _Coeffs, pbar2: _Coeffs) -> _Sums:
+    "thm5.4": (("AP(mock(beta),3,2)", "l(2)/l(1)^2"),
+               (1, (0, 1), ("psi", 1)), (2, (1, 1), ("jacobi", 6))),
     # The displayed statement writes a one-copy overpartition weight, but the
     # generating function forces two copies; the two-copy reading is used here.
     # beta(9(n - m^2 - m) + 8) = pb(n - m^2 - m)
-    lhs = []
-    for n in range(bound + 1):
-        total, m = 0, 0
-        while n - m * m - m >= 0:
-            total += (-1 if m % 2 else 1) * (2 * m + 1) * pb(n - m * m - m)
-            m += 1
-        lhs.append(total)
-    rhs = []
-    for n in range(bound + 1):
-        total, k = 0, 0
-        while n - 3 * k * (k + 1) // 2 >= 0:
-            l = 0
-            while n - 3 * k * (k + 1) // 2 - 3 * l * (l + 1) >= 0:
-                sign = -1 if (k + l) % 2 else 1
-                total += sign * (2 * k + 1) * (2 * l + 1) * pbar2(
-                    n - 3 * k * (k + 1) // 2 - 3 * l * (l + 1)
-                )
-                l += 1
-            k += 1
-        rhs.append(6 * total)
-    return lhs, rhs
-
-
-def _direct_thm5_6(bound: int, pb: _Coeffs, pbar: _Coeffs) -> _Sums:
+    "thm5.5": (("AP(mock(beta),9,8)", "(l(2)/l(1)^2)^2"),
+               (1, (0, 1), ("jacobi", 2)), (6, (1, 1), ("jacobi", 3), ("jacobi", 6))),
     # beta(3n - 3m(3m -+ 1) + 1) = pb(n - m(3m -+ 1))
-    lhs = []
-    for n in range(bound + 1):
-        total, m = pb(n), 1
-        while n - m * (3 * m - 1) >= 0:
-            sign = -1 if m % 2 else 1
-            total += sign * (pb(n - m * (3 * m + 1)) + pb(n - m * (3 * m - 1)))
-            m += 1
-        lhs.append(total)
-    rhs = []
-    for n in range(bound + 1):
-        total, k = 0, 0
-        while n - 3 * k * (k + 1) // 2 >= 0:
-            total += (-1 if k % 2 else 1) * (2 * k + 1) * pbar(n - 3 * k * (k + 1) // 2)
-            k += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm6_2(bound: int, pl: _Coeffs, p3d: _Coeffs) -> _Sums:
-    lhs = [pl(n) for n in range(bound + 1)]
-    rhs = []
-    for n in range(bound + 1):
-        total = p3d(n)
-        k = 1
-        while n - 3 * k * k >= 0:
-            total += 2 * (-1 if k % 2 else 1) * p3d(n - 3 * k * k)
-            k += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm6_3(bound: int, pl: _Coeffs, pbar3: _Coeffs) -> _Sums:
-    lhs = [pl(n) for n in range(bound + 1)]
-    rhs = []
-    for n in range(bound + 1):
-        total, l = 0, 0
-        while n - 3 * l * (l + 1) // 2 >= 0:
-            sl = (-1 if l % 2 else 1) * (2 * l + 1)
-            total += 3 * sl * pbar3(n - 3 * l * (l + 1) // 2)
-            k = 1
-            while n - 3 * k * k - 3 * l * (l + 1) // 2 >= 0:
-                sk = -1 if k % 2 else 1
-                total += 6 * sl * sk * pbar3(n - 3 * k * k - 3 * l * (l + 1) // 2)
-                k += 1
-            l += 1
-        rhs.append(total)
-    return lhs, rhs
-
-
-def _direct_thm6_4(bound: int, pl: _Coeffs, p2d: _Coeffs) -> _Sums:
+    "thm5.6": (("AP(mock(beta),3,1)", "l(2)/l(1)^2"),
+               (1, (0, 1), ("pentagonal", 2)), (1, (1, 1), ("jacobi", 3))),
+    "thm6.2": (("AP(mock(lambda),2,0)", "(l(2)/l(1))^3"), (1, (0, 1)), (1, (1, 1), ("phi", 3))),
+    "thm6.3": (("AP(mock(lambda),6,2)", "(l(2)/l(1)^2)^3"),
+               (1, (0, 1)), (3, (1, 1), ("jacobi", 3), ("phi", 3))),
     # lambda(6n - 3m(m+1) + 4) = pl(n - m(m+1)/2)
-    lhs = []
-    for n in range(bound + 1):
-        total, m = 0, 0
-        while n - m * (m + 1) // 2 >= 0:
-            total += (-1 if m % 2 else 1) * (2 * m + 1) * pl(n - m * (m + 1) // 2)
-            m += 1
-        lhs.append(total)
-    rhs = []
-    for n in range(bound + 1):
-        total, l = 0, 0
-        while n - 3 * l * (l + 1) >= 0:
-            sl = (-1 if l % 2 else 1) * (2 * l + 1)
-            total += 6 * sl * p2d(n - 3 * l * (l + 1))
-            k = 1
-            while n - 3 * k * k - 3 * l * (l + 1) >= 0:
-                sk = -1 if k % 2 else 1
-                total += 12 * sl * sk * p2d(n - 3 * k * k - 3 * l * (l + 1))
-                k += 1
-            l += 1
-        rhs.append(total)
-    return lhs, rhs
+    "thm6.4": (("AP(mock(lambda),6,4)", "(l(2)/l(1))^2"),
+               (1, (0, 1), ("jacobi", 1)), (6, (1, 1), ("jacobi", 6), ("phi", 3))),
+}
+
+# the theta streams of partitions.theta_stream, from their defining sums: term
+# m's exponent at scale 1 and its weight, and whether m runs over every integer
+# or only m >= 0
+_STREAMS = {
+    "pentagonal": (lambda m: m * (3 * m - 1) // 2, lambda m: (-1) ** (m % 2), True),
+    "jacobi": (lambda m: m * (m + 1) // 2, lambda m: (-1) ** (m % 2) * (2 * m + 1), False),
+    "phi": (lambda m: m * m, lambda m: (-1) ** (m % 2), True),
+    "psi": (lambda m: m * (m + 1) // 2, lambda m: 1, False),
+}
+
+
+def _stream_terms(kind: str, s: int, bound: int) -> list[tuple[int, int]]:
+    """The ``(exponent, weight)`` terms of the theta stream ``kind`` at scale s
+    with exponent at most ``bound``; term m's exponent is at least s*|m|."""
+    exponent, weight, every_m = _STREAMS[kind]
+    ms = range(-bound, bound + 1) if every_m else range(bound + 1)
+    return [(s * exponent(m), weight(m)) for m in ms if s * exponent(m) <= bound]
+
+
+def _direct_sum(bound: int, coeffs: Sequence[list[int]], scale: int, *factors) -> list[int]:
+    """One side of a direct route at n = 0..bound: ``scale`` times the nested
+    sum, over one term of each factor with exponents adding up to n, of the
+    product of their weights.  ``coeffs[i]`` holds read i at 0..bound."""
+    total = [scale] + [0] * bound
+    for source, s in factors:
+        if isinstance(source, int):
+            terms = [(s * k, c) for k, c in enumerate(coeffs[source][: bound // s + 1])]
+        else:
+            terms = _stream_terms(source, s, bound)
+        product = [0] * (bound + 1)
+        for i, a in enumerate(total):
+            if a:
+                for e, w in terms:
+                    if i + e <= bound:
+                        product[i + e] += a * w
+        total = product
+    return total
 
 
 # -- the registry -------------------------------------------------------------
-
-# the direct summation routes a recurrence record names in its ``direct``
-# field: each sum and the series it reads at _DIRECT_BOUND + 1
-_DIRECT_BOUND = 60
-_DIRECT_ROUTES = {
-    "thm3.4": (_direct_thm3_4, ("AP(mock(v),2,1)", "l(4)/l(1)")),
-    "thm3.5": (_direct_thm3_5, ("AP(mock(v),6,5)", "(l(2)/l(1))^2", "l(2)/l(1)^2")),
-    "thm4.4": (_direct_thm4_4, ("AP(mock(sigma),2,1)", "(l(2)/l(1))^2")),
-    "thm5.4": (_direct_thm5_4, ("AP(mock(beta),3,2)", "l(2)/l(1)^2")),
-    "thm5.5": (_direct_thm5_5, ("AP(mock(beta),9,8)", "(l(2)/l(1)^2)^2")),
-    "thm5.6": (_direct_thm5_6, ("AP(mock(beta),3,1)", "l(2)/l(1)^2")),
-    "thm6.2": (_direct_thm6_2, ("AP(mock(lambda),2,0)", "(l(2)/l(1))^3")),
-    "thm6.3": (_direct_thm6_3, ("AP(mock(lambda),6,2)", "(l(2)/l(1)^2)^3")),
-    "thm6.4": (_direct_thm6_4, ("AP(mock(lambda),6,4)", "(l(2)/l(1))^2")),
-}
 
 _registry_cache: list[Claim] | None = None
 
@@ -578,8 +476,9 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
             raise ValueError(
                 f"{source}: claim {cid!r} field 'direct': unknown route {rec['direct']!r}"
             )
-        claim.direct, reads = _DIRECT_ROUTES[rec["direct"]]
+        reads, *sides = _DIRECT_ROUTES[rec["direct"]]
         claim.direct_reads = tuple(map(parse_expr, reads))
+        claim.direct = tuple(sides)
         claim.bound = _DIRECT_BOUND
     if kind is ClaimKind.CONGRUENCE:
         claim.expr = expr("expr")

@@ -53,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("indices", nargs="+", type=int)
 
     s = sub.add_parser("series", help="expand an expression")
-    s.add_argument("expr")
+    # optional to argparse, which takes "-l(1)^2" for an unknown option; main
+    # reads a lone such token as the expression and requires one
+    s.add_argument("expr", nargs="?")
     s.add_argument("--order", type=int, default=50)
 
     v = sub.add_parser("verify", help="verify registry and/or file claims")
@@ -196,7 +198,13 @@ def _cmd_list(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.command == "series" and args.expr is None:
+            if len(extra) != 1 or not extra[0].startswith("-"):
+                parser.error("the following arguments are required: expr")
+            args.expr = extra.pop()
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handlers = {

@@ -70,6 +70,19 @@ class FamilySpec:
     modulus: int
     mock: str
 
+    def step_exceeds(self, p: int, alpha: int, bound: int) -> bool:
+        """Whether the step ``A = c * p^(2*alpha+2)`` exceeds ``bound``, for p >= 2.
+
+        The power is raised one factor at a time and abandoned once past
+        ``bound``, so a huge p or alpha costs a few multiplications.
+        """
+        step = self.c
+        for _ in range(2 * alpha + 2):
+            if step > bound:
+                break
+            step *= p
+        return step > bound
+
 
 FAMILIES: dict[str, FamilySpec] = {
     spec.name: spec

@@ -294,9 +294,10 @@ class ThetaStreamKind(enum.Enum):
 def theta_stream(
     kind: ThetaStreamKind | str, scale: int, order: int
 ) -> TruncatedSeries:
-    """Weighted exponent streams used by the recurrence verifier, each one
-    ``products`` generator with its exponents scaled by s (m >= 0 for jacobi
-    and psi, every integer m for the others):
+    """The weighted exponent streams of the claim language's ``stream(kind, s)``,
+    each one ``products`` generator with its exponents scaled by s (m >= 0 for
+    jacobi and psi, every integer m for the others); the direct summation of
+    the recurrence claims enumerates the same sums on its own:
 
     pentagonal:  sum (-1)^m q^(s m(3m-1)/2)         = l_s        eta(s, N)
     jacobi:      sum (-1)^m (2m+1) q^(s m(m+1)/2)   = l_s^3      jacobi_cube(N, s)

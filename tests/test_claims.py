@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import re
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -84,14 +85,11 @@ class TestVerify:
         r = verify(registry_by_id()["remark3.6"])
         assert r.status == "pass"
 
-    @pytest.mark.parametrize(
-        "cid, route, lhs, rhs",
-        [("thm5.4", claims_mod._direct_thm5_4, 1, 2), ("thm5.5", claims_mod._direct_thm5_5, 5, 6)],
-    )
-    def test_refuted_recurrence_direct_route_disagrees_at_zero(self, cid, route, lhs, rhs):
+    @pytest.mark.parametrize("cid, lhs, rhs", [("thm5.4", 1, 2), ("thm5.5", 5, 6)])
+    def test_refuted_recurrence_direct_route_disagrees_at_zero(self, cid, lhs, rhs):
         # verify never reaches these routes: the series route fails first, at the same n
         claim = registry_by_id()[cid]
-        assert claim.direct is route
+        assert claim.direct == tuple(claims_mod._DIRECT_ROUTES[cid][1:])
         lv, rv = _direct_sums(claim)
         assert len(lv) == len(rv) == claim.bound + 1
         assert claims_mod._first_difference(zip(lv, rv)) == {"n": 0, "lhs": lhs, "rhs": rhs}
@@ -105,6 +103,20 @@ class TestVerify:
         r = verify(claim)
         assert r.status == "fail"
         assert r.first_failure["n"] == 7
+
+    @pytest.mark.parametrize(
+        "p, alpha, count",
+        [(10**18 + 3, 0, None), (5, 3_000_000, None), (5, 0, int("9" * 4299))],
+    )
+    def test_hostile_family_is_skipped_at_once(self, p, alpha, count):
+        # no primality test of p, no full power p^(2*alpha+2), no 4300-digit str()
+        claim = Claim("huge.family", ClaimKind.CONGRUENCE_FAMILY, family="thm3.3ii", p=p,
+                      alpha=alpha, count=5)
+        start = time.perf_counter()
+        r = verify(claim, count=count)
+        assert time.perf_counter() - start < 1
+        assert r.status == "skipped"
+        assert "beyond the cap 50000" in r.message
 
     def test_non_qualifying_family_is_skipped(self):
         claim = Claim(
@@ -190,7 +202,9 @@ def _count_computes(monkeypatch) -> dict[str, int]:
 def _direct_sums(claim: Claim) -> tuple[list[int], list[int]]:
     """A recurrence's direct summation, fed from the reads its plan lists after both sides."""
     _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
-    return claim.direct(claim.bound, *(eval_expr(node, o).coefficient for node, o in reads[2:]))
+    coeffs = [eval_expr(node, o).coefficients() for node, o in reads[2:]]
+    lhs, rhs = (claims_mod._direct_sum(claim.bound, coeffs, *side) for side in claim.direct)
+    return lhs, rhs
 
 
 def _requested_order(claim: Claim, status: str) -> int:
@@ -695,7 +709,7 @@ class TestClaimFiles:
             "[claim]\nid=user.rec\ntype=recurrence\nlhs=AP(mock(v),2,1)\n"
             "rhs=(l(4)/l(1))*stream(psi,2)\norder=100\ndirect=thm3.4\n"
         )
-        assert claim.direct is claims_mod._direct_thm3_4
+        assert claim.direct == tuple(claims_mod._DIRECT_ROUTES["thm3.4"][1:])
         assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
         assert (claim.bound, claim.order) == (60, 100)
         _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
@@ -706,11 +720,29 @@ class TestClaimFiles:
     def test_direct_route_reads_are_the_registry_reads(self):
         # each route has one registry record, and a claim file naming it gets its reads
         table = registry_by_id()
-        for name, (route, _) in claims_mod._DIRECT_ROUTES.items():
+        for name, (_, *sides) in claims_mod._DIRECT_ROUTES.items():
             (claim,) = parse_claim_file(f"[claim]\nid=x\n{RECURRENCE}\ndirect={name}\n")
-            assert table[name].direct is claim.direct is route, name
+            assert table[name].direct == claim.direct == tuple(sides), name
             assert table[name].direct_reads == claim.direct_reads, name
             assert table[name].bound == claim.bound == 60, name
+
+    def test_direct_route_that_disagrees_fails(self):
+        # thm3.4's sides pass the series route; thm5.4's direct sums differ at n = 0
+        (claim,) = parse_claim_file(
+            "[claim]\nid=user.rec\ntype=recurrence\nlhs=AP(mock(v),2,1)\n"
+            "rhs=(l(4)/l(1))*stream(psi,2)\norder=100\ndirect=thm5.4\n"
+        )
+        r = verify(claim)
+        assert (r.status, r.order, r.message) == ("fail", 100, "direct summation route disagrees")
+        assert r.first_failure == {"n": 0, "lhs": 1, "rhs": 2}
+
+    @pytest.mark.parametrize("kind", ["pentagonal", "jacobi", "phi", "psi"])
+    @pytest.mark.parametrize("scale", range(1, 7))
+    def test_stream_terms_enumerate_the_theta_stream(self, kind, scale):
+        dense = [0] * 61
+        for e, w in claims_mod._stream_terms(kind, scale, 60):
+            dense[e] += w
+        assert dense == partitions.theta_stream(kind, scale, 61).coefficients()
 
     def test_interpretation_residue_beyond_the_modulus(self):
         # P(2n+3) is P(2(n+1)+1): the stream is q^-1*AP(mock(v),2,1)

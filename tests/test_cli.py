@@ -79,6 +79,34 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", "ruleset(bogus)")
         assert (code, out, err) == (2, "", "error: unknown ruleset 'bogus'\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("-l(1)^2", "--order", "3"),
+            ("--order", "3", "-l(1)^2"),
+            ("--order", "3", "--", "-l(1)^2"),
+        ],
+    )
+    def test_leading_minus_is_the_expression(self, capsys, argv):
+        code, out, err = run_cli(capsys, "series", *argv)
+        assert (code, out, err) == (0, "-1 + 2q + q^2 + O(q^3)\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("series",), "the following arguments are required: expr"),
+            (("series", "-l(1)", "-x"), "the following arguments are required: expr"),
+            (("series", "l(1)", "-x"), "unrecognized arguments: -x"),
+            (("series", "-l(1)", "--order", "3", "--bogus"),
+             "the following arguments are required: expr"),
+            (("verify", "thm3.1", "-l(1)"), "unrecognized arguments: -l(1)"),
+        ],
+    )
+    def test_other_unknown_arguments_stay_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
 
 class TestVerify:
     def test_single_pass_exit_zero(self, capsys):
