@@ -117,16 +117,18 @@ def within_cap(reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = 
 
 def _plan(
     claim: Claim, order: int | None, count: int | None, max_order: int
-) -> tuple[int, list[tuple[Expr, int]]]:
-    """The order a claim's report states and the ``(series, order)`` reads its
+) -> tuple[int, list[tuple[Expr, int]], list[FamilyIndex]]:
+    """The order a claim's report states, the ``(series, order)`` reads its
     check evaluates, in that sequence (a recurrence's direct summation reads
-    at bound + 1, after both sides).  The reads are checked against the cap
+    at bound + 1, after both sides), and a congruence's progressions, one per
+    read (empty for other kinds).  The reads are checked against the cap
     before any work.
 
     A non-positive order, count, step or congruence range, a modulus below 2,
     or a negative enumeration bound raises ValueError: a pass would be vacuous.
     """
     kind = claim.kind
+    indices: list[FamilyIndex] = []
     if kind in (ClaimKind.IDENTITY, ClaimKind.RECURRENCE):
         target = _positive(claim, "order", claim.order if order is None else order)
         reads = [(claim.lhs, target), (claim.rhs, target)]
@@ -153,7 +155,7 @@ def _plan(
             raise KeyError(f"unknown ruleset {claim.ruleset!r}")
         reads = [(mock, max(bound + 1, target)), (expr_mod.RulesetRef(claim.ruleset), target)]
     within_cap(reads, max_order, "; rerun with a higher cap")
-    return target, reads
+    return target, reads, indices
 
 
 def _positive(claim: Claim, field: str, value: int) -> int:
@@ -231,7 +233,7 @@ def verify(
 def _verify_inner(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> VerificationReport:
-    target, reads = _plan(claim, order, count, max_order)
+    target, reads, indices = _plan(claim, order, count, max_order)
     # the planned reads, each evaluated when the check first needs it
     series = (eval_expr(node, o) for node, o in reads)
 
@@ -252,9 +254,8 @@ def _verify_inner(
         return VerificationReport(claim.id, "pass", target)
 
     if claim.kind in (ClaimKind.CONGRUENCE, ClaimKind.CONGRUENCE_FAMILY):
-        _, indices, c = _progressions(claim, count)
         # one read per progression: coefficient n of read j is P(A_j*n + B_j)
-        for j, (ix, s) in enumerate(zip(indices, series), start=1):
+        for j, (ix, (_, c), s) in enumerate(zip(indices, reads, series), start=1):
             failure = _first_difference((s.coefficient(n) % ix.M, 0) for n in range(c))
             if failure is not None:
                 family = claim.kind is ClaimKind.CONGRUENCE_FAMILY

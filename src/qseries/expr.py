@@ -31,7 +31,9 @@ its valuation, so a factor that is zero below the order still keeps its
 product exact, and every divisor is evaluated past its valuation, so its
 leading coefficient is checked.
 Products, quotients, powers, integer scalars and ``q^k`` factors of ``l(k)``
-fold into one sparse ``products.eta_quotient`` call.
+and ``poch`` fold into one ``products.eta_quotient`` call, which applies
+every ``poch`` factor binomial by binomial to one coefficient list and then
+the sparse ``l(k)`` factors; see ``_fold`` for the powers left out.
 
 The parser bounds its input: nesting deeper than ``MAX_NESTING``, a tree
 deeper than ``MAX_DEPTH`` (a chain of n terms is n deep) and ``^`` exponents
@@ -553,14 +555,20 @@ def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     return [(child, max(o, _valuation(child))) for child, o in kids]
 
 
-def _eta_factors(node: Expr) -> tuple[int, int, dict[int, int]] | None:
-    """``(c, s, {k: e})`` when ``node`` is ``c * q^s * prod l(k)^e``, else None."""
+def _eta_factors(node: Expr) -> tuple[int, int, dict[int | Poch, int]] | None:
+    """``(c, s, {f: e})`` when ``node`` is ``c * q^s * prod f^e``, else None.
+
+    Each factor f is an index k of ``l(k)`` or a ``Poch`` whose series starts
+    at 1; ``poch(-q^0,m)`` starts at 2, so it is not a factor here.
+    """
     if isinstance(node, Lit):
         return node.value, 0, {}
     if isinstance(node, Mono):
         return 1, node.k, {}
     if isinstance(node, Eta):
         return 1, 0, {node.k: 1}
+    if isinstance(node, Poch) and node.a:
+        return 1, 0, {node: 1}
     if isinstance(node, Neg):
         inner = _eta_factors(node.child)
         return None if inner is None else (-inner[0], inner[1], inner[2])
@@ -586,10 +594,15 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int, int]] | None:
 
 
 def _fold(node: Expr) -> Expr:
-    """Fold an eta-quotient product into ``q^shift * scale * EtaQuotientSpec``.
+    """Fold a product of ``l(k)`` and ``poch`` powers into
+    ``q^shift * scale * EtaQuotientSpec``.
 
     The shift and the scale stay ``*`` nodes, which ``_child_orders`` applies
-    exactly; the leaf carries only the exponents.
+    exactly; the leaf carries only the exponents.  Folded, a ``poch`` power
+    applies its binomials |e| times; evaluated apart, square and multiply
+    makes ``bit_length(|e|) - 1`` squarings and one product per set bit of
+    |e| to bring it into the product.  A product with a ``poch`` power past
+    that count is not folded.
     """
     if not isinstance(node, (BinOp, Pow, Neg)) or (
         isinstance(node, BinOp) and node.op in "+-"
@@ -600,22 +613,28 @@ def _fold(node: Expr) -> Expr:
         return node
     scale, shift, exps = factors
     exps = {k: e for k, e in exps.items() if e}
+    pochs = {f: e for f, e in exps.items() if isinstance(f, Poch)}
+    if any(abs(e) > abs(e).bit_length() - 1 + bin(e).count("1") for e in pochs.values()):
+        return node
     if not exps:
         folded: Expr = Lit(scale)
-    elif scale == 1:
-        folded = products.EtaQuotientSpec(exps)
     else:
-        folded = BinOp("*", Lit(scale), products.EtaQuotientSpec(exps))
+        folded = products.EtaQuotientSpec(
+            {k: e for k, e in exps.items() if isinstance(k, int)},
+            {products.PochhammerSpec(f.sign, f.a, f.step): e for f, e in pochs.items()},
+        )
+        if scale != 1:
+            folded = BinOp("*", Lit(scale), folded)
     return BinOp("*", Mono(shift), folded) if shift else folded
 
 
 def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
     """The deepest order at which ``eval_expr(node, order)`` evaluates each leaf.
 
-    Keys are leaf nodes; a folded eta quotient contributes its ``l(k)``
-    factors.  A leaf asked only at its valuation expands to the empty series
-    and is left out.  Nothing is evaluated, so callers can check caps before
-    any work.
+    Keys are leaf nodes; a folded product contributes its ``l(k)`` and
+    ``poch`` factors.  A leaf asked only at its valuation expands to the
+    empty series and is left out.  Nothing is evaluated, so callers can check
+    caps before any work.
     """
     out: dict[Expr, int] = {}
     stack = [(node, order)]
@@ -626,6 +645,7 @@ def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
             leaves = []
         elif isinstance(node, products.EtaQuotientSpec):
             leaves = [Eta(k) for k in node.exponents]
+            leaves += [Poch(p.sign, p.base_exp, p.step) for p in node.pochs]
         else:
             leaves = [node] if isinstance(node, _LEAVES) else []
         for leaf in leaves:

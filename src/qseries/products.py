@@ -9,10 +9,11 @@ Everything returns a :class:`TruncatedSeries` exact to the requested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import gcd
 
 from .ntheory import DomainError, is_prime
-from .series import SeriesError, TruncatedSeries, mul_binomial
+from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 
 
 class DegenerateProductError(SeriesError):
@@ -52,9 +53,16 @@ class PochhammerSpec:
 
 @dataclass(frozen=True)
 class EtaQuotientSpec:
-    """A finite product of integer powers of ``l_k = (q^k; q^k)_inf``."""
+    """A finite product of integer powers of ``l_k = (q^k; q^k)_inf`` and of
+    Pochhammer products.
+
+    ``exponents`` maps k to the power of ``l_k``; ``pochs`` maps a
+    :class:`PochhammerSpec` to its power.  Every Pochhammer factor starts at
+    ``q^1`` or later, so each one is a unit series and may be divided out.
+    """
 
     exponents: dict[int, int] = field(default_factory=dict)
+    pochs: dict[PochhammerSpec, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for k, e in self.exponents.items():
@@ -62,9 +70,27 @@ class EtaQuotientSpec:
                 raise DomainError(f"eta index must be a positive integer, got {k!r}")
             if not isinstance(e, int):
                 raise DomainError(f"eta exponent must be an integer, got {e!r}")
+        for p, e in self.pochs.items():
+            if not (isinstance(p, PochhammerSpec) and p.base_exp >= 1):
+                raise DomainError(f"Pochhammer factor must start at q^1 or later, got {p!r}")
+            if not isinstance(e, int):
+                raise DomainError(f"Pochhammer exponent must be an integer, got {e!r}")
 
     def __hash__(self):
-        return hash(tuple(sorted(self.exponents.items())))
+        return hash((tuple(sorted(self.exponents.items())), frozenset(self.pochs.items())))
+
+
+def _apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
+    """Multiply the power series ``out`` in place by the product ``spec`` to
+    the integer ``power``, one binomial factor at a time; factors at or
+    beyond the list's length contribute 1."""
+    exponents = range(spec.base_exp, len(out), spec.step)
+    if spec.length is not None:
+        exponents = exponents[: spec.length]
+    kernel = mul_binomial if power > 0 else div_binomial
+    for _ in range(abs(power)):
+        for e in exponents:
+            kernel(out, e, -spec.sign)
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
@@ -75,12 +101,8 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     """
     if order <= 0:
         return TruncatedSeries.zero(order)
-    exponents = range(spec.base_exp, order, spec.step)
-    if spec.length is not None:
-        exponents = exponents[: spec.length]
     out = [1] + [0] * (order - 1)
-    for e in exponents:
-        mul_binomial(out, e, -spec.sign)
+    _apply_pochhammer(out, spec, 1)
     return TruncatedSeries(0, out, order)
 
 
@@ -109,23 +131,36 @@ def eta(k: int, order: int) -> TruncatedSeries:
 
 
 def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> TruncatedSeries:
-    """Expand ``prod_k l_k^{e_k}`` exactly to the given order.
+    """Expand ``prod_k l_k^{e_k} * prod_p poch_p^{e_p}`` exactly to the given order.
 
-    Numerator factors are multiplied in; denominator factors are divided out
-    one at a time so that every division is by a sparse pentagonal series.
+    The Pochhammer factors are applied binomial by binomial to one
+    coefficient list.  Then the ``l_k`` numerator factors are multiplied in
+    and the denominator factors divided out one at a time, so that every
+    division is by a sparse pentagonal series.  When g, the gcd of the
+    indices and the Pochhammer exponents, is above 1, the product is a series
+    in ``q^g``: it is expanded at ``ceil(order/g)`` with every index divided
+    by g, then substituted.
     """
     if isinstance(spec, dict):
         spec = EtaQuotientSpec(spec)
     if order <= 0:
         return TruncatedSeries.zero(order)
-    acc = TruncatedSeries.one(order)
+    g = gcd(
+        *(k for k, e in spec.exponents.items() if e),
+        *(x for p, e in spec.pochs.items() if e for x in (p.base_exp, p.step)),
+    ) or 1
+    n = -(-order // g)
+    out = [1] + [0] * (n - 1)
+    for p, e in spec.pochs.items():
+        _apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
+    acc = TruncatedSeries(0, out, n)
     for k, e in sorted(spec.exponents.items()):
         if e == 0:
             continue
-        s = eta(k, order)
+        s = eta(k // g, n)
         for _ in range(abs(e)):
             acc = acc * s if e > 0 else acc / s
-    return acc
+    return acc.substitute(g).truncate(order)
 
 
 def theta_f(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeries:

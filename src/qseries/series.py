@@ -13,6 +13,8 @@ which keeps every result integral.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -185,23 +187,17 @@ class TruncatedSeries:
         if order <= val:
             return TruncatedSeries.zero(order)
         length = order - val
-        # Schoolbook convolution; iterate the operand with fewer nonzero
-        # terms on the outside and skip zero products.
+        # Schoolbook convolution: one slice of the other operand per nonzero
+        # coefficient of the operand with fewer of them.  Both operands hold
+        # at least ``length`` coefficients, so every slice of ``out`` is full.
         a, b = self, other
         if sum(1 for c in a.coeffs if c) > sum(1 for c in b.coeffs if c):
             a, b = b, a
         out = [0] * length
         bc = b.coeffs
-        for i, c in enumerate(a.coeffs):
-            if not c:
-                continue
-            top = length - i
-            if top <= 0:
-                break
-            chunk = bc if top >= len(bc) else bc[:top]
-            for j, d in enumerate(chunk):
-                if d:
-                    out[i + j] += c * d
+        for i, c in enumerate(a.coeffs[:length]):
+            if c:
+                out[i:] = _plus(out[i:], c, bc)
         return TruncatedSeries(val, out, order)
 
     def _unit_lead(self) -> int:
@@ -280,9 +276,7 @@ class TruncatedSeries:
         val = self.valuation * k
         order = self.order * k
         out = [0] * (order - val)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * k] = c
+        out[::k] = self.coeffs
         return TruncatedSeries(val, out, order)
 
     def alternate(self) -> "TruncatedSeries":
@@ -319,27 +313,47 @@ class TruncatedSeries:
         return f"<TruncatedSeries {format_series(self, max_terms=6)}>"
 
 
+def _plus(ys: Iterable[int], c: int, xs: Iterable[int]) -> Iterable[int]:
+    """``ys[i] + c * xs[i]`` over the shorter of the two, lazily and at C level."""
+    if c == 1:
+        return map(add, ys, xs)
+    if c == -1:
+        return map(sub, ys, xs)
+    return map(add, ys, map(mul, repeat(c), xs))
+
+
 def mul_binomial(coeffs: list[int], e: int, c: int) -> None:
     """Multiply the power series ``coeffs`` in place by ``(1 + c q^e)``.
 
     ``coeffs[i]`` is the coefficient of ``q^i``; the product is truncated to
-    the list's length.  The loop runs downward so that every read sees an
-    input coefficient, which also makes ``e = 0`` scale by ``1 + c``.
+    the list's length.  One slice assignment does it: both slices are copied
+    before the assignment, so every read sees an input coefficient, which
+    also makes ``e = 0`` scale by ``1 + c``.
     """
-    for i in range(len(coeffs) - 1, e - 1, -1):
-        coeffs[i] += c * coeffs[i - e]
+    if e < 0:
+        raise SeriesError(f"binomial factor needs a nonnegative exponent, got {e}")
+    n = len(coeffs)
+    if e < n:
+        coeffs[e:] = _plus(coeffs[e:], c, coeffs[: n - e])
 
 
 def div_binomial(coeffs: list[int], e: int, c: int) -> None:
     """Divide the power series ``coeffs`` in place by ``(1 + c q^e)``, ``e >= 1``.
 
-    The loop runs upward so that every read sees an already divided
-    coefficient.
+    The quotient runs upward so that every read sees an already divided
+    coefficient: a block of ``e`` coefficients at a time, each block reading
+    the one below it.  Dividing by ``1 - q^e`` with fewer residue classes than
+    blocks (``e * e < len``) is instead a running sum along each class.
     """
     if e < 1:
         raise SeriesError(f"binomial divisor needs a positive exponent, got {e}")
-    for i in range(e, len(coeffs)):
-        coeffs[i] -= c * coeffs[i - e]
+    n = len(coeffs)
+    if c == -1 and e * e < n:
+        for r in range(e):
+            coeffs[r::e] = accumulate(coeffs[r::e])
+        return
+    for lo in range(e, n, e):
+        coeffs[lo : lo + e] = _plus(coeffs[lo : lo + e], -c, coeffs[lo - e : lo])
 
 
 def make(valuation: int, coeffs: Iterable[int], order: int) -> TruncatedSeries:

@@ -201,7 +201,7 @@ def _count_computes(monkeypatch) -> dict[str, int]:
 
 def _direct_sums(claim: Claim) -> tuple[list[int], list[int]]:
     """A recurrence's direct summation, fed from the reads its plan lists after both sides."""
-    _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+    _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
     coeffs = [eval_expr(node, o).coefficients() for node, o in reads[2:]]
     lhs, rhs = (claims_mod._direct_sum(claim.bound, coeffs, *side) for side in claim.direct)
     return lhs, rhs
@@ -307,7 +307,7 @@ class TestDissectionTexts:
 class TestDemandPlan:
     def test_every_claim_has_leaf_demands(self):
         for claim in registry():
-            target, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+            target, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             demands = [leaf_demands(node, o) for node, o in reads]
             assert target > 0 and all(demands), claim.id
 
@@ -325,12 +325,12 @@ class TestDemandPlan:
         assert (r.status, r.order) == ("pass", 5)
 
     def test_interpretation_reads_ap_of_its_mock_stream(self):
-        target, reads = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        target, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
         demands = [leaf_demands(node, o) for node, o in reads]
         assert (target, demands) == (200, [{Mock("lambda"): 399}, {RulesetRef("thm6.1"): 200}])
 
     def test_interpretation_plan_lists_both_routes(self):
-        _, reads = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        _, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
         assert reads == [(Ap(Mock("lambda"), 2, 0), 200), (RulesetRef("thm6.1"), 200)]
 
     def test_check_evaluates_exactly_the_planned_reads(self, monkeypatch):
@@ -343,7 +343,7 @@ class TestDemandPlan:
 
         monkeypatch.setattr(claims_mod, "eval_expr", record)
         for claim in registry():
-            _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             evaluated.clear()
             r = verify(claim)
             # a failed comparison stops the check before the reads it no longer needs
@@ -371,7 +371,7 @@ class TestDemandPlan:
         for claim in registry():
             if claim.kind is not ClaimKind.RECURRENCE:
                 continue
-            _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             progression, *counts = claim.direct_reads
             assert reads == [
                 (claim.lhs, claim.order), (claim.rhs, claim.order),
@@ -382,16 +382,32 @@ class TestDemandPlan:
             assert to_text(progression) in to_text(claim.lhs), claim.id
             assert set(counts) <= set(map(parse_expr, PARTITION_READS)), claim.id
 
+    def test_family_indices_are_built_once_per_verify(self, monkeypatch):
+        families = [c for c in registry() if c.kind is ClaimKind.CONGRUENCE_FAMILY]
+        before = [verify(c).to_dict() for c in families]
+        calls = []
+        real = claims_mod.family_indices
+        monkeypatch.setattr(
+            claims_mod, "family_indices", lambda *args: calls.append(args) or real(*args)
+        )
+        for claim, want in zip(families, before):
+            calls.clear()
+            got = verify(claim).to_dict()
+            assert calls == [(claim.family, claim.p, claim.alpha)], claim.id
+            for report in (got, want):
+                report.pop("elapsed_ms")
+            assert got == want, claim.id
+
     @pytest.mark.parametrize("text", sorted(PARTITION_READS))
     def test_partition_read_is_the_partitions_function_it_replaces(self, text):
         assert eval_expr(parse_expr(text), 200) == PARTITION_READS[text](200)
 
     def test_congruence_plan_reads_each_progression(self):
         table = registry_by_id()
-        _, reads = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
+        _, reads, _ = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
         assert reads == [(parse_expr("AP(1/l(1),5,4)"), 150)]
         # B = 59 is past A = 50: P(50n + 59) is q^-1*AP(mock(v),50,9)
-        target, reads = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
+        target, reads, _ = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
         assert reads == [
             (parse_expr(text), 10) for text in (
                 "AP(mock(v),50,29)", "AP(mock(v),50,39)", "AP(mock(v),50,49)",
@@ -712,7 +728,7 @@ class TestClaimFiles:
         assert claim.direct == tuple(claims_mod._DIRECT_ROUTES["thm3.4"][1:])
         assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
         assert (claim.bound, claim.order) == (60, 100)
-        _, reads = claims_mod._plan(claim, None, None, MAX_ORDER)
+        _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
         assert reads[2:] == [(node, 61) for node in claim.direct_reads]
         report = verify(claim)
         assert (report.status, report.order, report.first_failure) == ("pass", 100, None)

@@ -49,6 +49,15 @@ class TestSeries:
         assert code == 2
         assert "offset" in err
 
+    def test_poch_leading_with_two_is_no_divisor(self, capsys):
+        code, out, err = run_cli(capsys, "series", "1/poch(-q^0,2)", "--order", "5")
+        assert (code, out, err) == (2, "", "error: leading coefficient 2 is not +1 or -1\n")
+
+    def test_folded_triple_product_prints_its_theta_series(self, capsys):
+        folded = run_cli(capsys, "series", "poch(-q,2)^2*poch(q^2,2)", "--order", "30")
+        assert folded == run_cli(capsys, "series", "f(q,q)", "--order", "30")
+        assert folded[0] == 0
+
     def test_deep_nesting(self, capsys):
         text = "(" * 3000 + "l(1)" + ")" * 3000
         code, _, err = run_cli(capsys, "series", text, "--order", "10")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qseries import mock as mock_mod
-from qseries.claims import registry
+from qseries import products
+from qseries.claims import registry, registry_by_id
 from qseries.expr import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -18,16 +19,18 @@ from qseries.expr import (
     Mono,
     Neg,
     ParseError,
+    Poch,
     Pow,
     Subst,
     Theta,
     UnknownSymbolError,
+    _fold,
     eval_expr,
     leaf_demands,
     parse_expr,
     to_text,
 )
-from qseries.products import eta, eta_quotient
+from qseries.products import PochhammerSpec, eta, eta_quotient, pochhammer
 from qseries.series import NonUnitError, SeriesError, TruncatedSeries, format_series
 
 
@@ -452,3 +455,84 @@ def test_eval_order_is_exact(node, order):
     if small is not None:
         assert small.order == order
         assert small == big.truncate(order)
+
+
+def unfolded(node, order):
+    """A product of integers, q^k, l(k) and poch powers, factor by factor."""
+    if isinstance(node, Lit):
+        return TruncatedSeries.one(order).scale(node.value)
+    if isinstance(node, Mono):
+        return TruncatedSeries.monomial(node.k, order)
+    if isinstance(node, Eta):
+        return eta(node.k, order)
+    if isinstance(node, Poch):
+        return pochhammer(PochhammerSpec(node.sign, node.a, node.step), order)
+    if isinstance(node, Pow):
+        return unfolded(node.base, order) ** node.exponent
+    left, right = unfolded(node.left, order), unfolded(node.right, order)
+    if node.op in "+-":
+        return left + right if node.op == "+" else left - right
+    return left * right if node.op == "*" else left / right
+
+
+def poch_factors(node):
+    if isinstance(node, Poch):
+        return {node}
+    children = [node.base] if isinstance(node, Pow) else []
+    if isinstance(node, BinOp):
+        children = [node.left, node.right]
+    return set().union(*map(poch_factors, children))
+
+
+def refuse_pochhammer(*args):
+    raise AssertionError("a folded poch factor went through products.pochhammer")
+
+
+FOLD_SIDES = ["triple.phi", "triple.psi", "triple.fneg", "triple.f15", "eq3.2"]
+
+
+class TestPochhammerFold:
+    @pytest.mark.parametrize("claim_id", FOLD_SIDES)
+    def test_folded_side_equals_the_unfolded_product(self, claim_id, monkeypatch):
+        node = registry_by_id()[claim_id].rhs
+        want = unfolded(node, 400)
+        monkeypatch.setattr(products, "pochhammer", refuse_pochhammer)
+        assert eval_expr(node, 400) == want
+
+    @pytest.mark.parametrize("claim_id", FOLD_SIDES)
+    def test_leaf_demands_list_every_folded_poch(self, claim_id):
+        node = registry_by_id()[claim_id].rhs
+        pochs = poch_factors(node)
+        demands = leaf_demands(node, 400)
+        # eq3.2's second term carries a q, so the factors only it has are asked for 399
+        assert pochs and set(demands) == pochs and set(demands.values()) <= {399, 400}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["q", "-q"]), st.integers(1, 4), st.integers(1, 4),
+                st.integers(-3, 3),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.dictionaries(st.integers(1, 4), st.integers(-3, 3), max_size=2),
+        st.integers(1, 200),
+    )
+    def test_folded_quotient_property(self, pochs, etas, order):
+        factors = [f"poch({s}^{a},{m})^{e}" for s, a, m, e in pochs]
+        factors += [f"l({k})^{e}" for k, e in etas.items()]
+        node = parse_expr("*".join(factors))
+        assert eval_expr(node, order) == unfolded(node, order)
+
+    def test_poch_leading_with_two_keeps_its_error(self):
+        node = parse_expr("1/poch(-q^0,2)")
+        assert _fold(node) == node
+        with pytest.raises(NonUnitError, match="^leading coefficient 2 is not \\+1 or -1$"):
+            eval_expr(node, 5)
+
+    def test_high_power_of_poch_stays_unfolded(self):
+        node = parse_expr("poch(-q,1)^30*l(1)")
+        assert _fold(node) is node
+        assert isinstance(_fold(parse_expr("poch(-q,1)^3*l(1)")), products.EtaQuotientSpec)
+        assert eval_expr(node, 60) == unfolded(node, 60)

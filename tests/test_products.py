@@ -121,6 +121,34 @@ class TestEtaQuotient:
         assert eta_quotient(spec, 100).truncate(40) == eta_quotient(spec, 40)
 
 
+    def test_spec_takes_pochhammer_factors_that_start_at_q(self):
+        EtaQuotientSpec({1: 1}, {PochhammerSpec(-1, 1, 2): -3})
+        with pytest.raises(DomainError):
+            EtaQuotientSpec({}, {PochhammerSpec(-1, 0, 2): 1})  # leads with 2
+        with pytest.raises(DomainError):
+            EtaQuotientSpec({}, {PochhammerSpec(1, 1, 2): "x"})
+
+    @pytest.mark.parametrize("order", [1000, 1001, 1002])
+    @pytest.mark.parametrize(
+        "exponents, pochs",
+        [
+            ({6: 4, 9: 6, 3: -8, 18: -3}, {}),  # lemma2.4a's first term, g = 3
+            ({12: 1, 18: 4, 3: -3, 36: -2}, {}),  # lemma2.4c's first term, g = 3
+            ({6: 1}, {PochhammerSpec(-1, 3, 6): 2, PochhammerSpec(1, 6, 6): -1}),  # g = 3
+            ({}, {PochhammerSpec(1, 4, 4): 1, PochhammerSpec(-1, 2, 4): 3}),  # g = 2
+            ({2: 1, 1: -1}, {PochhammerSpec(-1, 1, 2): 2, PochhammerSpec(1, 2, 3): -1}),  # g = 1
+        ],
+    )
+    def test_quotient_matches_factor_by_factor(self, exponents, pochs, order):
+        want = TruncatedSeries.one(order)
+        for k, e in exponents.items():
+            want = want * eta(k, order) ** e
+        for p, e in pochs.items():
+            want = want * pochhammer(p, order) ** e
+        got = eta_quotient(EtaQuotientSpec(exponents, pochs), order)
+        assert got.order == order and got == want
+
+
 class TestThetaF:
     def test_phi(self):
         s = theta_f(1, 1, 1, 1, 12)

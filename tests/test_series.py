@@ -403,9 +403,101 @@ def test_binomial_kernel_matches_generic(a, e, c):
     assert make(0, out, a.order) == a / factor
 
 
+# naive per-coefficient oracles for the slice kernels
+def naive_mul_binomial(xs, e, c):
+    return [x + c * xs[i - e] if i >= e else x for i, x in enumerate(xs)]
+
+
+def naive_div_binomial(xs, e, c):
+    out = []
+    for i, x in enumerate(xs):
+        out.append(x - c * out[i - e] if i >= e else x)
+    return out
+
+
+def naive_product(a, b):
+    order = min(a.order + b.valuation, b.order + a.valuation)
+    terms = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            e = a.valuation + b.valuation + i + j
+            if e < order:
+                terms[e] = terms.get(e, 0) + x * y
+    return order, terms
+
+
+coeff_lists = st.lists(st.integers(-50, 50), max_size=40)
+binomial_c = st.sampled_from([-2, -1, 1, 2])
+
+
+@settings(max_examples=300)
+@given(coeff_lists, st.integers(0, 45), binomial_c)
+def test_mul_binomial_matches_naive_loop(xs, e, c):
+    # e = 0 scales by 1 + c; e >= len leaves the list as it is
+    out = list(xs)
+    mul_binomial(out, e, c)
+    assert out == naive_mul_binomial(xs, e, c)
+
+
+@settings(max_examples=300)
+@given(coeff_lists, st.integers(1, 45), binomial_c)
+def test_div_binomial_matches_naive_loop_and_undoes_mul(xs, e, c):
+    out = list(xs)
+    div_binomial(out, e, c)
+    assert out == naive_div_binomial(xs, e, c)
+    out = list(xs)
+    mul_binomial(out, e, c)
+    div_binomial(out, e, c)
+    assert out == xs
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 6])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@settings(max_examples=25)
+@given(data=st.data(), c=binomial_c)
+def test_div_binomial_on_both_sides_of_the_running_sum_rule(e, delta, data, c):
+    # e * e < len takes running sums along each residue class when c = -1
+    n = e * e + delta
+    xs = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    out = list(xs)
+    div_binomial(out, e, c)
+    assert out == naive_div_binomial(xs, e, c)
+    mul_binomial(out, e, c)
+    assert out == xs
+
+
+@pytest.mark.parametrize("xs", [[], [7]])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("c", [-2, -1, 1, 2])
+def test_binomial_kernels_on_short_lists(xs, e, c):
+    out = list(xs)
+    mul_binomial(out, 0, c)
+    assert out == [(1 + c) * x for x in xs]
+    out = list(xs)
+    mul_binomial(out, e, c)
+    div_binomial(out, e, c)
+    assert out == xs
+
+
+@settings(max_examples=200)
+@given(small_series, small_series | st.builds(
+    TruncatedSeries.from_terms,
+    st.dictionaries(st.integers(-4, 40), st.integers(-9, 9), max_size=4),
+    st.integers(-4, 40),
+))
+def test_mul_matches_naive_convolution(a, b):
+    order, terms = naive_product(a, b)
+    for x, y in ((a, b), (b, a)):
+        prod = x * y
+        assert prod.order == order
+        assert {e: c for e, c in prod.nonzero_items()} == {e: c for e, c in terms.items() if c}
+
+
 def test_binomial_divisor_needs_positive_exponent():
     with pytest.raises(SeriesError):
         div_binomial([1, 2, 3], 0, 1)
+    with pytest.raises(SeriesError):
+        mul_binomial([1, 2, 3], -1, 1)
 
 
 @settings(max_examples=150)
