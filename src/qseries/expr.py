@@ -593,16 +593,24 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | Poch, int]] | None:
     return None
 
 
+# A product holding a ``poch`` power with |e| above this is not folded.
+# Folded, the power applies its binomials |e| times; apart, square and
+# multiply makes a few dense products.  At order 1000 (best of three, one
+# core) ``poch(-q,1)^e*l(1)`` took 140 ms folded against 196 ms apart at
+# e = 3, 262 against 302 ms at e = 6, 298 against 277 ms at e = 8, and
+# ``poch(-q,1)^30*l(1)`` 1.00 s against 0.88 s.  A step above 1 favours the
+# fold (``poch(-q,3)^10*l(1)`` 104 against 261 ms).  3 is the largest
+# ``poch`` power a registry claim uses.
+_MAX_FOLDED_POCH_POWER = 3
+
+
 def _fold(node: Expr) -> Expr:
     """Fold a product of ``l(k)`` and ``poch`` powers into
     ``q^shift * scale * EtaQuotientSpec``.
 
     The shift and the scale stay ``*`` nodes, which ``_child_orders`` applies
-    exactly; the leaf carries only the exponents.  Folded, a ``poch`` power
-    applies its binomials |e| times; evaluated apart, square and multiply
-    makes ``bit_length(|e|) - 1`` squarings and one product per set bit of
-    |e| to bring it into the product.  A product with a ``poch`` power past
-    that count is not folded.
+    exactly; the leaf carries only the exponents.  A product with a ``poch``
+    power above ``_MAX_FOLDED_POCH_POWER`` is not folded.
     """
     if not isinstance(node, (BinOp, Pow, Neg)) or (
         isinstance(node, BinOp) and node.op in "+-"
@@ -614,7 +622,7 @@ def _fold(node: Expr) -> Expr:
     scale, shift, exps = factors
     exps = {k: e for k, e in exps.items() if e}
     pochs = {f: e for f, e in exps.items() if isinstance(f, Poch)}
-    if any(abs(e) > abs(e).bit_length() - 1 + bin(e).count("1") for e in pochs.values()):
+    if any(abs(e) > _MAX_FOLDED_POCH_POWER for e in pochs.values()):
         return node
     if not exps:
         folded: Expr = Lit(scale)

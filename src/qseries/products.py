@@ -139,7 +139,9 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
     division is by a sparse pentagonal series.  When g, the gcd of the
     indices and the Pochhammer exponents, is above 1, the product is a series
     in ``q^g``: it is expanded at ``ceil(order/g)`` with every index divided
-    by g, then substituted.
+    by g, and its coefficients are spread g apart into a list of length
+    ``order``, so the work and memory stay bounded by the order however
+    large g is.
     """
     if isinstance(spec, dict):
         spec = EtaQuotientSpec(spec)
@@ -160,7 +162,11 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
         s = eta(k // g, n)
         for _ in range(abs(e)):
             acc = acc * s if e > 0 else acc / s
-    return acc.substitute(g).truncate(order)
+    if g == 1:
+        return acc
+    out = [0] * order
+    out[::g] = acc.coeffs
+    return TruncatedSeries(0, out, order)
 
 
 def theta_f(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeries:

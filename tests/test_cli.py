@@ -58,6 +58,17 @@ class TestSeries:
         assert folded == run_cli(capsys, "series", "f(q,q)", "--order", "30")
         assert folded[0] == 0
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("(-l(1000000000))", "-1 + O(q^5)"),
+            ("2*l(1000000000)", "2 + O(q^5)"),
+            ("l(1000000000)^2", "1 + O(q^5)"),
+        ],
+    )
+    def test_eta_index_far_above_the_order(self, capsys, text, want):
+        assert run_cli(capsys, "series", text, "--order", "5") == (0, want + "\n", "")
+
     def test_deep_nesting(self, capsys):
         text = "(" * 3000 + "l(1)" + ")" * 3000
         code, _, err = run_cli(capsys, "series", text, "--order", "10")

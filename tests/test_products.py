@@ -1,5 +1,7 @@
 """q-products, theta functions, dissection lemmas, binomial congruences."""
 
+import tracemalloc
+
 import pytest
 
 from qseries import ntheory
@@ -147,6 +149,23 @@ class TestEtaQuotient:
             want = want * pochhammer(p, order) ** e
         got = eta_quotient(EtaQuotientSpec(exponents, pochs), order)
         assert got.order == order and got == want
+
+    @pytest.mark.parametrize(
+        "exponents", [{10**9: 1}, {10**9: -2}, {10**9: 3, 2 * 10**9: -1}]
+    )
+    def test_index_far_above_the_order_allocates_only_the_order(self, exponents):
+        # g = 10**9 expands one coefficient and spreads it into the result
+        want = TruncatedSeries.one(5)
+        for k, e in exponents.items():
+            want = want * eta(k, 5) ** e
+        tracemalloc.start()
+        try:
+            got = eta_quotient(exponents, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == TruncatedSeries.one(5)
+        assert peak < 100_000
 
 
 class TestThetaF:
