@@ -595,12 +595,12 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | Poch, int]] | None:
 
 # A product holding a ``poch`` power with |e| above this is not folded.
 # Folded, the power applies its binomials |e| times; apart, square and
-# multiply makes a few dense products.  At order 1000 (best of three, one
-# core) ``poch(-q,1)^e*l(1)`` took 140 ms folded against 196 ms apart at
-# e = 3, 262 against 302 ms at e = 6, 298 against 277 ms at e = 8, and
-# ``poch(-q,1)^30*l(1)`` 1.00 s against 0.88 s.  A step above 1 favours the
-# fold (``poch(-q,3)^10*l(1)`` 104 against 261 ms).  3 is the largest
-# ``poch`` power a registry claim uses.
+# multiply makes a few dense products.  At order 1000 (best of three to
+# five runs in one process, 2-core VM) ``poch(-q,1)^e*l(1)`` took 140 ms
+# folded against 196 ms apart at e = 3, 262 against 302 ms at e = 6,
+# 298 against 277 ms at e = 8, and 1.18 s against 0.68 s at e = 30.  A
+# step above 1 favours the fold (``poch(-q,3)^10*l(1)`` 104 against
+# 261 ms).  3 is the largest ``poch`` power a registry claim uses.
 _MAX_FOLDED_POCH_POWER = 3
 
 
