@@ -20,10 +20,11 @@
   verifies.  Each numerator is enumerated lattice point by lattice point
   (O(order) terms) and divided once by the theta series, a division that
   touches only its O(sqrt(order)) nonzeros.
-* the other six streams are summed by ``_incremental``, which maintains each
-  term's Pochhammer ratio incrementally (one new binomial factor per index,
-  O(order) per term).  For lambda and nu that sum is O(order^2); it stays
-  callable for them as the deep cross-check the tests run.
+* the other six streams are summed by ``_incremental`` in nested (Horner)
+  form, from the last term inward: each level multiplies one list by the
+  ratio of consecutive terms (a few binomial factors, O(order) per term)
+  and adds that level's +-1.  For lambda and nu that sum is O(order^2); it
+  stays callable for them as the deep cross-check the tests run.
 
 A third, slow reference route rebuilds every term from scratch out of
 finite Pochhammer products; it shares no code with either fast route and
@@ -176,35 +177,38 @@ def _nu_hecke(order: int) -> TruncatedSeries:
 
 
 def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
-    """Sum the stream term by term, each ratio updated from the previous one."""
+    """Sum the stream in nested form, from its last term inward.
+
+    With T_n the term n and s_n its sign, the stream is s_0 T_0 G_0 where
+    G_n = 1 + (s_{n+1} T_{n+1} / s_n T_n) G_{n+1} and the last term's G is 1.
+    One list holds s_n G_n below ``order - val_n``: step n + 1's factors go
+    through the binomial kernels, the valuation gap to term n goes in at the
+    front, and s_n is added to the constant term.  Keeping the sign in the
+    list spares an alternating stream any negation pass.
+    """
     if order <= 0:
         return TruncatedSeries.zero(order)
-    acc = [0] * order
-    ratio = [0] * order
-    ratio[0] = 1
+    vals = []
+    while (val := valuation_schedule(mock_id, len(vals))) < order:
+        vals.append(val)
+    if not vals:  # the first term starts at or above the order
+        return TruncatedSeries(0, [0] * order, order)
     alternating = mock_id in _ALTERNATING
-    n = 0
-    while True:
-        val = valuation_schedule(mock_id, n)
-        if val >= order:
-            break
-        hi = order - val  # later terms need strictly less precision
-        del ratio[hi:]
+    start = vals[-1]
+    acc = [0] * (order - start)
+    for n in reversed(range(len(vals))):
+        acc[0:0] = [0] * (start - vals[n])
+        start = vals[n]
+        sign = -1 if alternating and n % 2 else 1
+        acc[0] = sign
         nums, dens = _step_factors(mock_id, n)
         for e, c in nums:
-            mul_binomial(ratio, e, c)
+            mul_binomial(acc, e, c)
         for e, c in dens:
-            div_binomial(ratio, e, c)
-        # Guard for the valuation invariant: each ratio is a unit series.
-        assert ratio[0] == 1, (mock_id, n)
-        sign = -1 if alternating and n % 2 else 1
-        if sign == 1:
-            for j in range(hi):
-                acc[val + j] += ratio[j]
-        else:
-            for j in range(hi):
-                acc[val + j] -= ratio[j]
-        n += 1
+            div_binomial(acc, e, c)
+        # Guard for the valuation invariant: every factor is a unit series.
+        assert acc[0] == sign, (mock_id, n)
+    acc[0:0] = [0] * start
     return TruncatedSeries(0, acc, order)
 
 

@@ -221,11 +221,28 @@ class TruncatedSeries:
         if order <= val:
             return TruncatedSeries.zero(order)
         length = order - val
-        nz = [(k, c) for k, c in enumerate(other.coeffs) if c and k > 0]
+        # Divisor terms of +1 and -1 are subtracted and added as they are;
+        # only the others cost a multiplication.
+        plus, minus, nz = [], [], []
+        for k, c in enumerate(other.coeffs[1:length], 1):
+            if c == 1:
+                plus.append(k)
+            elif c == -1:
+                minus.append(k)
+            elif c:
+                nz.append((k, c))
         ac = self.coeffs
         out = [0] * length
         for n in range(length):
-            s = ac[n] if n < len(ac) else 0
+            s = ac[n]
+            for k in plus:
+                if k > n:
+                    break
+                s -= out[n - k]
+            for k in minus:
+                if k > n:
+                    break
+                s += out[n - k]
             for k, c in nz:
                 if k > n:
                     break
@@ -343,11 +360,16 @@ def div_binomial(coeffs: list[int], e: int, c: int) -> None:
     The quotient runs upward so that every read sees an already divided
     coefficient: a block of ``e`` coefficients at a time, each block reading
     the one below it.  Dividing by ``1 - q^e`` with fewer residue classes than
-    blocks (``e * e < len``) is instead a running sum along each class.
+    blocks (``e * e < len``) is instead a running sum along each class, and
+    dividing by ``1 + q^e`` multiplies by ``1 - q^e`` and then divides by
+    ``1 - q^2e`` whenever that divisor takes the running sum.
     """
     if e < 1:
         raise SeriesError(f"binomial divisor needs a positive exponent, got {e}")
     n = len(coeffs)
+    if c == 1 and 4 * e * e < n:
+        mul_binomial(coeffs, e, -1)
+        e, c = 2 * e, -1
     if c == -1 and e * e < n:
         for r in range(e):
             coeffs[r::e] = accumulate(coeffs[r::e])

@@ -59,6 +59,17 @@ def test_nu_route_at_every_small_order():
         assert mock_mod._compute(MockThetaId.NU, order) == deep.truncate(order), order
 
 
+@pytest.mark.parametrize("mock_id", list(MockThetaId))
+def test_incremental_at_every_small_order(mock_id):
+    # every order at or below the first term's valuation, and each valuation
+    # gap of the nested sum, taken on its own
+    for order in range(41):
+        assert _incremental(mock_id, order) == mock_series_reference(mock_id, order), order
+    deep = _incremental(mock_id, 400)
+    for order in range(401):
+        assert _incremental(mock_id, order) == deep.truncate(order), order
+
+
 def test_lambda_route_at_its_row_boundaries():
     # row n of the lambda numerator starts at q^(n(n+3)/2)
     deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)

@@ -466,6 +466,22 @@ def test_div_binomial_on_both_sides_of_the_running_sum_rule(e, delta, data, c):
     assert out == xs
 
 
+@pytest.mark.parametrize("e", [1, 2, 3, 6])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("c", [1, -1, 2])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_div_binomial_on_both_sides_of_the_doubled_running_sum_rule(e, delta, c, data):
+    # (2e)^2 < len divides by 1 + q^e as (1 - q^e) / (1 - q^2e)
+    n = 4 * e * e + delta
+    xs = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    out = list(xs)
+    div_binomial(out, e, c)
+    assert out == naive_div_binomial(xs, e, c)
+    mul_binomial(out, e, c)
+    assert out == xs
+
+
 @pytest.mark.parametrize("xs", [[], [7]])
 @pytest.mark.parametrize("e", [1, 2])
 @pytest.mark.parametrize("c", [-2, -1, 1, 2])
@@ -491,6 +507,39 @@ def test_mul_matches_naive_convolution(a, b):
         prod = x * y
         assert prod.order == order
         assert {e: c for e, c in prod.nonzero_items()} == {e: c for e, c in terms.items() if c}
+
+
+# divisors leading with +1 or -1, with +-1 and +-2 terms after the lead
+unit_divisors = st.builds(
+    lambda val, lead, coeffs: make(val, [lead] + coeffs, val + 1 + len(coeffs)),
+    st.integers(-4, 4).filter(bool),
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(-2, 2), max_size=24),
+)
+
+
+def naive_quotient(a, b):
+    # per-coefficient long division, valid below the shorter relative precision
+    val = a.valuation - b.valuation
+    length = min(len(a.coeffs), len(b.coeffs))
+    out = []
+    for n in range(length):
+        s = a.coeffs[n]
+        for k in range(1, n + 1):
+            s -= b.coeffs[k] * out[n - k]
+        out.append(s * b.coeffs[0])
+    return val, val + length, out
+
+
+@settings(max_examples=200)
+@given(small_series.filter(lambda s: s.valuation), unit_divisors)
+def test_div_matches_naive_long_division(a, b):
+    val, order, coeffs = naive_quotient(a, b)
+    quot = a / b
+    if order <= val:
+        assert (quot.valuation, quot.order, quot.coeffs) == (order, order, ())
+    else:
+        assert (quot.valuation, quot.order, list(quot.coeffs)) == (val, order, coeffs)
 
 
 def test_binomial_divisor_needs_positive_exponent():
