@@ -20,7 +20,6 @@ from .partitions import (
     RULESETS,
     count_dp,
     count_signed,
-    p_classic,
     theta_stream,
 )
 from .products import (
@@ -56,7 +55,6 @@ __all__ = [
     "legendre",
     "make",
     "mock_series",
-    "p_classic",
     "parse_claim_file",
     "parse_expr",
     "pochhammer",

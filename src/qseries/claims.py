@@ -455,6 +455,12 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
         try:
             value = int(value)
         except ValueError:
+            digits = value[1:] if value[:1] in ("+", "-") else value
+            if digits.isdecimal():  # past the interpreter's limit on int() of a string
+                raise ValueError(
+                    f"{source}: claim {cid!r} field {key!r}: "
+                    f"integer of {len(digits)} digits is too long"
+                ) from None
             raise ValueError(f"{source}: claim {cid!r} field {key!r} is not an integer") from None
         if least is not None and value < least:
             raise ValueError(

@@ -49,6 +49,7 @@ from typing import Callable
 
 from . import mock as mock_mod
 from . import partitions, products
+from .products import PochhammerSpec
 from .series import SeriesError, TruncatedSeries
 
 MAX_NESTING = 100  # nesting of parentheses, calls and unary minus
@@ -91,13 +92,6 @@ class Theta:
     a: int
     sign2: int
     b: int
-
-
-@dataclass(frozen=True)
-class Poch:
-    sign: int
-    a: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -152,8 +146,9 @@ class Alt:
     child: "Expr"
 
 
+# a ``poch`` leaf is the ``PochhammerSpec`` that ``_fold`` puts in an eta quotient
 Expr = (
-    Lit | Mono | Eta | Theta | Poch | Mock | Stream | RulesetRef
+    Lit | Mono | Eta | Theta | PochhammerSpec | Mock | Stream | RulesetRef
     | Neg | BinOp | Pow | Ap | Subst | Alt
 )
 
@@ -211,7 +206,14 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "int":
             raise ParseError("expected an integer", pos)
-        return int(val)
+        return self.to_int(val, pos)
+
+    @staticmethod
+    def to_int(digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's limit on int() of a string
+            raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
 
     def expect_positive(self) -> int:
         pos = self.peek()[2]
@@ -320,7 +322,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "int":
-            return Lit(int(val))
+            return Lit(self.to_int(val, pos))
         if kind == "sym" and val == "(":
             node = self.expr()
             self.expect_sym(")")
@@ -375,7 +377,7 @@ class _Parser:
             if sign == 1 and a == 0:
                 raise ParseError("(1; q^step)_inf is the zero product", pos)
             self.expect_sym(")")
-            return Poch(sign, a, step)
+            return PochhammerSpec(sign, a, step)
         if val == "stream":
             self.expect_sym("(")
             k = self.expect_name()
@@ -448,8 +450,8 @@ def _print(node: Expr, level: int) -> str:
         return f"l({node.k})"
     if isinstance(node, Theta):
         return f"f({_sq(node.sign1, node.a)},{_sq(node.sign2, node.b)})"
-    if isinstance(node, Poch):
-        return f"poch({_sq(node.sign, node.a)},{node.step})"
+    if isinstance(node, PochhammerSpec):
+        return f"poch({_sq(node.sign, node.base_exp)},{node.step})"
     if isinstance(node, Mock):
         return f"mock({node.name})"
     if isinstance(node, Stream):
@@ -483,7 +485,7 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-_LEAVES = (Lit, Mono, Eta, Theta, Poch, Mock, Stream, RulesetRef)
+_LEAVES = (Lit, Mono, Eta, Theta, PochhammerSpec, Mock, Stream, RulesetRef)
 
 
 def _valuation(node: Expr) -> int:
@@ -555,10 +557,10 @@ def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     return [(child, max(o, _valuation(child))) for child, o in kids]
 
 
-def _eta_factors(node: Expr) -> tuple[int, int, dict[int | Poch, int]] | None:
+def _eta_factors(node: Expr) -> tuple[int, int, dict[int | PochhammerSpec, int]] | None:
     """``(c, s, {f: e})`` when ``node`` is ``c * q^s * prod f^e``, else None.
 
-    Each factor f is an index k of ``l(k)`` or a ``Poch`` whose series starts
+    Each factor f is an index k of ``l(k)`` or a ``poch`` whose series starts
     at 1; ``poch(-q^0,m)`` starts at 2, so it is not a factor here.
     """
     if isinstance(node, Lit):
@@ -567,7 +569,7 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | Poch, int]] | None:
         return 1, node.k, {}
     if isinstance(node, Eta):
         return 1, 0, {node.k: 1}
-    if isinstance(node, Poch) and node.a:
+    if isinstance(node, PochhammerSpec) and node.base_exp:
         return 1, 0, {node: 1}
     if isinstance(node, Neg):
         inner = _eta_factors(node.child)
@@ -621,15 +623,14 @@ def _fold(node: Expr) -> Expr:
         return node
     scale, shift, exps = factors
     exps = {k: e for k, e in exps.items() if e}
-    pochs = {f: e for f, e in exps.items() if isinstance(f, Poch)}
+    pochs = {f: e for f, e in exps.items() if isinstance(f, PochhammerSpec)}
     if any(abs(e) > _MAX_FOLDED_POCH_POWER for e in pochs.values()):
         return node
     if not exps:
         folded: Expr = Lit(scale)
     else:
         folded = products.EtaQuotientSpec(
-            {k: e for k, e in exps.items() if isinstance(k, int)},
-            {products.PochhammerSpec(f.sign, f.a, f.step): e for f, e in pochs.items()},
+            {k: e for k, e in exps.items() if isinstance(k, int)}, pochs
         )
         if scale != 1:
             folded = BinOp("*", Lit(scale), folded)
@@ -652,8 +653,7 @@ def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
         if order <= _valuation(node):
             leaves = []
         elif isinstance(node, products.EtaQuotientSpec):
-            leaves = [Eta(k) for k in node.exponents]
-            leaves += [Poch(p.sign, p.base_exp, p.step) for p in node.pochs]
+            leaves = [Eta(k) for k in node.exponents] + list(node.pochs)
         else:
             leaves = [node] if isinstance(node, _LEAVES) else []
         for leaf in leaves:
@@ -692,10 +692,8 @@ def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeri
         return products.eta_quotient(node, order)
     if isinstance(node, Theta):
         return products.theta_f(node.sign1, node.a, node.sign2, node.b, order)
-    if isinstance(node, Poch):
-        return products.pochhammer(
-            products.PochhammerSpec(node.sign, node.a, node.step), order
-        )
+    if isinstance(node, PochhammerSpec):
+        return products.pochhammer(node, order)
     if isinstance(node, Mock):  # mock_series starts at q^0; the plan at the valuation
         v = _valuation(node)
         if order <= v:

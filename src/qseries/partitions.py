@@ -1,6 +1,7 @@
-"""Restricted partition counters: the combinatorial ground truth.
+"""Restricted partition counters: the combinatorial ground truth, and the
+weighted theta streams of the claim language's ``stream(kind, s)``.
 
-Every family has two independent routes.  ``count_signed`` is a plain
+Every rule set has two independent routes.  ``count_signed`` is a plain
 backtracking enumerator over colored multisets of parts and is the trusted
 oracle; ``count_dp`` builds the same counts through the generating-function
 product and is the fast path.  Disagreement between the two localises bugs.
@@ -16,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .products import eta, eta_quotient, jacobi_cube, theta_f
+from .products import eta, jacobi_cube, theta_f
 from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 
 
@@ -40,7 +41,8 @@ class ResidueRule:
 
 @dataclass(frozen=True)
 class PartitionRuleSet:
-    """One ResidueRule per residue class modulo ``modulus``."""
+    """One ResidueRule per residue class modulo ``modulus``, in residue order,
+    so that the rule for a part v is ``rules[v % modulus]``."""
 
     modulus: int
     rules: tuple[ResidueRule, ...]
@@ -48,10 +50,9 @@ class PartitionRuleSet:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
-        seen = sorted(r.residue for r in self.rules)
-        if seen != list(range(self.modulus)):
+        if [r.residue for r in self.rules] != list(range(self.modulus)):
             raise ValueError(
-                f"rules must cover every residue class mod {self.modulus} exactly once"
+                f"rules must list every residue class mod {self.modulus} once, in order"
             )
 
     @classmethod
@@ -67,14 +68,6 @@ class PartitionRuleSet:
             colors, distinct, signed = entries.get(r, (1, False, False))
             rules.append(ResidueRule(r, colors, distinct, signed))
         return cls(modulus, tuple(rules))
-
-    def rule_for(self, value: int) -> ResidueRule:
-        return self.rules_by_residue[value % self.modulus]
-
-    @property
-    def rules_by_residue(self) -> tuple[ResidueRule, ...]:
-        ordered = sorted(self.rules, key=lambda r: r.residue)
-        return tuple(ordered)
 
 
 RULESETS: dict[str, PartitionRuleSet] = {
@@ -135,7 +128,7 @@ def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
     """
     if n < 0:
         return 0
-    rules = ruleset.rules_by_residue
+    rules = ruleset.rules
     m = ruleset.modulus
 
     def over_colors(value: int, rule: ResidueRule, color: int, rem: int) -> int:
@@ -169,7 +162,7 @@ def iter_colored_partitions(
     """Yield each colored partition of n as ((value, color, multiplicity), ...)
     together with its sign.  Same tree as :func:`count_signed`.
     """
-    rules = ruleset.rules_by_residue
+    rules = ruleset.rules
     m = ruleset.modulus
 
     def over_colors(value, rule, color, rem, parts, sign):
@@ -211,7 +204,7 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     """
     if order <= 0:
         return TruncatedSeries.zero(order)
-    rules = ruleset.rules_by_residue
+    rules = ruleset.rules
     out = [1] + [0] * (order - 1)
     for v in range(1, order):
         rule = rules[v % ruleset.modulus]
@@ -222,59 +215,6 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
             else:
                 div_binomial(out, v, -c)
     return TruncatedSeries(0, out, order)
-
-
-# -- classical families -----------------------------------------------------
-
-_pcache = [1]
-
-
-def p_classic(n: int) -> int:
-    """p(n) by the pentagonal recurrence, p(negative) = 0."""
-    if n < 0:
-        return 0
-    while len(_pcache) <= n:
-        t = len(_pcache)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > t:
-                break
-            sign = 1 if k % 2 else -1  # (-1)^(k+1)
-            total += sign * _pcache[t - g1]
-            if g2 <= t:
-                total += sign * _pcache[t - g2]
-            k += 1
-        _pcache.append(total)
-    return _pcache[n]
-
-
-def p_r(r: int, order: int) -> TruncatedSeries:
-    """Generating function of the r-color family: ``1 / l_1^r`` (r nonzero)."""
-    if r == 0:
-        raise SeriesError("r must be nonzero")
-    return eta_quotient({1: -r}, order)
-
-
-def overpartition_r(r: int, order: int) -> TruncatedSeries:
-    """Overpartitions with r copies: ``(l_2 / l_1^2)^r``."""
-    if r < 1:
-        raise SeriesError("r must be positive")
-    return eta_quotient({2: r, 1: -2 * r}, order)
-
-
-def p_rd(r: int, order: int) -> TruncatedSeries:
-    """Partitions into distinct parts with r copies: ``(l_2 / l_1)^r``."""
-    if r < 1:
-        raise SeriesError("r must be positive")
-    return eta_quotient({2: r, 1: -r}, order)
-
-
-def regular4(order: int) -> TruncatedSeries:
-    """4-regular partitions (no part divisible by 4): ``l_4 / l_1``."""
-    return eta_quotient({4: 1, 1: -1}, order)
 
 
 class ThetaStreamKind(enum.Enum):
@@ -316,96 +256,3 @@ def theta_stream(
         return theta_f(-1, scale, -1, scale, order)
     return theta_f(1, scale, 1, 3 * scale, order)  # TRIANGULAR_PSI
 
-
-# -- brute-force enumerators (test oracles) ---------------------------------
-
-def partitions_brute(n: int) -> int:
-    """Plain partition count by backtracking."""
-    if n < 0:
-        return 0
-
-    def go(v, rem):
-        if rem == 0:
-            return 1
-        if v > rem:
-            return 0
-        return sum(go(v + 1, rem - k * v) for k in range(rem // v + 1))
-
-    return go(1, n)
-
-
-def colored_partitions_brute(n: int, colors: int) -> int:
-    """Partitions with labeled colors on every part."""
-    if n < 0:
-        return 0
-
-    def go(v, ci, rem):
-        if rem == 0:
-            return 1
-        if v > rem:
-            return 0
-        if ci == colors:
-            return go(v + 1, 0, rem)
-        return sum(go(v, ci + 1, rem - k * v) for k in range(rem // v + 1))
-
-    return go(1, 0, n)
-
-
-def distinct_colored_brute(n: int, colors: int, signed: bool = False) -> int:
-    """Partitions into distinct (value, color) pairs, optionally signed by count."""
-    if n < 0:
-        return 0
-
-    def go(v, ci, rem):
-        if rem == 0:
-            return 1
-        if v > rem:
-            return 0
-        if ci == colors:
-            return go(v + 1, 0, rem)
-        skip = go(v, ci + 1, rem)
-        take = go(v, ci + 1, rem - v) if rem >= v else 0
-        return skip + (-take if signed else take)
-
-    return go(1, 0, n)
-
-
-def overpartitions_brute(n: int, copies: int = 1) -> int:
-    """Overpartitions with ``copies`` colors: per (value, color), any number of
-    plain parts plus an optional overlined one."""
-    if n < 0:
-        return 0
-
-    def go(v, ci, rem):
-        if rem == 0:
-            return 1
-        if v > rem:
-            return 0
-        if ci == copies:
-            return go(v + 1, 0, rem)
-        total = 0
-        for over in (0, 1):
-            left = rem - over * v
-            if left < 0:
-                continue
-            total += sum(go(v, ci + 1, left - k * v) for k in range(left // v + 1))
-        return total
-
-    return go(1, 0, n)
-
-
-def regular_brute(n: int, k: int = 4) -> int:
-    """Partitions of n with no part divisible by k."""
-    if n < 0:
-        return 0
-
-    def go(v, rem):
-        if rem == 0:
-            return 1
-        if v > rem:
-            return 0
-        if v % k == 0:
-            return go(v + 1, rem)
-        return sum(go(v + 1, rem - c * v) for c in range(rem // v + 1))
-
-    return go(1, n)

@@ -1,8 +1,6 @@
-"""q-products and theta functions: Pochhammer symbols, eta quotients, and
-the classical bilateral theta series, plus the prime dissection identities.
-The dissections are computed here term by term, independently of the claim
-language; they are the reference the registry's lemma2.1-2.3 texts are
-tested against.
+"""q-products and theta functions: infinite Pochhammer products, eta
+quotients, and the classical bilateral theta series, the leaves the claim
+language evaluates.
 
 Everything returns a :class:`TruncatedSeries` exact to the requested order.
 """
@@ -12,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from math import gcd
 
-from .ntheory import DomainError, is_prime
+from .ntheory import DomainError
 from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 
 
@@ -26,17 +24,16 @@ class DivergenceError(SeriesError):
 
 @dataclass(frozen=True)
 class PochhammerSpec:
-    """The product ``(sign * q^base_exp ; q^step)_length``.
+    """The infinite product ``(sign * q^base_exp ; q^step)_inf``, and the
+    claim language's ``poch`` leaf.
 
-    ``length=None`` means the infinite product.  The degenerate infinite
-    product ``(q^0; q^step)_inf = (1;q^step)_inf`` is rejected because it is
-    identically zero.
+    The degenerate product ``(q^0; q^step)_inf = (1;q^step)_inf`` is rejected
+    because it is identically zero.
     """
 
     sign: int
     base_exp: int
     step: int
-    length: int | None = None
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -45,9 +42,7 @@ class PochhammerSpec:
             raise DomainError(f"base exponent must be nonnegative, got {self.base_exp}")
         if self.step < 1:
             raise DomainError(f"step must be positive, got {self.step}")
-        if self.length is not None and self.length < 0:
-            raise DomainError(f"length must be nonnegative, got {self.length}")
-        if self.length is None and self.base_exp == 0 and self.sign == 1:
+        if self.base_exp == 0 and self.sign == 1:
             raise DegenerateProductError("(1; q^step)_inf is the zero product")
 
 
@@ -85,8 +80,6 @@ def _apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
     the integer ``power``, one binomial factor at a time; factors at or
     beyond the list's length contribute 1."""
     exponents = range(spec.base_exp, len(out), spec.step)
-    if spec.length is not None:
-        exponents = exponents[: spec.length]
     kernel = mul_binomial if power > 0 else div_binomial
     for _ in range(abs(power)):
         for e in exponents:
@@ -94,11 +87,8 @@ def _apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
-    """Expand a Pochhammer product to the given order.
-
-    Finite products are exact polynomials (reported at this order); infinite
-    products stabilise because factors with exponent >= order contribute 1.
-    """
+    """Expand a Pochhammer product to the given order; it stabilises because
+    factors with exponent >= order contribute 1."""
     if order <= 0:
         return TruncatedSeries.zero(order)
     out = [1] + [0] * (order - 1)
@@ -214,126 +204,3 @@ def jacobi_cube(order: int, k: int = 1) -> TruncatedSeries:
         m += 1
     return TruncatedSeries.from_terms(terms, order)
 
-
-def triple_product(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeries:
-    """The product side ``(-c; cd)(-d; cd)(cd; cd)`` of the triple product identity."""
-    step = a + b
-    if step < 1:
-        raise DivergenceError("triple product requires a + b >= 1")
-    p1 = pochhammer(PochhammerSpec(-sign1, a, step), order)
-    p2 = pochhammer(PochhammerSpec(-sign2, b, step), order)
-    p3 = pochhammer(PochhammerSpec(sign1 * sign2, step, step), order)
-    return p1 * p2 * p3
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-
-
-def psi_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
-    """Right-hand side of the p-dissection of ``psi(q)`` for an odd prime p.
-
-    The sum over m = 0..(p-3)/2 of ``q^{(m^2+m)/2} f(q^{(p^2+(2m+1)p)/2},
-    q^{(p^2-(2m+1)p)/2})`` plus the distinguished term
-    ``q^{(p^2-1)/8} psi(q^{p^2})``.
-    """
-    acc = psi_p_dissection_final_term(p, order)
-    for m in range((p - 1) // 2):
-        sh = (m * m + m) // 2
-        if sh >= order:
-            continue
-        t = theta_f(
-            1, (p * p + (2 * m + 1) * p) // 2,
-            1, (p * p - (2 * m + 1) * p) // 2,
-            order - sh,
-        )
-        acc = acc + t.shift(sh)
-    return acc
-
-
-def psi_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
-    """The distinguished term ``q^{(p^2-1)/8} psi(q^{p^2})`` alone."""
-    _require_odd_prime(p)
-    sh = (p * p - 1) // 8
-    if sh >= order:
-        return TruncatedSeries.zero(order)
-    return theta_f(1, p * p, 1, 3 * p * p, order - sh).shift(sh)
-
-
-def _f1_branch_index(p: int) -> int:
-    # (p-1)/6 for p = 1 mod 6, (-p-1)/6 for p = -1 mod 6
-    if p % 6 == 1:
-        return (p - 1) // 6
-    return (-p - 1) // 6
-
-
-def f1_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
-    """Right-hand side of the p-dissection of ``l_1`` for a prime p >= 5.
-
-    Sum over t in [-(p-1)/2, (p-1)/2] minus the branch index of
-    ``(-1)^t q^{(3t^2+t)/2} f(-q^{(3p^2+(6t+1)p)/2}, -q^{(3p^2-(6t+1)p)/2})``
-    plus the distinguished term with ``l_{p^2}``.
-    """
-    acc = f1_p_dissection_final_term(p, order)
-    tstar = _f1_branch_index(p)
-    for t in range(-(p - 1) // 2, (p - 1) // 2 + 1):
-        if t == tstar:
-            continue
-        sh = (3 * t * t + t) // 2
-        if sh >= order:
-            continue
-        term = theta_f(
-            -1, (3 * p * p + (6 * t + 1) * p) // 2,
-            -1, (3 * p * p - (6 * t + 1) * p) // 2,
-            order - sh,
-        ).shift(sh)
-        acc = acc + (term if t % 2 == 0 else -term)
-    return acc
-
-
-def f1_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
-    """The distinguished term ``(-1)^{(+-p-1)/6} q^{(p^2-1)/24} l_{p^2}``."""
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"{p} is not a prime >= 5")
-    tstar = _f1_branch_index(p)
-    sh = (p * p - 1) // 24
-    if sh >= order:
-        return TruncatedSeries.zero(order)
-    term = eta(p * p, order - sh).shift(sh)
-    return term if tstar % 2 == 0 else -term
-
-
-def f1cubed_p_dissection_rhs(p: int, order: int) -> TruncatedSeries:
-    """Right-hand side of the p-dissection of ``l_1^3`` for an odd prime p.
-
-    Double sum over k != (p-1)/2 and n >= 0 of
-    ``(-1)^{k+n} (2pn+2k+1) q^{k(k+1)/2 + pn(pn+2k+1)/2}`` plus the
-    distinguished term ``p (-1)^{(p-1)/2} q^{(p^2-1)/8} l_{p^2}^3``.
-    """
-    final = f1cubed_p_dissection_final_term(p, order)
-    terms: dict[int, int] = {}
-    for k in range(p):
-        if k == (p - 1) // 2:
-            continue
-        base = k * (k + 1) // 2
-        n = 0
-        while True:
-            e = base + p * n * (p * n + 2 * k + 1) // 2
-            if e >= order:
-                break
-            c = (2 * p * n + 2 * k + 1) * (1 if (k + n) % 2 == 0 else -1)
-            terms[e] = terms.get(e, 0) + c
-            n += 1
-    return TruncatedSeries.from_terms(terms, order) + final
-
-
-def f1cubed_p_dissection_final_term(p: int, order: int) -> TruncatedSeries:
-    """The distinguished term ``p (-1)^{(p-1)/2} q^{(p^2-1)/8} l_{p^2}^3``."""
-    _require_odd_prime(p)
-    sh = (p * p - 1) // 8
-    if sh >= order:
-        return TruncatedSeries.zero(order)
-    cube = jacobi_cube(order - sh, p * p)
-    sign = 1 if ((p - 1) // 2) % 2 == 0 else -1
-    return cube.shift(sh).scale(sign * p)

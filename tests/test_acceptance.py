@@ -18,33 +18,24 @@ from qseries.claims import registry_by_id, verify
 from qseries.expr import Ap, BinOp, Eta, Lit, Mock, Mono, Pow, parse_expr, to_text
 from qseries.mock import MockThetaId, mock_series, mock_series_reference
 from qseries.ntheory import family_indices
-from qseries.partitions import (
-    RULESETS,
-    count_dp,
-    count_signed,
+from qseries.partitions import RULESETS, count_dp, count_signed
+from qseries.products import eta, eta_quotient, jacobi_cube, phi, psi, theta_f
+from qseries.series import make
+from references import (
     distinct_colored_brute,
+    f1_p_dissection_rhs,
+    f1cubed_p_dissection_rhs,
     overpartition_r,
     overpartitions_brute,
     p_classic,
     p_r,
     p_rd,
     partitions_brute,
+    psi_p_dissection_rhs,
     regular4,
     regular_brute,
-)
-from qseries.products import (
-    eta,
-    eta_quotient,
-    f1_p_dissection_rhs,
-    f1cubed_p_dissection_rhs,
-    jacobi_cube,
-    phi,
-    psi,
-    psi_p_dissection_rhs,
-    theta_f,
     triple_product,
 )
-from qseries.series import make
 
 CLAIMS = registry_by_id()
 

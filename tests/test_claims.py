@@ -12,7 +12,7 @@ import pytest
 
 from qseries import claims as claims_mod
 from qseries import mock as mock_mod
-from qseries import partitions, products
+from qseries import partitions
 from qseries.claims import (
     MAX_ORDER,
     Claim,
@@ -28,15 +28,16 @@ from qseries.claims import (
 )
 from qseries.expr import Ap, Expr, Mock, RulesetRef, eval_expr, leaf_demands, parse_expr, to_text
 from qseries.ntheory import PreconditionError, family_indices
+import references
 
 # the partition counts a recurrence's direct summation reads, as claim-language
-# text, and the partitions function each replaces (checked against brute force
+# text, and the reference function each replaces (checked against brute force
 # in test_partitions.py)
 PARTITION_READS = {
-    "l(4)/l(1)": partitions.regular4,
-    **{f"(l(2)/l(1))^{k}": functools.partial(partitions.p_rd, k) for k in (2, 3)},
-    "l(2)/l(1)^2": functools.partial(partitions.overpartition_r, 1),
-    **{f"(l(2)/l(1)^2)^{k}": functools.partial(partitions.overpartition_r, k) for k in (2, 3)},
+    "l(4)/l(1)": references.regular4,
+    **{f"(l(2)/l(1))^{k}": functools.partial(references.p_rd, k) for k in (2, 3)},
+    "l(2)/l(1)^2": functools.partial(references.overpartition_r, 1),
+    **{f"(l(2)/l(1)^2)^{k}": functools.partial(references.overpartition_r, k) for k in (2, 3)},
 }
 
 EXPECTED_DEFECTS = {
@@ -271,13 +272,13 @@ class TestRegistryFile:
 
 
 class TestDissectionTexts:
-    """The written-out lemma2.1-2.3 records against the term-by-term products reference."""
+    """The written-out lemma2.1-2.3 records against the term-by-term reference."""
 
     @pytest.mark.parametrize(
         "lemma, lhs, reference, p",
-        [("lemma2.1", "psi(q)", products.psi_p_dissection_rhs, p) for p in (3, 5, 7)]
-        + [("lemma2.2", "l(1)", products.f1_p_dissection_rhs, p) for p in (5, 7, 11)]
-        + [("lemma2.3", "l(1)^3", products.f1cubed_p_dissection_rhs, p) for p in (3, 5, 7)],
+        [("lemma2.1", "psi(q)", references.psi_p_dissection_rhs, p) for p in (3, 5, 7)]
+        + [("lemma2.2", "l(1)", references.f1_p_dissection_rhs, p) for p in (5, 7, 11)]
+        + [("lemma2.3", "l(1)^3", references.f1cubed_p_dissection_rhs, p) for p in (3, 5, 7)],
     )
     def test_record_equals_the_reference(self, lemma, lhs, reference, p):
         claim = registry_by_id()[f"{lemma}.p{p}"]
@@ -643,6 +644,13 @@ class TestClaimFiles:
     def test_non_integer_field(self):
         text = "[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=abc\n"
         with pytest.raises(ValueError, match="^f: claim 'x' field 'order' is not an integer"):
+            parse_claim_file(text, source="f")
+
+    def test_over_long_integer_field(self):
+        # an integer past the interpreter's int() digit limit is an integer all the same
+        text = f"[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder={'9' * 5000}\n"
+        message = "^f: claim 'x' field 'order': integer of 5000 digits is too long$"
+        with pytest.raises(ValueError, match=message):
             parse_claim_file(text, source="f")
 
     @pytest.mark.parametrize(

@@ -44,8 +44,10 @@ class TestSeries:
         assert code == 0
         assert "0:1 1:-1 2:-1 5:1" in out
 
-    def test_parse_error(self, capsys):
-        code, _, err = run_cli(capsys, "series", "l(", "--order", "10")
+    # an integer past the interpreter's int() digit limit is a parse error, not a traceback
+    @pytest.mark.parametrize("text", ["l(", "1" + "0" * 5000, "q^" + "9" * 5000])
+    def test_parse_error(self, capsys, text):
+        code, _, err = run_cli(capsys, "series", text, "--order", "10")
         assert code == 2
         assert "offset" in err
 
@@ -220,12 +222,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: claim 'x' missing field 'lhs'\n"
 
-    def test_claim_file_expression_error_names_its_field(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "lhs, message",
+        [
+            ("l(", "expected an integer at offset 2"),
+            ("l(1)^2*" + "1" * 5000, "integer of 5000 digits is too long at offset 7"),
+        ],
+    )
+    def test_claim_file_expression_error_names_its_field(self, capsys, tmp_path, lhs, message):
         path = tmp_path / "user.claims"
-        path.write_text("[claim]\nid=x\ntype=identity\nlhs=l(\nrhs=l(1)\n")
+        path.write_text(f"[claim]\nid=x\ntype=identity\nlhs={lhs}\nrhs=l(1)\n")
         code, out, err = run_cli(capsys, "verify", "--claims", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: claim 'x' field 'lhs': expected an integer at offset 2\n"
+        assert err == f"error: {path}: claim 'x' field 'lhs': {message}\n"
 
     def test_claim_file_order_zero_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"

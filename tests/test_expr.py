@@ -19,7 +19,6 @@ from qseries.expr import (
     Mono,
     Neg,
     ParseError,
-    Poch,
     Pow,
     Subst,
     Theta,
@@ -465,8 +464,8 @@ def unfolded(node, order):
         return TruncatedSeries.monomial(node.k, order)
     if isinstance(node, Eta):
         return eta(node.k, order)
-    if isinstance(node, Poch):
-        return pochhammer(PochhammerSpec(node.sign, node.a, node.step), order)
+    if isinstance(node, PochhammerSpec):
+        return pochhammer(node, order)
     if isinstance(node, Pow):
         return unfolded(node.base, order) ** node.exponent
     left, right = unfolded(node.left, order), unfolded(node.right, order)
@@ -476,7 +475,7 @@ def unfolded(node, order):
 
 
 def poch_factors(node):
-    if isinstance(node, Poch):
+    if isinstance(node, PochhammerSpec):
         return {node}
     children = [node.base] if isinstance(node, Pow) else []
     if isinstance(node, BinOp):

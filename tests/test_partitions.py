@@ -8,11 +8,16 @@ from qseries.partitions import (
     ResidueRule,
     RULESETS,
     ThetaStreamKind,
-    colored_partitions_brute,
     count_dp,
     count_signed,
-    distinct_colored_brute,
     iter_colored_partitions,
+    theta_stream,
+)
+from qseries.products import eta, phi, psi
+from qseries.series import SeriesError
+from references import (
+    colored_partitions_brute,
+    distinct_colored_brute,
     overpartition_r,
     overpartitions_brute,
     p_classic,
@@ -21,10 +26,7 @@ from qseries.partitions import (
     partitions_brute,
     regular4,
     regular_brute,
-    theta_stream,
 )
-from qseries.products import eta, phi, psi
-from qseries.series import SeriesError
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -35,11 +37,14 @@ class TestRuleSetConstruction:
             PartitionRuleSet(3, (ResidueRule(0), ResidueRule(1)))
         with pytest.raises(ValueError):
             PartitionRuleSet(2, (ResidueRule(0), ResidueRule(0)))
+        # callers read the rule for a part v as rules[v % modulus]
+        with pytest.raises(ValueError, match="in order"):
+            PartitionRuleSet(2, (ResidueRule(1), ResidueRule(0)))
 
     def test_from_map_defaults(self):
         rs = PartitionRuleSet.from_map(3, {0: (2, True, False)})
-        assert rs.rule_for(3).colors == 2
-        assert rs.rule_for(1) == ResidueRule(1)
+        assert rs.rules[3 % 3] == ResidueRule(0, 2, True)
+        assert rs.rules[1] == ResidueRule(1)
 
     def test_negative_colors_rejected(self):
         with pytest.raises(ValueError):
