@@ -7,6 +7,7 @@ Usage:
 
 import argparse
 
+from qseries.claims import MAX_ORDER
 from qseries.mock import MockThetaId, mock_series
 
 
@@ -14,6 +15,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--upto", type=int, default=30)
     args = parser.parse_args()
+    if not 1 <= args.upto <= MAX_ORDER:
+        parser.error(f"--upto must be between 1 and {MAX_ORDER}, got {args.upto}")
 
     names = [m.value for m in MockThetaId]
     columns = {name: mock_series(name, args.upto).coefficients() for name in names}

@@ -1,5 +1,9 @@
 """Coefficient streams for the eight q-hypergeometric sums under study.
 
+Each sum is stated once, as its row of ``_TERMS``, copied from the paper's
+definition; the valuation schedule, the signs and the incremental route's
+factors are all read from that row.
+
 ``_compute`` is the one place a stream is expanded, by one of two routes.
 
 * ``lambda`` and ``nu``, whose terms start at q^n and q^(n+1), come from
@@ -22,13 +26,14 @@
   touches only its O(sqrt(order)) nonzeros.
 * the other six streams are summed by ``_incremental`` in nested (Horner)
   form, from the last term inward: each level multiplies one list by the
-  ratio of consecutive terms (a few binomial factors, O(order) per term)
-  and adds that level's +-1.  For lambda and nu that sum is O(order^2); it
+  ratio of consecutive terms (``_step_factors``, O(order) per term) and
+  adds that level's +-1.  For lambda and nu that sum is O(order^2); it
   stays callable for them as the deep cross-check the tests run.
 
 A third, slow reference route rebuilds every term from scratch out of
-finite Pochhammer products; it shares no code with either fast route and
-exists purely to cross-check them.
+finite Pochhammer products.  It keeps its own copy of each definition on
+purpose, so a wrong ``_TERMS`` row shows up as a disagreement: it shares no
+code with either fast route but the valuation schedule.
 
 Series are zero-valuation power series in q; argument twists such as
 ``sigma(-q)`` or ``mu(-q^2)`` are exponent-indexed sign/stretch transforms
@@ -61,28 +66,27 @@ class MockThetaId(enum.Enum):
             raise KeyError(f"unknown mock theta function {name!r}") from None
 
 
-def valuation_schedule(mock_id: MockThetaId, n: int) -> int:
+# Row (sign, valuation, numerators, denominators): term n is sign^n q^valuation(n)
+# times a quotient of products, each (s, a, d, k, j) meaning (s q^a; q^d)_(k n + j).
+_TERMS = {
+    MockThetaId.MU: (-1, lambda n: n * n, [(1, 1, 2, 1, 0)], [(-1, 2, 2, 1, 0)] * 2),
+    MockThetaId.SIGMA: (1, lambda n: (n + 1) * (n + 2) // 2, [(-1, 1, 1, 1, 0)], [(1, 1, 2, 1, 1)]),
+    MockThetaId.BETA: (1, lambda n: 3 * n * n + 3 * n + 1, [], [(1, 1, 3, 1, 1), (1, 2, 3, 1, 1)]),
+    MockThetaId.LAMBDA: (-1, lambda n: n, [(1, 1, 2, 1, 0)], [(-1, 1, 1, 1, 0)]),
+    MockThetaId.V: (1, lambda n: (n + 1) ** 2, [(-1, 1, 2, 1, 0)], [(1, 1, 2, 1, 1)]),
+    MockThetaId.NU: (1, lambda n: n + 1, [(-1, 1, 1, 2, 1)], [(1, 1, 2, 1, 1)]),
+    MockThetaId.PHI6: (-1, lambda n: n * n, [(1, 1, 2, 1, 0)], [(-1, 1, 1, 2, 0)]),
+    MockThetaId.PSI6: (-1, lambda n: (n + 1) ** 2, [(1, 1, 2, 1, 0)], [(-1, 1, 1, 2, 1)]),
+}
+
+
+def valuation_schedule(mock_id: MockThetaId | str, n: int) -> int:
     """Exact q-valuation of term n; strictly increasing in n for every id."""
+    if isinstance(mock_id, str):
+        mock_id = MockThetaId.from_name(mock_id)
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    if mock_id is MockThetaId.MU:
-        return n * n
-    if mock_id is MockThetaId.SIGMA:
-        return (n + 1) * (n + 2) // 2
-    if mock_id is MockThetaId.BETA:
-        return 3 * n * n + 3 * n + 1
-    if mock_id is MockThetaId.LAMBDA:
-        return n
-    if mock_id is MockThetaId.V:
-        return (n + 1) * (n + 1)
-    if mock_id is MockThetaId.NU:
-        return n + 1
-    if mock_id is MockThetaId.PHI6:
-        return n * n
-    return (n + 1) * (n + 1)  # PSI6
-
-
-_ALTERNATING = {MockThetaId.MU, MockThetaId.LAMBDA, MockThetaId.PHI6, MockThetaId.PSI6}
+    return _TERMS[mock_id][1](n)
 
 
 def _step_factors(
@@ -92,40 +96,18 @@ def _step_factors(
 
     Returns ``(numerator, denominator)``; each entry ``(e, c)`` stands for the
     factor ``(1 + c q^e)``, multiplied in for the numerator and divided out
-    for the denominator.
+    for the denominator: what each product of the row gains as its length
+    grows from k(n-1)+j (0 at n = 0) to kn+j, factor i of (s q^a; q^d)_m
+    being (1 - s q^(a + d i)).
     """
-    if mock_id is MockThetaId.MU:
-        # (q;q^2)_n / (-q^2;q^2)_n^2
-        if n == 0:
-            return [], []
-        return [(2 * n - 1, -1)], [(2 * n, 1), (2 * n, 1)]
-    if mock_id is MockThetaId.SIGMA:
-        # (-q;q)_n / (q;q^2)_{n+1}
-        return ([] if n == 0 else [(n, 1)]), [(2 * n + 1, -1)]
-    if mock_id is MockThetaId.BETA:
-        # 1 / ((q;q^3)_{n+1} (q^2;q^3)_{n+1})
-        return [], [(3 * n + 1, -1), (3 * n + 2, -1)]
-    if mock_id is MockThetaId.LAMBDA:
-        # (q;q^2)_n / (-q;q)_n
-        if n == 0:
-            return [], []
-        return [(2 * n - 1, -1)], [(n, 1)]
-    if mock_id is MockThetaId.V:
-        # (-q;q^2)_n / (q;q^2)_{n+1}
-        return ([] if n == 0 else [(2 * n - 1, 1)]), [(2 * n + 1, -1)]
-    if mock_id is MockThetaId.NU:
-        # (-q;q)_{2n+1} / (q;q^2)_{n+1}
-        nums = [(1, 1)] if n == 0 else [(2 * n, 1), (2 * n + 1, 1)]
-        return nums, [(2 * n + 1, -1)]
-    if mock_id is MockThetaId.PHI6:
-        # (q;q^2)_n / (-q;q)_{2n}
-        if n == 0:
-            return [], []
-        return [(2 * n - 1, -1)], [(2 * n - 1, 1), (2 * n, 1)]
-    # PSI6: (q;q^2)_n / (-q;q)_{2n+1}
-    if n == 0:
-        return [], [(1, 1)]
-    return [(2 * n - 1, -1)], [(2 * n, 1), (2 * n + 1, 1)]
+    return tuple(
+        [
+            (a + d * i, -s)
+            for s, a, d, k, j in prods
+            for i in range(k * (n - 1) + j if n else 0, k * n + j)
+        ]
+        for prods in _TERMS[mock_id][2:]  # numerators, denominators
+    )
 
 
 def _compute(mock_id: MockThetaId, order: int) -> TruncatedSeries:
@@ -193,13 +175,13 @@ def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
         vals.append(val)
     if not vals:  # the first term starts at or above the order
         return TruncatedSeries(0, [0] * order, order)
-    alternating = mock_id in _ALTERNATING
+    base = _TERMS[mock_id][0]
     start = vals[-1]
     acc = [0] * (order - start)
     for n in reversed(range(len(vals))):
         acc[0:0] = [0] * (start - vals[n])
         start = vals[n]
-        sign = -1 if alternating and n % 2 else 1
+        sign = base**n
         acc[0] = sign
         nums, dens = _step_factors(mock_id, n)
         for e, c in nums:
@@ -228,13 +210,6 @@ def mock_series(mock_id: MockThetaId | str, order: int) -> TruncatedSeries:
         return cached.truncate(order)
     _cache[mock_id] = _compute(mock_id, order)  # deeper than anything cached
     return _cache[mock_id]
-
-
-def mock_coefficient(mock_id: MockThetaId | str, n: int) -> int:
-    """Single coefficient; negative indices are zero by convention."""
-    if n < 0:
-        return 0
-    return mock_series(mock_id, n + 1).coefficient(n)
 
 
 # -- reference route -------------------------------------------------------

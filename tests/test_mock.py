@@ -9,13 +9,12 @@ from qseries import mock as mock_mod
 from qseries.mock import (
     MockThetaId,
     _incremental,
-    mock_coefficient,
     mock_series,
     mock_series_reference,
     valuation_schedule,
 )
 from qseries.products import eta_quotient, pochhammer, PochhammerSpec
-from qseries.series import TruncatedSeries
+from qseries.series import TruncatedSeries, div_binomial, mul_binomial
 
 # frozen from the reference (from-scratch Pochhammer) route
 HEADS = {
@@ -115,6 +114,33 @@ class TestValuationSchedule:
         with pytest.raises(ValueError):
             valuation_schedule(MockThetaId.MU, -1)
 
+    @pytest.mark.parametrize("mock_id", list(MockThetaId))
+    def test_name_and_id_agree(self, mock_id):
+        for n in range(50):
+            assert valuation_schedule(mock_id.value, n) == valuation_schedule(mock_id, n)
+
+    def test_name_lookup(self):
+        assert valuation_schedule("mu", 3) == 9
+        with pytest.raises(KeyError):
+            valuation_schedule("omega", 3)
+
+
+@pytest.mark.parametrize("mock_id", list(MockThetaId))
+def test_step_factors_rebuild_each_reference_term(mock_id):
+    # the table's factors, applied from term 0 up, give each term of the sum
+    order = 200
+    sign = mock_mod._TERMS[mock_id][0]
+    quotient = [1] + [0] * (order - 1)
+    for n in range(12):
+        nums, dens = mock_mod._step_factors(mock_id, n)
+        for e, c in nums:
+            mul_binomial(quotient, e, c)
+        for e, c in dens:
+            div_binomial(quotient, e, c)
+        val = valuation_schedule(mock_id, n)
+        term = TruncatedSeries(0, ([0] * val + quotient)[:order], order)
+        assert term.scale(sign**n) == mock_mod.mock_term_reference(mock_id, n, order), n
+
 
 class TestAccessors:
     def test_name_lookup(self):
@@ -123,8 +149,7 @@ class TestAccessors:
             MockThetaId.from_name("omega")
 
     def test_coefficient_convention(self):
-        assert mock_coefficient("v", -3) == 0
-        assert mock_coefficient("v", 5) == 3
+        assert mock_series("v", 6).coefficient(5) == 3
 
     def test_cache_grows_consistently(self):
         # requests in any order must agree; the memo only ever grows
