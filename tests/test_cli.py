@@ -227,6 +227,18 @@ class TestVerify:
         [
             ("l(", "expected an integer at offset 2"),
             ("l(1)^2*" + "1" * 5000, "integer of 5000 digits is too long at offset 7"),
+            # one single-fault input per call atom
+            ("l(0)", "expected a positive integer at offset 2"),
+            ("mock(omega)", "unknown mock theta function 'omega' at offset 0"),
+            ("f(q^0,q^0)", "f(c, d) with a + b = 0 does not converge at offset 0"),
+            ("phi(q^0)", "expected a positive power of q at offset 4"),
+            ("psi(q^334)", "exponent 1002 is beyond the limit 1000 at offset 4"),
+            ("poch(q^0,2)", "(1; q^step)_inf is the zero product at offset 0"),
+            ("stream(cubes,1)", "unknown stream kind 'cubes' at offset 0"),
+            ("ruleset(1)", "expected a name at offset 8"),
+            ("AP(l(1),2,2)", "residue 2 out of range for modulus 2 at offset 10"),
+            ("SUB(l(1),0)", "expected a positive integer at offset 9"),
+            ("ALT(l(1)", "expected ')' at offset 8"),
         ],
     )
     def test_claim_file_expression_error_names_its_field(self, capsys, tmp_path, lhs, message):
