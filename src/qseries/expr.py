@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from . import mock as mock_mod
 from . import partitions, products
@@ -222,7 +222,7 @@ class _Parser:
             raise ParseError("expected a positive integer", pos)
         return n
 
-    def expect_exponent(self, signed: bool) -> int:
+    def expect_exponent(self, signed: bool = False) -> int:
         kind, val, pos = self.peek()
         neg = False
         if signed and kind == "sym" and val == "-":
@@ -238,6 +238,18 @@ class _Parser:
         if kind != "name":
             raise ParseError("expected a name", pos)
         return val
+
+    def arguments(self, *readers: Callable[[], Any]) -> tuple[list[Any], list[int]]:
+        """Read ``(arg, ..., arg)``, one per reader; return the values and where each starts."""
+        self.expect_sym("(")
+        values, starts = [], []
+        for i, read in enumerate(readers):
+            if i:
+                self.expect_sym(",")
+            starts.append(self.peek()[2])
+            values.append(read())
+        self.expect_sym(")")
+        return values, starts
 
     def grow(self, node: Expr, pos: int, *children: Expr) -> Expr:
         """Record the depth of a new compound node; reject trees past MAX_DEPTH."""
@@ -337,87 +349,54 @@ class _Parser:
                 k = self.expect_exponent(signed=True)
             return Mono(k)
         if val == "l":
-            self.expect_sym("(")
-            k = self.expect_positive()
-            self.expect_sym(")")
+            (k,), _ = self.arguments(self.expect_positive)
             return Eta(k)
         if val == "mock":
-            self.expect_sym("(")
-            name = self.expect_name()
-            self.expect_sym(")")
+            (name,), _ = self.arguments(self.expect_name)
             if name not in _MOCK_NAMES:
                 raise UnknownSymbolError(f"unknown mock theta function {name!r}", pos)
             return Mock(name)
         if val == "f":
-            self.expect_sym("(")
-            s1, a = self.signed_q_power()
-            self.expect_sym(",")
-            s2, b = self.signed_q_power()
+            ((s1, a), (s2, b)), _ = self.arguments(self.signed_q_power, self.signed_q_power)
             if a == b == 0:
                 raise ParseError("f(c, d) with a + b = 0 does not converge", pos)
-            self.expect_sym(")")
             return Theta(s1, a, s2, b)
         if val in ("phi", "psi"):
-            self.expect_sym("(")
-            arg_pos = self.peek()[2]
-            sign, k = self.signed_q_power()
+            ((sign, k),), (at,) = self.arguments(self.signed_q_power)
             if k < 1:
-                raise ParseError("expected a positive power of q", arg_pos)
+                raise ParseError("expected a positive power of q", at)
             # phi(c) = f(c, c) and psi(c) = f(c, c^3), whose c^3 must print and parse back
             b = k if val == "phi" else 3 * k
             if b > MAX_EXPONENT:
-                raise ParseError(f"exponent {b} is beyond the limit {MAX_EXPONENT}", arg_pos)
-            self.expect_sym(")")
+                raise ParseError(f"exponent {b} is beyond the limit {MAX_EXPONENT}", at)
             return Theta(sign, k, sign, b)
         if val == "poch":
-            self.expect_sym("(")
-            sign, a = self.signed_q_power()
-            self.expect_sym(",")
-            step = self.expect_positive()
+            ((sign, a), step), _ = self.arguments(self.signed_q_power, self.expect_positive)
             if sign == 1 and a == 0:
                 raise ParseError("(1; q^step)_inf is the zero product", pos)
-            self.expect_sym(")")
             return PochhammerSpec(sign, a, step)
         if val == "stream":
-            self.expect_sym("(")
-            k = self.expect_name()
+            (k, scale), _ = self.arguments(self.expect_name, self.expect_positive)
             if k not in _STREAM_KINDS:
                 raise UnknownSymbolError(f"unknown stream kind {k!r}", pos)
-            self.expect_sym(",")
-            scale = self.expect_positive()
-            self.expect_sym(")")
             return Stream(k, scale)
         if val == "ruleset":
-            self.expect_sym("(")
-            name = self.expect_name()
-            self.expect_sym(")")
+            (name,), _ = self.arguments(self.expect_name)
             return RulesetRef(name)
         if val == "AP":
-            self.expect_sym("(")
-            child = self.expr()
-            self.expect_sym(",")
-            m = self.expect_positive()
-            self.expect_sym(",")
-            r_pos = self.peek()[2]
-            r = self.expect_int()
+            (child, m, r), (_, _, at) = self.arguments(
+                self.expr, self.expect_positive, self.expect_int
+            )
             if r >= m:
-                raise ParseError(f"residue {r} out of range for modulus {m}", r_pos)
-            self.expect_sym(")")
+                raise ParseError(f"residue {r} out of range for modulus {m}", at)
             return self.grow(Ap(child, m, r), pos, child)
         if val == "SUB":
-            self.expect_sym("(")
-            child = self.expr()
-            self.expect_sym(",")
-            k_pos = self.peek()[2]
-            k = self.expect_exponent(signed=False)
+            (child, k), (_, at) = self.arguments(self.expr, self.expect_exponent)
             if k < 1:
-                raise ParseError("expected a positive integer", k_pos)
-            self.expect_sym(")")
+                raise ParseError("expected a positive integer", at)
             return self.grow(Subst(child, k), pos, child)
         if val == "ALT":
-            self.expect_sym("(")
-            child = self.expr()
-            self.expect_sym(")")
+            (child,), _ = self.arguments(self.expr)
             return self.grow(Alt(child), pos, child)
         raise UnknownSymbolError(f"unknown symbol {val!r}", pos)
 

@@ -32,8 +32,8 @@ factors are all read from that row.
 
 A third, slow reference route rebuilds every term from scratch out of
 finite Pochhammer products.  It keeps its own copy of each definition on
-purpose, so a wrong ``_TERMS`` row shows up as a disagreement: it shares no
-code with either fast route but the valuation schedule.
+purpose, its power of q included, so a wrong ``_TERMS`` row shows up as a
+disagreement: it shares no code with either fast route.
 
 Series are zero-valuation power series in q; argument twists such as
 ``sigma(-q)`` or ``mu(-q^2)`` are exponent-indexed sign/stretch transforms
@@ -223,6 +223,20 @@ def _finite(sign: int, base: int, step: int, length: int, order: int) -> Truncat
     return acc
 
 
+# The power of q that term n carries, restated from the paper's definitions
+# so that the reference checks ``_TERMS``'s valuations as well.
+_REFERENCE_POWER = {
+    MockThetaId.MU: lambda n: n * n,
+    MockThetaId.SIGMA: lambda n: (n + 1) * (n + 2) // 2,
+    MockThetaId.BETA: lambda n: 3 * n * n + 3 * n + 1,
+    MockThetaId.LAMBDA: lambda n: n,
+    MockThetaId.V: lambda n: (n + 1) ** 2,
+    MockThetaId.NU: lambda n: n + 1,
+    MockThetaId.PHI6: lambda n: n * n,
+    MockThetaId.PSI6: lambda n: (n + 1) ** 2,
+}
+
+
 def mock_term_reference(mock_id: MockThetaId, n: int, order: int) -> TruncatedSeries:
     """Term n built from scratch with non-incremental Pochhammer products."""
     one = TruncatedSeries.one(order)
@@ -252,9 +266,8 @@ def mock_term_reference(mock_id: MockThetaId, n: int, order: int) -> TruncatedSe
     else:
         t = _finite(1, 1, 2, n, order) / _finite(-1, 1, 1, 2 * n + 1, order)
         sign = -1 if n % 2 else 1
-    t = t.truncate(order - valuation_schedule(mock_id, n)).shift(
-        valuation_schedule(mock_id, n)
-    )
+    power = _REFERENCE_POWER[mock_id](n)
+    t = t.truncate(order - power).shift(power)
     return t if sign == 1 else -t
 
 
@@ -264,7 +277,7 @@ def mock_series_reference(mock_id: MockThetaId | str, order: int) -> TruncatedSe
         mock_id = MockThetaId.from_name(mock_id)
     acc = TruncatedSeries(0, [0] * order, order)
     n = 0
-    while valuation_schedule(mock_id, n) < order:
+    while _REFERENCE_POWER[mock_id](n) < order:
         acc = acc + mock_term_reference(mock_id, n, order)
         n += 1
     return acc

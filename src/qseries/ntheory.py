@@ -19,17 +19,40 @@ class PreconditionError(ValueError):
     """
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; every prime in scope is tiny."""
+    """Deterministic Miller-Rabin test.
+
+    Raises :class:`PreconditionError` for n at or above ``_PROVEN_BELOW``,
+    where these bases no longer decide primality.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _PROVEN_BELOW:
+        raise PreconditionError(
+            f"primality of {n} is undecided: the test is proven only below {_PROVEN_BELOW}"
+        )
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,5 +1,7 @@
 """Legendre symbol, primality, and congruence-family index generation."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,37 @@ class TestPrimality:
         assert not is_prime(1)
         assert not is_prime(0)
         assert not is_prime(-7)
+
+    def test_agrees_with_a_sieve(self):
+        limit = 20_000
+        sieve = [False, False] + [True] * (limit - 2)
+        for f in range(2, int(limit**0.5) + 1):
+            if sieve[f]:
+                sieve[f * f :: f] = [False] * len(range(f * f, limit, f))
+        assert [is_prime(n) for n in range(limit)] == sieve
+
+    @pytest.mark.parametrize(
+        # strong pseudoprimes to the first 4, 11 and 12 prime bases
+        "n", [3215031751, 3825123056546413051, 318665857834031151167461],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_mersenne_primes(self):
+        assert is_prime(2**31 - 1)
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1)
+        assert time.perf_counter() - start < 0.01
+
+    # a strong pseudoprime to all 13 bases, and a prime past the proven bound
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
+    def test_past_the_proven_bound_is_refused(self, n):
+        with pytest.raises(PreconditionError, match=f"{n} is undecided.*3317044064679887385961981"):
+            is_prime(n)
+
+    def test_family_with_an_undecided_prime_is_refused(self):
+        with pytest.raises(PreconditionError, match="undecided"):
+            family_indices("thm3.3ii", 2**89 - 1, 0)
 
 
 class TestLegendre:
