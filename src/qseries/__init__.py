@@ -13,7 +13,7 @@ from .claims import (
 )
 from .expr import eval_expr, parse_expr, to_text
 from .mock import MockThetaId, mock_series, valuation_schedule
-from .ntheory import FamilyIndex, family_indices, legendre, qualifying_primes
+from .ntheory import FamilyIndex, family_indices, legendre
 from .partitions import (
     PartitionRuleSet,
     ResidueRule,
@@ -58,7 +58,6 @@ __all__ = [
     "parse_claim_file",
     "parse_expr",
     "pochhammer",
-    "qualifying_primes",
     "registry",
     "registry_by_id",
     "theta_f",

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions
-from .expr import Expr, ParseError, eval_expr, leaf_demands, parse_expr, to_text
+from .expr import Expr, ParseError, eval_expr, leaf_demands, parse_expr
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
 
 
@@ -529,5 +529,5 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 __all__ = [
     "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
-    "tally", "to_text", "within_cap",
+    "tally", "within_cap",
 ]

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 (including a claim whose evaluation raised, reported with status ``error``,
-and a command whose deepest expansion is beyond ``claims.MAX_ORDER``).
+a command whose deepest expansion is beyond ``claims.MAX_ORDER``, and output
+with a coefficient past the interpreter's limit on digits in an integer's text).
 ``coeff``, ``series`` and ``verify`` pass the ``(series, order)`` reads they
 will expand to ``claims.within_cap`` before any work.
 """
@@ -82,6 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _too_many_digits() -> int:
+    """Report output that holds an integer too long to print; converting one
+    to text is the only ValueError that rendering a report or series raises."""
+    limit = sys.get_int_max_str_digits()
+    print(f"error: a coefficient has more than {limit} digits, "
+          "the limit for printing an integer", file=sys.stderr)
+    return 2
+
+
 def _cmd_coeff(args) -> int:
     top = max(args.indices)
     try:
@@ -110,7 +120,11 @@ def _cmd_series(args) -> int:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
-    print(format_series(series))
+    try:
+        text = format_series(series)
+    except ValueError:
+        return _too_many_digits()
+    print(text)
     return 0
 
 
@@ -149,21 +163,30 @@ def _cmd_verify(args) -> int:
     ]
     reports.sort(key=lambda r: r.claim_id)  # stable output contract: ordered by claim id
     summary, code = claims_mod.tally(reports)
-    if args.format == "json":
-        print(claims_mod.reports_to_json(reports))
-    elif args.format == "csv":
-        print(claims_mod.reports_to_csv(reports), end="")
-    else:
-        for r in reports:
-            line = f"{r.claim_id:24s} {r.status:7s} order={r.order:<6d} {r.elapsed_ms}ms"
-            if r.first_failure is not None:
-                f = r.first_failure
-                line += f"  first n={f['n']} lhs={f['lhs']} rhs={f['rhs']}"
-            if r.message:
-                line += f"  [{r.message}]"
-            print(line)
-        print("-- " + summary)
+    try:
+        text = _render_reports(reports, args.format, summary)
+    except ValueError:
+        return _too_many_digits()
+    print(text, end="")
     return code
+
+
+def _render_reports(reports: list, fmt: str, summary: str) -> str:
+    """The reports in ``fmt`` (text with the summary line, JSON or CSV), ending in a newline."""
+    if fmt == "json":
+        return claims_mod.reports_to_json(reports) + "\n"
+    if fmt == "csv":
+        return claims_mod.reports_to_csv(reports)
+    lines = []
+    for r in reports:
+        line = f"{r.claim_id:24s} {r.status:7s} order={r.order:<6d} {r.elapsed_ms}ms"
+        if r.first_failure is not None:
+            f = r.first_failure
+            line += f"  first n={f['n']} lhs={f['lhs']} rhs={f['rhs']}"
+        if r.message:
+            line += f"  [{r.message}]"
+        lines.append(line + "\n")
+    return "".join(lines) + f"-- {summary}\n"
 
 
 def _cmd_enumerate(args) -> int:

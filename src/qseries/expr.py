@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from . import mock as mock_mod
@@ -268,27 +269,18 @@ class _Parser:
             raise ParseError(f"unexpected trailing {val!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, ops: str = "+-") -> Expr:
+        """A left-associative chain of terms joined by ``+ -``, or of factors
+        joined by ``* /``."""
+        operand = self.factor if ops == "*/" else partial(self.expr, "*/")
+        node = operand()
         while True:
             kind, val, pos = self.peek()
-            if kind == "sym" and val in "+-":
-                self.next()
-                right = self.term()
-                node = self.grow(BinOp(val, node, right), pos, node, right)
-            else:
+            if kind != "sym" or val not in ops:
                 return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "sym" and val in "*/":
-                self.next()
-                right = self.factor()
-                node = self.grow(BinOp(val, node, right), pos, node, right)
-            else:
-                return node
+            self.next()
+            right = operand()
+            node = self.grow(BinOp(val, node, right), pos, node, right)
 
     def factor(self) -> Expr:
         kind, val, pos = self.peek()
@@ -312,12 +304,15 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "name" or val != "q":
             raise ParseError("expected q", pos)
-        k = 1
+        return sign, self.q_exponent(signed=False)
+
+    def q_exponent(self, signed: bool) -> int:
+        """The k of ``q [^k]``, read after the ``q``; 1 when there is no ``^``."""
         kind, val, _ = self.peek()
         if kind == "sym" and val == "^":
             self.next()
-            k = self.expect_exponent(signed=False)
-        return sign, k
+            return self.expect_exponent(signed=signed)
+        return 1
 
     def nested(self, parse: Callable[[], Expr]) -> Expr:
         """``parse()`` one level deeper; each atom and unary minus is a level."""
@@ -342,12 +337,7 @@ class _Parser:
         if kind != "name":
             raise ParseError(f"unexpected {val!r}", pos)
         if val == "q":
-            k = 1
-            nk, nv, _ = self.peek()
-            if nk == "sym" and nv == "^":
-                self.next()
-                k = self.expect_exponent(signed=True)
-            return Mono(k)
+            return Mono(self.q_exponent(signed=True))
         if val == "l":
             (k,), _ = self.arguments(self.expect_positive)
             return Eta(k)

@@ -145,17 +145,3 @@ def family_indices(family: str, p: int, alpha: int) -> list[FamilyIndex]:
     A = spec.c * p ** (2 * alpha + 2)
     step = spec.c * p ** (2 * alpha + 1)
     return [FamilyIndex(A, step * j + offset, spec.modulus) for j in range(1, p)]
-
-
-def qualifying_primes(family: str, bound: int) -> list[int]:
-    """Primes up to ``bound`` satisfying the family's Legendre hypothesis."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown congruence family {family!r}")
-    spec = FAMILIES[family]
-    out = []
-    for p in range(3, bound + 1):
-        if not is_prime(p) or p < spec.min_p:
-            continue
-        if legendre(spec.legendre_w, p) == -1:
-            out.append(p)
-    return out

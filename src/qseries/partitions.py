@@ -29,7 +29,6 @@ class ResidueRule:
     partition by (-1)^(number of parts in this class).
     """
 
-    residue: int
     colors: int = 1
     distinct: bool = False
     signed_by_count: bool = False
@@ -41,19 +40,14 @@ class ResidueRule:
 
 @dataclass(frozen=True)
 class PartitionRuleSet:
-    """One ResidueRule per residue class modulo ``modulus``, in residue order,
-    so that the rule for a part v is ``rules[v % modulus]``."""
+    """One ResidueRule per residue class modulo ``len(rules)``, in residue
+    order, so that the rule for a part v is ``rules[v % len(rules)]``."""
 
-    modulus: int
     rules: tuple[ResidueRule, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if [r.residue for r in self.rules] != list(range(self.modulus)):
-            raise ValueError(
-                f"rules must list every residue class mod {self.modulus} once, in order"
-            )
+        if not self.rules:
+            raise ValueError("a rule set needs a rule for at least one residue class")
 
     @classmethod
     def from_map(
@@ -63,11 +57,7 @@ class PartitionRuleSet:
 
         Unmentioned residues default to one ordinary color.
         """
-        rules = []
-        for r in range(modulus):
-            colors, distinct, signed = entries.get(r, (1, False, False))
-            rules.append(ResidueRule(r, colors, distinct, signed))
-        return cls(modulus, tuple(rules))
+        return cls(tuple(ResidueRule(*entries.get(r, ())) for r in range(modulus)))
 
 
 RULESETS: dict[str, PartitionRuleSet] = {
@@ -129,7 +119,7 @@ def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
     if n < 0:
         return 0
     rules = ruleset.rules
-    m = ruleset.modulus
+    m = len(rules)
 
     def over_colors(value: int, rule: ResidueRule, color: int, rem: int) -> int:
         if color == rule.colors:
@@ -163,7 +153,7 @@ def iter_colored_partitions(
     together with its sign.  Same tree as :func:`count_signed`.
     """
     rules = ruleset.rules
-    m = ruleset.modulus
+    m = len(rules)
 
     def over_colors(value, rule, color, rem, parts, sign):
         if color == rule.colors:
@@ -205,9 +195,10 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     if order <= 0:
         return TruncatedSeries.zero(order)
     rules = ruleset.rules
+    m = len(rules)
     out = [1] + [0] * (order - 1)
     for v in range(1, order):
-        rule = rules[v % ruleset.modulus]
+        rule = rules[v % m]
         c = -1 if rule.signed_by_count else 1
         for _ in range(rule.colors):
             if rule.distinct:

@@ -78,11 +78,11 @@ class TruncatedSeries:
         return cls(0, (1,) + (0,) * (order - 1), order)
 
     @classmethod
-    def monomial(cls, k: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
-        """``coefficient * q^k``, valid below ``order``."""
+    def monomial(cls, k: int, order: int) -> "TruncatedSeries":
+        """``q^k``, valid below ``order``."""
         if order <= k:
             return cls.zero(order)
-        return cls(k, (coefficient,) + (0,) * (order - k - 1), order)
+        return cls(k, (1,) + (0,) * (order - k - 1), order)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int], order: int) -> "TruncatedSeries":
@@ -122,30 +122,18 @@ class TruncatedSeries:
         v = self.valuation
         return [(v + i, c) for i, c in enumerate(self.coeffs) if c]
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.agrees_with(other)[0]
 
-    def __hash__(self) -> int:
-        nz = tuple(self.nonzero_items())
-        return hash((self.order, nz))
-
-    def agrees_with(
-        self, other: "TruncatedSeries", upto: int | None = None
-    ) -> tuple[bool, int | None]:
-        """Compare on the overlap of known ranges, optionally capped at ``upto``.
+    def agrees_with(self, other: "TruncatedSeries") -> tuple[bool, int | None]:
+        """Compare on the overlap of known ranges.
 
         Returns ``(True, None)`` on agreement, else ``(False, e)`` with the
         first disagreeing exponent.
         """
         hi = min(self.order, other.order)
-        if upto is not None:
-            hi = min(hi, upto)
         lo = min(self.valuation, other.valuation)
         for e in range(lo, hi):
             if self.coefficient(e) != other.coefficient(e):
@@ -316,14 +304,6 @@ class TruncatedSeries:
             self.valuation, self.coeffs[: order - self.valuation], order
         )
 
-    def reduce_mod(self, modulus: int) -> "TruncatedSeries":
-        """Reduce coefficients to canonical residues in ``[0, modulus)``."""
-        if modulus < 2:
-            raise SeriesError(f"modulus must be at least 2, got {modulus}")
-        return TruncatedSeries(
-            self.valuation, [c % modulus for c in self.coeffs], self.order
-        )
-
     # -- display --------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -383,12 +363,14 @@ def make(valuation: int, coeffs: Iterable[int], order: int) -> TruncatedSeries:
     return TruncatedSeries(valuation, tuple(coeffs), order)
 
 
-def format_series(
-    s: TruncatedSeries, dense_limit: int = 50, max_terms: int | None = None
-) -> str:
+# the largest order that format_series renders as a polynomial
+DENSE_LIMIT = 50
+
+
+def format_series(s: TruncatedSeries, max_terms: int | None = None) -> str:
     """Render a series for terminal output.
 
-    Up to ``dense_limit`` the rendering is a signed polynomial; past it only
+    Up to order ``DENSE_LIMIT`` the rendering is a signed polynomial; past it only
     sparse ``exponent:coefficient`` pairs are shown (pentagonal-style series
     would otherwise print pages of zeros).
     """
@@ -398,7 +380,7 @@ def format_series(
     tail = f"O(q^{s.order})"
     if not items:
         return f"0 + {tail}"
-    if s.order <= dense_limit:
+    if s.order <= DENSE_LIMIT:
         parts: list[str] = []
         for e, c in items:
             mag = abs(c)

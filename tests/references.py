@@ -8,11 +8,12 @@ l_1 and l_1^3 term by term, independently of the claim language, as the
 reference the registry's lemma2.1-2.3 texts are checked against.  The
 classical partition families are eta quotients, and the ``*_brute``
 counters enumerate the same partitions by plain backtracking.
+``qualifying_primes`` scans for the primes a congruence family admits.
 """
 
 from __future__ import annotations
 
-from qseries.ntheory import DomainError, is_prime
+from qseries.ntheory import FAMILIES, DomainError, is_prime, legendre
 from qseries.products import (
     DivergenceError,
     PochhammerSpec,
@@ -296,3 +297,19 @@ def regular_brute(n: int, k: int = 4) -> int:
         return sum(go(v + 1, rem - c * v) for c in range(rem // v + 1))
 
     return go(1, n)
+
+
+# -- ntheory: the primes a congruence family admits -------------------------
+
+def qualifying_primes(family: str, bound: int) -> list[int]:
+    """Primes up to ``bound`` satisfying the family's Legendre hypothesis."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown congruence family {family!r}")
+    spec = FAMILIES[family]
+    out = []
+    for p in range(3, bound + 1):
+        if not is_prime(p) or p < spec.min_p:
+            continue
+        if legendre(spec.legendre_w, p) == -1:
+            out.append(p)
+    return out

@@ -17,6 +17,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# (2^1000)^15 = 2^15000 has 4516 digits, past the interpreter's default limit
+# of 4300 digits on converting an int to text
+BIG = "(2^1000)^15"
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+past_the_digit_limit = pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT < 4516, reason="2^15000 is within this interpreter's digit limit"
+)
+DIGITS_ERROR = (
+    f"error: a coefficient has more than {_DIGIT_LIMIT} digits, the limit for printing an integer\n"
+)
+
+
 class TestCoeff:
     def test_v_values(self, capsys):
         code, out, _ = run_cli(capsys, "coeff", "v", "1", "3", "5")
@@ -91,6 +103,11 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "q^-2*l(1)", "--order", "3")
         assert code == 0
         assert out.strip() == "q^-2 - q^-1 - 1 + O(q^3)"
+
+    @past_the_digit_limit
+    def test_coefficient_past_the_digit_limit_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "series", BIG, "--order", "2")
+        assert (code, out, err) == (2, "", DIGITS_ERROR)
 
     def test_reciprocal_of_a_mock_stream(self, capsys):
         # v(q) starts at q^1, so 1/v(q) starts at q^-1
@@ -303,6 +320,18 @@ class TestVerify:
         assert code == 2
         (report,) = json.loads(out)
         assert report["status"] == "error" and report["first_failure"] is None
+
+    @past_the_digit_limit
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_coefficient_past_the_digit_limit(self, capsys, tmp_path, fmt):
+        path = tmp_path / "user.claims"
+        path.write_text(f"[claim]\nid=big\ntype=identity\nlhs={BIG}\nrhs=0\norder=1\n")
+        code, out, err = run_cli(capsys, "verify", "big", "--claims", str(path), "--format", fmt)
+        if fmt == "csv":  # prints no coefficient, so the failure is reported
+            assert (code, err) == (1, "")
+            assert out.splitlines()[1].startswith("big,fail,1,0,")
+        else:
+            assert (code, out, err) == (2, "", DIGITS_ERROR)
 
     def test_deep_claim_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"

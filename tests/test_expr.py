@@ -208,7 +208,7 @@ class TestEval:
     def test_sub_matches_eta(self):
         a = eval_expr(parse_expr("SUB(l(1),2)"), 40)
         b = eval_expr(parse_expr("l(2)"), 40)
-        agree, diff = a.agrees_with(b, upto=40)
+        agree, diff = a.truncate(40).agrees_with(b)
         assert agree, diff
 
     def test_beta_quotient_constant(self):
@@ -318,7 +318,7 @@ class TestDemandPlan:
     def test_zero_below_valuation_needs_no_leaves(self):
         node = parse_expr("q^40*mock(beta)")
         assert leaf_demands(node, 30) == {}
-        assert eval_expr(node, 30).is_zero
+        assert eval_expr(node, 30) == TruncatedSeries.zero(30)
 
     @pytest.mark.parametrize(
         "text, order",

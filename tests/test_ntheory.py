@@ -12,8 +12,8 @@ from qseries.ntheory import (
     family_indices,
     is_prime,
     legendre,
-    qualifying_primes,
 )
+from references import qualifying_primes
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

@@ -32,23 +32,20 @@ P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 class TestRuleSetConstruction:
-    def test_coverage_enforced(self):
+    def test_empty_rule_tuple_rejected(self):
         with pytest.raises(ValueError):
-            PartitionRuleSet(3, (ResidueRule(0), ResidueRule(1)))
+            PartitionRuleSet(())
         with pytest.raises(ValueError):
-            PartitionRuleSet(2, (ResidueRule(0), ResidueRule(0)))
-        # callers read the rule for a part v as rules[v % modulus]
-        with pytest.raises(ValueError, match="in order"):
-            PartitionRuleSet(2, (ResidueRule(1), ResidueRule(0)))
+            PartitionRuleSet.from_map(0, {})
 
     def test_from_map_defaults(self):
         rs = PartitionRuleSet.from_map(3, {0: (2, True, False)})
-        assert rs.rules[3 % 3] == ResidueRule(0, 2, True)
-        assert rs.rules[1] == ResidueRule(1)
+        # callers read the rule for a part v as rules[v % len(rules)]
+        assert rs.rules == (ResidueRule(2, True), ResidueRule(), ResidueRule())
 
     def test_negative_colors_rejected(self):
         with pytest.raises(ValueError):
-            ResidueRule(0, colors=-1)
+            ResidueRule(colors=-1)
 
 
 class TestCountSigned:

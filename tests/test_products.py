@@ -323,4 +323,4 @@ class TestBinomialCongruences:
         # l_1^2 is not congruent to l_3 mod 3
         lhs = eta(1, 50) ** 2
         rhs = eta(3, 50)
-        assert not (lhs - rhs).reduce_mod(3).is_zero
+        assert any(c % 3 for c in (lhs - rhs).coeffs)

@@ -73,7 +73,7 @@ class TestMake:
 
     def test_empty(self):
         s = make(0, [], 0)
-        assert s.is_zero
+        assert s == TruncatedSeries.zero(0)
         assert s.coefficient(-5) == 0
         with pytest.raises(UnknownCoefficientError):
             s.coefficient(0)
@@ -270,27 +270,6 @@ class TestSubstitute:
     def test_rejects_nonpositive(self):
         with pytest.raises(SeriesError):
             make(0, [1], 1).substitute(0)
-
-
-class TestReduceMod:
-    def test_canonical_residues(self):
-        s = make(0, [3, -4], 2)
-        assert s.reduce_mod(3).coefficients() == [0, 2]
-
-    def test_idempotent(self):
-        s = make(0, [17, -9, 4], 3)
-        once = s.reduce_mod(2)
-        assert once.reduce_mod(2) == once
-
-    def test_ramanujan_mod5_prefix(self):
-        order = 250
-        p = p_by_recurrence(order)
-        fives = make(0, [p[5 * n + 4] for n in range(40)], 40)
-        assert fives.reduce_mod(5).is_zero
-
-    def test_small_modulus_rejected(self):
-        with pytest.raises(SeriesError):
-            make(0, [1], 1).reduce_mod(1)
 
 
 class TestFormatting:
