@@ -74,9 +74,9 @@ class TestCountSigned:
         assert [count_signed(RULESETS["unrestricted"], n) for n in range(9)] == P_FIRST[:9]
 
     def test_iterator_consistent(self):
-        for name in ("thm3.2", "thm4.2", "thm5.2", "thm6.1"):
-            rs = RULESETS[name]
-            for n in range(10):
+        signed_unrestricted = PartitionRuleSet.from_map(1, {0: (1, False, True)})
+        for rs in [*RULESETS.values(), signed_unrestricted]:
+            for n in range(14):
                 total = sum(sign for _, sign in iter_colored_partitions(rs, n))
                 assert total == count_signed(rs, n)
 
