@@ -18,6 +18,7 @@ will expand to ``claims.within_cap`` before any work.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import claims as claims_mod
@@ -240,7 +241,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command not in handlers:
         parser.print_usage(sys.stderr)
         return 2
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point it at devnull so the
+        # flush at exit cannot raise again, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

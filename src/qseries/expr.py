@@ -581,7 +581,10 @@ def _fold(node: Expr) -> Expr:
 
     The shift and the scale stay ``*`` nodes, which ``_child_orders`` applies
     exactly; the leaf carries only the exponents.  A product with a ``poch``
-    power above ``_MAX_FOLDED_POCH_POWER`` is not folded.
+    power above ``_MAX_FOLDED_POCH_POWER`` is not folded, nor one whose
+    nested powers multiply an exponent past ``MAX_EXPONENT``: folded, an
+    ``l(k)^e`` costs |e| sparse products, and apart ``^`` squares and
+    multiplies.
     """
     if not isinstance(node, (BinOp, Pow, Neg)) or (
         isinstance(node, BinOp) and node.op in "+-"
@@ -593,7 +596,9 @@ def _fold(node: Expr) -> Expr:
     scale, shift, exps = factors
     exps = {k: e for k, e in exps.items() if e}
     pochs = {f: e for f, e in exps.items() if isinstance(f, PochhammerSpec)}
-    if any(abs(e) > _MAX_FOLDED_POCH_POWER for e in pochs.values()):
+    if any(abs(e) > MAX_EXPONENT for e in exps.values()) or any(
+        abs(e) > _MAX_FOLDED_POCH_POWER for e in pochs.values()
+    ):
         return node
     if not exps:
         folded: Expr = Lit(scale)

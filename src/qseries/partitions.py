@@ -109,79 +109,74 @@ RULESETS: dict[str, PartitionRuleSet] = {
 }
 
 
+def _part_kinds(
+    ruleset: PartitionRuleSet, n: int
+) -> tuple[list[tuple[int, int, ResidueRule]], list[int]]:
+    """The parts a colored partition of n can use, as (value, color, rule) by
+    value and then color, and ``ends``: ``ends[r]`` of them have value <= r."""
+    rules = ruleset.rules
+    kinds: list[tuple[int, int, ResidueRule]] = []
+    ends = [0]
+    for value in range(1, n + 1):
+        rule = rules[value % len(rules)]
+        kinds += [(value, color, rule) for color in range(rule.colors)]
+        ends.append(len(kinds))
+    return kinds, ends
+
+
 def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
     """Signed count of colored partitions of n, by exhaustive backtracking.
 
-    Enumerates every admissible colored multiset of parts exactly once (as a
-    vector of per-color multiplicities for each part value) and sums the
-    signs.  Intended for n up to about 30.
+    Each level picks the next (value, color) part the partition uses, from
+    those after the previous level's and largest first, and its multiplicity
+    k >= 1, which leaves ``rem - k * value`` to the parts after it.  Every
+    admissible colored multiset of parts is visited exactly once and its sign
+    summed; the depth is the number of distinct parts.  Intended for n up to
+    about 30.
     """
     if n < 0:
         return 0
-    rules = ruleset.rules
-    m = len(rules)
+    kinds, ends = _part_kinds(ruleset, n)
 
-    def over_colors(value: int, rule: ResidueRule, color: int, rem: int) -> int:
-        if color == rule.colors:
-            return descend(value + 1, rem)
-        total = 0
-        top = 1 if rule.distinct else rem // value
-        for k in range(top + 1):
-            sub = over_colors(value, rule, color + 1, rem - k * value)
-            if rule.signed_by_count and k % 2:
-                sub = -sub
-            total += sub
-        return total
-
-    def descend(value: int, rem: int) -> int:
+    def after(first: int, rem: int) -> int:
         if rem == 0:
             return 1
-        if value > rem:
-            return 0
-        rule = rules[value % m]
-        if rule.colors == 0:
-            return descend(value + 1, rem)
-        return over_colors(value, rule, 0, rem)
+        total = 0
+        for i in range(ends[rem] - 1, first - 1, -1):
+            value, _, rule = kinds[i]
+            top = 1 if rule.distinct else rem // value
+            for k in range(1, top + 1):
+                sub = after(i + 1, rem - k * value)
+                total += -sub if rule.signed_by_count and k % 2 else sub
+        return total
 
-    return descend(1, n)
+    return after(0, n)
 
 
 def iter_colored_partitions(
     ruleset: PartitionRuleSet, n: int
 ) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
     """Yield each colored partition of n as ((value, color, multiplicity), ...)
-    together with its sign.  Same tree as :func:`count_signed`.
+    together with its sign.  Same walk as :func:`count_signed`: the parts of
+    a partition come in increasing (value, color) order, and the partitions
+    in increasing order of their multiplicities read from part (1, 0) up.
     """
-    rules = ruleset.rules
-    m = len(rules)
+    if n < 0:
+        return
+    kinds, ends = _part_kinds(ruleset, n)
 
-    def over_colors(value, rule, color, rem, parts, sign):
-        if color == rule.colors:
-            yield from descend(value + 1, rem, parts, sign)
-            return
-        top = 1 if rule.distinct else rem // value
-        for k in range(top + 1):
-            s = sign
-            if rule.signed_by_count and k % 2:
-                s = -s
-            nxt = parts + ((value, color, k),) if k else parts
-            yield from over_colors(value, rule, color + 1, rem - k * value, nxt, s)
-
-    def descend(value, rem, parts, sign):
+    def after(first, rem, parts, sign):
         if rem == 0:
             yield parts, sign
             return
-        if value > rem:
-            return
-        rule = rules[value % m]
-        if rule.colors == 0:
-            yield from descend(value + 1, rem, parts, sign)
-            return
-        yield from over_colors(value, rule, 0, rem, parts, sign)
+        for i in range(ends[rem] - 1, first - 1, -1):
+            value, color, rule = kinds[i]
+            top = 1 if rule.distinct else rem // value
+            for k in range(1, top + 1):
+                s = -sign if rule.signed_by_count and k % 2 else sign
+                yield from after(i + 1, rem - k * value, parts + ((value, color, k),), s)
 
-    if n < 0:
-        return
-    yield from descend(1, n, (), 1)
+    yield from after(0, n, (), 1)
 
 
 def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:

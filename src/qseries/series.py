@@ -307,7 +307,23 @@ class TruncatedSeries:
     # -- display --------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"<TruncatedSeries {format_series(self, max_terms=6)}>"
+        try:
+            return f"<TruncatedSeries {format_series(self, max_terms=6)}>"
+        except ValueError:  # a coefficient past the limit on digits in an int's text
+            terms = " ".join(f"{e}:{_text_or_digits(c)}" for e, c in self.nonzero_items()[:6])
+            return f"<TruncatedSeries {terms} (O(q^{self.order}))>"
+
+
+def _text_or_digits(c: int) -> str:
+    """``str(c)``, or the sign and number of digits of an int too long for text."""
+    try:
+        return str(c)
+    except ValueError:
+        m = abs(c)
+        digits = int((m.bit_length() - 1) * 0.30102) + 1  # 0.30102 < log10(2): never too many
+        while 10**digits <= m:
+            digits += 1
+        return f"{'-' if c < 0 else ''}({digits} digits)"
 
 
 def _plus(ys: Iterable[int], c: int, xs: Iterable[int]) -> Iterable[int]:

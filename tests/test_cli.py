@@ -2,6 +2,7 @@
 
 import json
 import re
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,26 @@ class TestEnumerate:
     def test_unknown_ruleset(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "bogus", "3")
         assert code == 2
+
+    def test_closed_pipe_is_quiet(self, tmp_path):
+        # stderr goes to a file: a long traceback would fill a pipe nobody reads
+        with open(tmp_path / "err.txt", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qseries", "enumerate", "thm6.1", "400", "--list"],
+                stdout=subprocess.PIPE, stderr=err, text=True,
+            )
+            try:
+                # a walk that finds no partition must fail the test, not hang it
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                first = proc.stdout.readline() if ready else ""
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert "Traceback" not in err.read()
+        assert first == "+ 199c 201a\n"
+        assert code == 1
 
 
 class TestList:

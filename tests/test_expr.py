@@ -535,3 +535,9 @@ class TestPochhammerFold:
         assert _fold(node) is node
         assert isinstance(_fold(parse_expr("poch(-q,1)^3*l(1)")), products.EtaQuotientSpec)
         assert eval_expr(node, 60) == unfolded(node, 60)
+
+    def test_exponent_past_what_a_power_can_write_stays_unfolded(self):
+        # folded, l(1)^(10^9) would cost 10^9 sparse products
+        assert not isinstance(_fold(parse_expr("(l(1)^1000)^2")), products.EtaQuotientSpec)
+        series = eval_expr(parse_expr("((l(1)^1000)^1000)^1000"), 3)
+        assert series.coefficients() == [1, -10**9, 499999998500000000]

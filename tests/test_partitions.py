@@ -80,6 +80,11 @@ class TestCountSigned:
                 total = sum(sign for _, sign in iter_colored_partitions(rs, n))
                 assert total == count_signed(rs, n)
 
+    def test_iterator_depth_is_not_n(self):
+        # the walk recurses once per distinct part, so n = 400 is no RecursionError
+        parts, sign = next(iter_colored_partitions(RULESETS["thm6.1"], 400))
+        assert sum(value * mult for value, _, mult in parts) == 400
+
     def test_iterator_materialises_colors(self):
         rs = RULESETS["thm3.2"]
         seen = set(parts for parts, _ in iter_colored_partitions(rs, 2))

@@ -1,5 +1,7 @@
 """Core truncated-series arithmetic: construction, ring laws, exponent surgery."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,6 +291,16 @@ class TestFormatting:
         from qseries.series import format_series
 
         assert format_series(TruncatedSeries.zero(5)) == "0 + O(q^5)"
+
+    def test_repr_is_text_for_every_series(self):
+        # 2^15000 has 4516 digits, past the interpreter's default limit of
+        # 4300 on converting an int to text
+        s = make(0, [1, 2**15000, -(2**15000)], 3)
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4516:
+            assert repr(s) == "<TruncatedSeries 0:1 1:(4516 digits) 2:-(4516 digits) (O(q^3))>"
+        else:
+            assert repr(s).startswith("<TruncatedSeries 1 + 2")
+        assert repr(make(0, [1, -2], 2)) == "<TruncatedSeries 1 - 2q + O(q^2)>"
 
 
 class TestLaurentOps:
