@@ -109,25 +109,10 @@ RULESETS: dict[str, PartitionRuleSet] = {
 }
 
 
-def _part_kinds(
-    ruleset: PartitionRuleSet, n: int
-) -> tuple[list[tuple[int, int, ResidueRule]], list[int]]:
-    """The parts a colored partition of n can use, as (value, color, rule) by
-    value and then color, and ``ends``: ``ends[r]`` of them have value <= r."""
-    rules = ruleset.rules
-    kinds: list[tuple[int, int, ResidueRule]] = []
-    ends = [0]
-    for value in range(1, n + 1):
-        rule = rules[value % len(rules)]
-        kinds += [(value, color, rule) for color in range(rule.colors)]
-        ends.append(len(kinds))
-    return kinds, ends
-
-
 def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
     """Signed count of colored partitions of n, by exhaustive backtracking.
 
-    Each level picks the next (value, color) part the partition uses, from
+    Each level picks the next part (value, color) the partition uses, from
     those after the previous level's and largest first, and its multiplicity
     k >= 1, which leaves ``rem - k * value`` to the parts after it.  Every
     admissible colored multiset of parts is visited exactly once and its sign
@@ -136,21 +121,23 @@ def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
     """
     if n < 0:
         return 0
-    kinds, ends = _part_kinds(ruleset, n)
+    rules = ruleset.rules
+    m = len(rules)
 
-    def after(first: int, rem: int) -> int:
+    def after(value: int, color: int, rem: int) -> int:
         if rem == 0:
             return 1
         total = 0
-        for i in range(ends[rem] - 1, first - 1, -1):
-            value, _, rule = kinds[i]
-            top = 1 if rule.distinct else rem // value
-            for k in range(1, top + 1):
-                sub = after(i + 1, rem - k * value)
-                total += -sub if rule.signed_by_count and k % 2 else sub
+        for v in range(rem, value - 1, -1):
+            rule = rules[v % m]
+            top = 1 if rule.distinct else rem // v
+            for c in range(rule.colors - 1, color if v == value else -1, -1):
+                for k in range(1, top + 1):
+                    sub = after(v, c, rem - k * v)
+                    total += -sub if rule.signed_by_count and k % 2 else sub
         return total
 
-    return after(0, n)
+    return after(1, -1, n)  # every part (v, c) comes after (1, -1)
 
 
 def iter_colored_partitions(
@@ -163,20 +150,22 @@ def iter_colored_partitions(
     """
     if n < 0:
         return
-    kinds, ends = _part_kinds(ruleset, n)
+    rules = ruleset.rules
+    m = len(rules)
 
-    def after(first, rem, parts, sign):
+    def after(value, color, rem, parts, sign):
         if rem == 0:
             yield parts, sign
             return
-        for i in range(ends[rem] - 1, first - 1, -1):
-            value, color, rule = kinds[i]
-            top = 1 if rule.distinct else rem // value
-            for k in range(1, top + 1):
-                s = -sign if rule.signed_by_count and k % 2 else sign
-                yield from after(i + 1, rem - k * value, parts + ((value, color, k),), s)
+        for v in range(rem, value - 1, -1):
+            rule = rules[v % m]
+            top = 1 if rule.distinct else rem // v
+            for c in range(rule.colors - 1, color if v == value else -1, -1):
+                for k in range(1, top + 1):
+                    s = -sign if rule.signed_by_count and k % 2 else sign
+                    yield from after(v, c, rem - k * v, parts + ((v, c, k),), s)
 
-    yield from after(0, n, (), 1)
+    yield from after(1, -1, n, (), 1)
 
 
 def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
