@@ -7,8 +7,8 @@ both as a series identity and by literal nested summation), or a partition
 interpretation (enumeration against mock coefficients).  Every series a
 claim reads is a claim-language expression (a progression P(A*n + B) is
 ``AP(node, A, B)``; a direct summation reads its lhs progression and its
-partition counts), so ``_plan`` knows each leaf it expands, and at what
-order, before any work.
+partition counts), so ``_plan`` plans every node it expands, at its order,
+before any work, and the check runs those plans.
 
 There is one way to build a claim from text: ``parse_claim_file``.
 ``registry()`` reads the built-in claim set with it from the packaged
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from . import expr as expr_mod
 from . import mock as mock_mod
 from . import partitions
-from .expr import Expr, ParseError, eval_expr, leaf_demands, parse_expr
+from .expr import Expr, ParseError, Plan, parse_expr, plan, run, widest
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
 
 
@@ -102,27 +102,28 @@ class VerificationReport:
 MAX_ORDER = 50_000  # default cap on the deepest expansion a command may demand
 
 
-def within_cap(reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = "") -> None:
-    """Check the ``(series, order)`` reads against the cap, evaluating nothing.
-
-    A read or leaf deeper than ``max_order`` raises PreconditionError, its
-    message ending in ``advice``.
-    """
-    deepest = max((max([o, *leaf_demands(node, o).values()]) for node, o in reads), default=0)
+def within_cap(reads: Sequence[tuple[Expr, int]], max_order: int, advice: str = "") -> list[Plan]:
+    """Plan each ``(series, order)`` read and check every node of the plans
+    against the cap, evaluating nothing; return the plans.  A node spanning
+    more than ``max_order`` coefficients (``expr.widest``) raises
+    PreconditionError, its message ending in ``advice``."""
+    plans = [plan(node, o) for node, o in reads]
+    deepest = max(map(widest, plans), default=0)
     if deepest > max_order:
         # str() refuses an integer of more than 4300 digits
         shown = deepest if deepest < 10**4000 else "above 10^4000"
         raise PreconditionError(f"needs order {shown}, beyond the cap {max_order}{advice}")
+    return plans
 
 
 def _plan(
     claim: Claim, order: int | None, count: int | None, max_order: int
-) -> tuple[int, list[tuple[Expr, int]], list[FamilyIndex]]:
+) -> tuple[int, list[tuple[Expr, int]], list[Plan], list[FamilyIndex]]:
     """The order a claim's report states, the ``(series, order)`` reads its
     check evaluates, in that sequence (a recurrence's direct summation reads
-    at bound + 1, after both sides), and a congruence's progressions, one per
-    read (empty for other kinds).  The reads are checked against the cap
-    before any work.
+    at bound + 1, after both sides), their plans, checked against the cap by
+    ``within_cap``, and a congruence's progressions, one per read (empty for
+    other kinds).
 
     A non-positive order, count, step or congruence range, a modulus below 2,
     or a negative enumeration bound raises ValueError: a pass would be vacuous.
@@ -154,8 +155,8 @@ def _plan(
         if claim.ruleset not in partitions.RULESETS:
             raise KeyError(f"unknown ruleset {claim.ruleset!r}")
         reads = [(mock, max(bound + 1, target)), (expr_mod.RulesetRef(claim.ruleset), target)]
-    within_cap(reads, max_order, "; rerun with a higher cap")
-    return target, reads, indices
+    plans = within_cap(reads, max_order, "; rerun with a higher cap")
+    return target, reads, plans, indices
 
 
 def _positive(claim: Claim, field: str, value: int) -> int:
@@ -233,9 +234,9 @@ def verify(
 def _verify_inner(
     claim: Claim, order: int | None, count: int | None, max_order: int
 ) -> VerificationReport:
-    target, reads, indices = _plan(claim, order, count, max_order)
-    # the planned reads, each evaluated when the check first needs it
-    series = (eval_expr(node, o) for node, o in reads)
+    target, reads, plans, indices = _plan(claim, order, count, max_order)
+    # the planned reads, each run when the check first needs it
+    series = map(run, plans)
 
     def fail(at: int, failure: dict, message: str = "") -> VerificationReport:
         return VerificationReport(claim.id, "fail", at, failure, message)

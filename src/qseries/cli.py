@@ -11,8 +11,8 @@ Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 (including a claim whose evaluation raised, reported with status ``error``,
 a command whose deepest expansion is beyond ``claims.MAX_ORDER``, and output
 with a coefficient past the interpreter's limit on digits in an integer's text).
-``coeff``, ``series`` and ``verify`` pass the ``(series, order)`` reads they
-will expand to ``claims.within_cap`` before any work.
+``claims.within_cap`` plans the ``(series, order)`` reads of ``coeff``, ``series``
+and ``verify`` and caps every node before any work; the last two run those plans.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from . import claims as claims_mod
 from . import partitions
 from .claims import MAX_ORDER, Claim, verify, within_cap
-from .expr import Mock, ParseError, eval_expr, parse_expr
+from .expr import Mock, ParseError, parse_expr, run
 from .mock import MockThetaId, mock_series
 from .ntheory import PreconditionError
 from .series import SeriesError, format_series
@@ -112,8 +112,8 @@ def _cmd_coeff(args) -> int:
 def _cmd_series(args) -> int:
     try:
         node = parse_expr(args.expr)
-        within_cap([(node, args.order)], MAX_ORDER)
-        series = eval_expr(node, args.order)
+        (plan,) = within_cap([(node, args.order)], MAX_ORDER)
+        series = run(plan)
     except PreconditionError as exc:
         print(f"error: expansion {exc}", file=sys.stderr)
         return 2

@@ -22,10 +22,10 @@ that decides orders: from each factor's valuation it gives every child the
 order it must reach so that its parent is exact below the requested order
 (``q^k`` is an exact shift, ``AP(e, m, r)`` asks for ``m*(N-1) + r + 1``,
 ``SUB(e, k)`` for ``ceil(N/k)``, a product asks each factor for N minus the
-other factor's valuation).  ``eval_expr`` evaluates exactly those children
-and returns a series whose order is exactly the requested one;
-``leaf_demands`` walks the same plan without evaluating anything, so a caller
-can check resource caps before any work.
+other factor's valuation).  ``plan`` folds each node once into a
+:class:`Plan` tree of those orders, evaluating nothing, so a caller can check
+caps on it (``widest``) before any work; ``run`` evaluates exactly that tree
+to a series of exactly the requested order, and ``eval_expr`` is both.
 No node is answered without evaluation: a child is never asked for less than
 its valuation, so a factor that is zero below the order still keeps its
 product exact, and every divisor is evaluated past its valuation, so its
@@ -46,6 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 from typing import Any, Callable
 
 from . import mock as mock_mod
@@ -454,9 +455,6 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-_LEAVES = (Lit, Mono, Eta, Theta, PochhammerSpec, Mock, Stream, RulesetRef)
-
-
 def _valuation(node: Expr) -> int:
     """The exponent at which the evaluated series of ``node`` starts.
 
@@ -485,7 +483,7 @@ def _valuation(node: Expr) -> int:
 
 
 def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
-    """The children ``eval_expr`` evaluates for ``node``, each with its order.
+    """The children ``plan`` plans for ``node``, each with its order.
 
     Each child order is the least that makes ``node`` exact below ``order``,
     given the valuations of the other factors, and never below the child's
@@ -493,7 +491,7 @@ def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     where the plan says, so its parent keeps its precision.  A divisor or a
     negative power's base is always evaluated past its valuation, so that
     its leading coefficient is checked.  This is the only place where orders
-    are decided; ``eval_expr`` and ``leaf_demands`` both follow it.
+    are decided; ``plan`` follows it.
     """
     kids: list[tuple[Expr, int]] = []
     if isinstance(node, (Neg, Alt)):
@@ -611,47 +609,48 @@ def _fold(node: Expr) -> Expr:
     return BinOp("*", Mono(shift), folded) if shift else folded
 
 
-def leaf_demands(node: Expr, order: int) -> dict[Expr, int]:
-    """The deepest order at which ``eval_expr(node, order)`` evaluates each leaf.
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One node of a demand plan: the folded ``node``, the ``order`` it is
+    evaluated to, and the plans of the children ``_apply`` combines."""
 
-    Keys are leaf nodes; a folded product contributes its ``l(k)`` and
-    ``poch`` factors.  A leaf asked only at its valuation expands to the
-    empty series and is left out.  Nothing is evaluated, so callers can check
-    caps before any work.
-    """
-    out: dict[Expr, int] = {}
-    stack = [(node, order)]
-    while stack:
-        node, order = stack.pop()
-        node = _fold(node)
-        if order <= _valuation(node):
-            leaves = []
-        elif isinstance(node, products.EtaQuotientSpec):
-            leaves = [Eta(k) for k in node.exponents] + list(node.pochs)
-        else:
-            leaves = [node] if isinstance(node, _LEAVES) else []
-        for leaf in leaves:
-            out[leaf] = max(out.get(leaf, order), order)
-        stack.extend(_child_orders(node, order))
-    return out
+    node: Expr
+    order: int
+    kids: tuple[Plan, ...]
 
 
-def eval_expr(node: Expr, order: int) -> TruncatedSeries:
-    """Evaluate ``node`` to a series exact below ``order``, of order exactly ``order``.
+def plan(node: Expr, order: int) -> Plan:
+    """The demand plan of ``node`` at ``order``: every node folded once, and
+    each child at the order ``_child_orders`` gives it.  Nothing is evaluated."""
+    node = _fold(node)
+    return Plan(node, order, tuple(starmap(plan, _child_orders(node, order))))
+
+
+def widest(p: Plan) -> int:
+    """The most coefficients a node of ``p`` spans: its order less a negative valuation."""
+    return max([p.order - min(_valuation(p.node), 0), *map(widest, p.kids)])
+
+
+def run(p: Plan) -> TruncatedSeries:
+    """Evaluate the plan ``p`` to a series of order exactly ``p.order``.
 
     Raises :class:`NonUnitError` for a divisor whose leading coefficient is
     not +1 or -1, and :class:`SeriesError` if an evaluation delivers less
     than its plan demands.
     """
-    node = _fold(node)
-    kids = [eval_expr(child, o) for child, o in _child_orders(node, order)]
-    result = _apply(node, order, kids)
-    if result.order < order:
+    result = _apply(p.node, p.order, list(map(run, p.kids)))
+    if result.order < p.order:
         raise SeriesError(
-            f"{type(node).__name__} node delivered order {result.order}, "
-            f"below the demanded {order}"
+            f"{type(p.node).__name__} node delivered order {result.order}, "
+            f"below the demanded {p.order}"
         )
-    return result.truncate(order)
+    return result.truncate(p.order)
+
+
+def eval_expr(node: Expr, order: int) -> TruncatedSeries:
+    """Evaluate ``node`` to a series exact below ``order``, of order exactly
+    ``order``: ``run(plan(node, order))``, with the errors of ``run``."""
+    return run(plan(node, order))
 
 
 def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeries:

@@ -9,13 +9,16 @@ reference the registry's lemma2.1-2.3 texts are checked against.  The
 classical partition families are eta quotients, and the ``*_brute``
 counters enumerate the same partitions by plain backtracking.
 ``qualifying_primes`` scans for the primes a congruence family admits.
+``leaf_demands`` reads the order at which a demand plan expands each leaf.
 """
 
 from __future__ import annotations
 
+from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta, _valuation
 from qseries.ntheory import FAMILIES, DomainError, is_prime, legendre
 from qseries.products import (
     DivergenceError,
+    EtaQuotientSpec,
     PochhammerSpec,
     eta,
     eta_quotient,
@@ -312,4 +315,33 @@ def qualifying_primes(family: str, bound: int) -> list[int]:
             continue
         if legendre(spec.legendre_w, p) == -1:
             out.append(p)
+    return out
+
+
+# -- expr: the leaf orders of a demand plan ---------------------------------
+
+_LEAVES = (Lit, Mono, Eta, Theta, PochhammerSpec, Mock, Stream, RulesetRef)
+
+
+def leaf_demands(plan: Plan) -> dict[Expr, int]:
+    """The deepest order at which ``expr.run(plan)`` expands each leaf.
+
+    Keys are leaf nodes; a folded product contributes its ``l(k)`` and
+    ``poch`` factors.  A leaf asked only at its valuation expands to the
+    empty series and is left out.
+    """
+    out: dict[Expr, int] = {}
+    stack = [plan]
+    while stack:
+        plan = stack.pop()
+        node, order = plan.node, plan.order
+        if order <= _valuation(node):
+            leaves = []
+        elif isinstance(node, EtaQuotientSpec):
+            leaves = [Eta(k) for k in node.exponents] + list(node.pochs)
+        else:
+            leaves = [node] if isinstance(node, _LEAVES) else []
+        for leaf in leaves:
+            out[leaf] = max(out.get(leaf, order), order)
+        stack.extend(plan.kids)
     return out

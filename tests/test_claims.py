@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qseries import claims as claims_mod
+from qseries import expr as expr_mod
 from qseries import mock as mock_mod
 from qseries import partitions
 from qseries.claims import (
@@ -26,9 +27,10 @@ from qseries.claims import (
     tally,
     verify,
 )
-from qseries.expr import Ap, Expr, Mock, RulesetRef, eval_expr, leaf_demands, parse_expr, to_text
+from qseries.expr import Ap, Expr, Mock, RulesetRef, eval_expr, parse_expr, to_text
 from qseries.ntheory import PreconditionError, family_indices
 import references
+from references import leaf_demands
 
 # the partition counts a recurrence's direct summation reads, as claim-language
 # text, and the reference function each replaces (checked against brute force
@@ -202,7 +204,7 @@ def _count_computes(monkeypatch) -> dict[str, int]:
 
 def _direct_sums(claim: Claim) -> tuple[list[int], list[int]]:
     """A recurrence's direct summation, fed from the reads its plan lists after both sides."""
-    _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+    _, reads, _, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
     coeffs = [eval_expr(node, o).coefficients() for node, o in reads[2:]]
     lhs, rhs = (claims_mod._direct_sum(claim.bound, coeffs, *side) for side in claim.direct)
     return lhs, rhs
@@ -308,8 +310,8 @@ class TestDissectionTexts:
 class TestDemandPlan:
     def test_every_claim_has_leaf_demands(self):
         for claim in registry():
-            target, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
-            demands = [leaf_demands(node, o) for node, o in reads]
+            target, _, plans, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            demands = [leaf_demands(p) for p in plans]
             assert target > 0 and all(demands), claim.id
 
     def test_cap_sees_the_enumeration_bound(self, monkeypatch):
@@ -326,40 +328,44 @@ class TestDemandPlan:
         assert (r.status, r.order) == ("pass", 5)
 
     def test_interpretation_reads_ap_of_its_mock_stream(self):
-        target, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
-        demands = [leaf_demands(node, o) for node, o in reads]
+        target, _, plans, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        demands = [leaf_demands(p) for p in plans]
         assert (target, demands) == (200, [{Mock("lambda"): 399}, {RulesetRef("thm6.1"): 200}])
 
     def test_interpretation_plan_lists_both_routes(self):
-        _, reads, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
+        _, reads, _, _ = claims_mod._plan(registry_by_id()["thm6.1"], None, None, MAX_ORDER)
         assert reads == [(Ap(Mock("lambda"), 2, 0), 200), (RulesetRef("thm6.1"), 200)]
 
     def test_check_evaluates_exactly_the_planned_reads(self, monkeypatch):
-        evaluated = []
-        real = claims_mod.eval_expr
+        capped, evaluated = [], []
+        real_cap, real_run = claims_mod.within_cap, claims_mod.run
 
-        def record(node, order):
-            evaluated.append((node, order))
-            return real(node, order)
+        def cap(*args):
+            capped[:] = real_cap(*args)
+            return capped[:]
 
-        monkeypatch.setattr(claims_mod, "eval_expr", record)
+        def record(plan):
+            evaluated.append(plan)
+            return real_run(plan)
+
+        monkeypatch.setattr(claims_mod, "within_cap", cap)
+        monkeypatch.setattr(claims_mod, "run", record)
         for claim in registry():
-            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             evaluated.clear()
             r = verify(claim)
+            plans = capped
             # a failed comparison stops the check before the reads it no longer needs
             if r.message == "backtracking enumeration disagrees":
-                reads = reads[:1]  # not the generating-function route
+                plans = plans[:1]  # not the generating-function route
             elif r.status == "fail" and claim.kind is ClaimKind.RECURRENCE and not r.message:
-                reads = reads[:2]  # the series route failed: not the direct summation
-            assert evaluated == reads, claim.id
+                plans = plans[:2]  # the series route failed: not the direct summation
+            assert len(evaluated) == len(plans), claim.id
+            assert all(a is b for a, b in zip(evaluated, plans)), claim.id
 
     def test_failed_progression_stops_the_family_check(self, monkeypatch):
         evaluated = []
-        real = claims_mod.eval_expr
-        monkeypatch.setattr(
-            claims_mod, "eval_expr", lambda node, o: evaluated.append(node) or real(node, o)
-        )
+        real = claims_mod.run
+        monkeypatch.setattr(claims_mod, "run", lambda p: evaluated.append(p.node) or real(p))
         claim = Claim(
             "f", ClaimKind.CONGRUENCE_FAMILY, family="thm3.3ii", p=5, count=3,
             expr=parse_expr("1/l(1)"),
@@ -372,7 +378,7 @@ class TestDemandPlan:
         for claim in registry():
             if claim.kind is not ClaimKind.RECURRENCE:
                 continue
-            _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+            _, reads, _, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             progression, *counts = claim.direct_reads
             assert reads == [
                 (claim.lhs, claim.order), (claim.rhs, claim.order),
@@ -405,27 +411,28 @@ class TestDemandPlan:
 
     def test_congruence_plan_reads_each_progression(self):
         table = registry_by_id()
-        _, reads, _ = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
+        _, reads, _, _ = claims_mod._plan(table["ramanujan.p5"], None, None, MAX_ORDER)
         assert reads == [(parse_expr("AP(1/l(1),5,4)"), 150)]
         # B = 59 is past A = 50: P(50n + 59) is q^-1*AP(mock(v),50,9)
-        target, reads, _ = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
+        target, reads, plans, _ = claims_mod._plan(table["thm3.3ii.p5"], None, None, MAX_ORDER)
         assert reads == [
             (parse_expr(text), 10) for text in (
                 "AP(mock(v),50,29)", "AP(mock(v),50,39)", "AP(mock(v),50,49)",
                 "q^-1*AP(mock(v),50,9)",
             )
         ]
-        deepest = max(leaf_demands(node, o)[Mock("v")] for node, o in reads)
+        deepest = max(leaf_demands(p)[Mock("v")] for p in plans)
         assert target == deepest == 50 * 9 + 59 + 1
 
     def test_within_cap_caps_the_deepest_leaf(self):
         reads = [(Mock("v"), 10), (parse_expr("AP(mock(v),2,1)*l(3)"), 10)]
-        assert claims_mod.within_cap(reads, 20) is None
+        plans = claims_mod.within_cap(reads, 20)
+        assert [(p.node, p.order) for p in plans] == reads
         with pytest.raises(PreconditionError, match="^needs order 20, beyond the cap 19; more$"):
             claims_mod.within_cap(reads, 19, "; more")
         with pytest.raises(PreconditionError, match="^needs order 30, beyond the cap 29$"):
             claims_mod.within_cap([(parse_expr("1"), 30)], 29)
-        assert claims_mod.within_cap([], 0) is None
+        assert claims_mod.within_cap([], 0) == []
 
     def test_laurent_shift_keeps_the_requested_order(self):
         claim = Claim(
@@ -445,6 +452,27 @@ class TestDemandPlan:
         assert r.status == "skipped"
         assert "2139" in r.message
         assert counts == {}
+
+    @pytest.mark.parametrize(
+        "text, order, span",
+        [
+            ("SUB(SUB(q^-1000,1000),1000)", 1, 1_000_000_001),
+            ("AP(AP(SUB(SUB(l(1),1000),1000),1000,0),1000,0)", 1000, 999_000_001),
+            ("AP(SUB(l(1),1000),1000,0)", 50_000, 49_999_001),
+            ("SUB(q^-1000,1000)", 1, 1_000_001),
+        ],
+    )
+    def test_cap_sees_every_inner_node(self, monkeypatch, text, order, span):
+        # each inner SUB or AP node spans more than the cap; its leaves do not
+        def refuse(*args):
+            raise AssertionError("a node was evaluated past the cap")
+
+        monkeypatch.setattr(expr_mod, "_apply", refuse)
+        node = parse_expr(text)
+        r = verify(Claim("inner", ClaimKind.IDENTITY, lhs=node, rhs=node, order=order))
+        assert (r.status, r.message) == (
+            "skipped", f"needs order {span}, beyond the cap 50000; rerun with a higher cap"
+        )
 
     def test_cap_sees_the_direct_route(self, monkeypatch):
         # the series route needs lambda at 59, the direct summation at 365
@@ -736,7 +764,7 @@ class TestClaimFiles:
         assert claim.direct == tuple(claims_mod._DIRECT_ROUTES["thm3.4"][1:])
         assert claim.direct_reads == (parse_expr("AP(mock(v),2,1)"), parse_expr("l(4)/l(1)"))
         assert (claim.bound, claim.order) == (60, 100)
-        _, reads, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
+        _, reads, _, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
         assert reads[2:] == [(node, 61) for node in claim.direct_reads]
         report = verify(claim)
         assert (report.status, report.order, report.first_failure) == ("pass", 100, None)

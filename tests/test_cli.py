@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qseries import cli, expr
 from qseries.cli import main
 
 
@@ -17,6 +18,19 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+def refuse_to_evaluate(*args):
+    raise AssertionError("a node was evaluated past the cap")
+
+
+# an inner node of each expression spans more coefficients than the cap, though
+# its leaves and its read do not; (expression, order, the node's span)
+INNER_NODES_PAST_THE_CAP = [
+    ("SUB(SUB(q^-1000,1000),1000)", 1, 1_000_000_001),
+    ("AP(AP(SUB(SUB(l(1),1000),1000),1000,0),1000,0)", 1000, 999_000_001),
+    ("AP(SUB(l(1),1000),1000,0)", 50_000, 49_999_001),
+    ("SUB(q^-1000,1000)", 1, 1_000_001),
+]
 
 # (2^1000)^15 = 2^15000 has 4516 digits, past the interpreter's default limit
 # of 4300 digits on converting an int to text
@@ -99,6 +113,40 @@ class TestSeries:
         code, _, err = run_cli(capsys, "series", "AP(AP(mock(lambda),100,0),100,0)", "--order", "10")
         assert code == 2
         assert "beyond the cap 50000" in err
+
+    @pytest.mark.parametrize("text, order, span", INNER_NODES_PAST_THE_CAP)
+    def test_inner_node_is_capped(self, capsys, monkeypatch, text, order, span):
+        monkeypatch.setattr(expr, "_apply", refuse_to_evaluate)
+        code, out, err = run_cli(capsys, "series", text, "--order", str(order))
+        assert (code, out) == (2, "")
+        assert err == f"error: expansion needs order {span}, beyond the cap 50000\n"
+
+    def test_runs_the_plan_the_cap_checked(self, capsys, monkeypatch):
+        capped, ran = [], []
+        real_cap, real_run = cli.within_cap, cli.run
+        monkeypatch.setattr(cli, "within_cap", lambda *a: capped.extend(real_cap(*a)) or capped)
+        monkeypatch.setattr(cli, "run", lambda plan: ran.append(plan) or real_run(plan))
+        assert run_cli(capsys, "series", "q^-1*mock(v)/l(1)", "--order", "3")[0] == 0
+        assert len(capped) == len(ran) == 1 and ran[0] is capped[0]
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # MAX_DEPTH = 400 factors and 400 terms, each a tree at the depth limit
+            ("*".join(["mock(v)"] + ["l(1)"] * (expr.MAX_DEPTH - 1)), "q - 398q^2 + O(q^3)"),
+            ("+".join(["mock(v)"] * expr.MAX_DEPTH), "400q + 400q^2 + O(q^3)"),
+        ],
+        ids=["product", "sum"],
+    )
+    def test_chain_at_the_depth_limit(self, capsys, text, want):
+        assert run_cli(capsys, "series", text, "--order", "3") == (0, want + "\n", "")
+
+        # planning and running take one frame per level, so a caller 200
+        # frames deep still has room
+        def deeper(frames):
+            return deeper(frames - 1) if frames else run_cli(capsys, "series", text, "--order", "3")
+
+        assert deeper(200) == (0, want + "\n", "")
 
     def test_order_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "series", "q^-2*l(1)", "--order", "3")

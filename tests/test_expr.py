@@ -1,8 +1,9 @@
 """Claim-language parser, printer round-trips, and evaluation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qseries import expr as expr_mod
 from qseries import mock as mock_mod
 from qseries import products
 from qseries.claims import registry, registry_by_id
@@ -25,12 +26,15 @@ from qseries.expr import (
     UnknownSymbolError,
     _fold,
     eval_expr,
-    leaf_demands,
     parse_expr,
+    plan,
+    run,
     to_text,
+    widest,
 )
 from qseries.products import PochhammerSpec, eta, eta_quotient, pochhammer
 from qseries.series import NonUnitError, SeriesError, TruncatedSeries, format_series
+from references import leaf_demands
 
 
 class TestParse:
@@ -287,18 +291,18 @@ class TestDemandPlan:
     def test_shift_is_exact(self):
         s = eval_expr(parse_expr("q^-20*mock(v)"), 100)
         assert s.order == 100 and s.valuation == -19  # v(q) starts at q^1
-        assert leaf_demands(parse_expr("q^-20*mock(v)"), 100) == {Mock("v"): 120}
+        assert leaf_demands(plan(parse_expr("q^-20*mock(v)"), 100)) == {Mock("v"): 120}
 
     def test_progression_demand(self):
         node = parse_expr("AP(AP(mock(lambda),6,2),6,2)")
-        assert leaf_demands(node, 60) == {Mock("lambda"): 6 * (6 * 59 + 3 - 1) + 3}
+        assert leaf_demands(plan(node, 60)) == {Mock("lambda"): 6 * (6 * 59 + 3 - 1) + 3}
 
     def test_substitution_demand(self):
-        assert leaf_demands(parse_expr("SUB(mock(nu),2)"), 401) == {Mock("nu"): 201}
+        assert leaf_demands(plan(parse_expr("SUB(mock(nu),2)"), 401)) == {Mock("nu"): 201}
 
     def test_eta_quotient_folds_to_its_factors(self):
         node = parse_expr("3*(l(3)^5/l(6))*(l(2)/l(1)^2)^3")
-        assert leaf_demands(node, 400) == {Eta(1): 400, Eta(2): 400, Eta(3): 400, Eta(6): 400}
+        assert leaf_demands(plan(node, 400)) == {Eta(1): 400, Eta(2): 400, Eta(3): 400, Eta(6): 400}
 
     def test_folded_quotient_matches_eta_quotient(self):
         s = eval_expr(parse_expr("-2*q^3*l(6)^3/(q*l(1)*l(2))^2"), 300)
@@ -307,17 +311,17 @@ class TestDemandPlan:
 
     def test_divisor_valuation_shifts_the_demand(self):
         # dividing by (q*l(1))^2 shifts by q^-2, so both factors need N + 2
-        assert leaf_demands(parse_expr("mock(mu)/(q*l(1))^2"), 50) == {
+        assert leaf_demands(plan(parse_expr("mock(mu)/(q*l(1))^2"), 50)) == {
             Mock("mu"): 52, Eta(1): 52,
         }
         # a divisor starting at q^0 needs no extra order; its q^2 term shifts
-        assert leaf_demands(parse_expr("mock(mu)/(q^2*mock(v)+1)"), 50) == {
+        assert leaf_demands(plan(parse_expr("mock(mu)/(q^2*mock(v)+1)"), 50)) == {
             Mock("mu"): 50, Mock("v"): 48, Lit(1): 50,
         }
 
     def test_zero_below_valuation_needs_no_leaves(self):
         node = parse_expr("q^40*mock(beta)")
-        assert leaf_demands(node, 30) == {}
+        assert leaf_demands(plan(node, 30)) == {}
         assert eval_expr(node, 30) == TruncatedSeries.zero(30)
 
     @pytest.mark.parametrize(
@@ -328,7 +332,7 @@ class TestDemandPlan:
     )
     def test_unproven_divisor_is_always_checked(self, text, order):
         node = parse_expr(text)
-        assert leaf_demands(node, order)  # the divisor is planned, not skipped
+        assert leaf_demands(plan(node, order))  # the divisor is planned, not skipped
         with pytest.raises(NonUnitError):
             eval_expr(node, order)
 
@@ -354,7 +358,7 @@ class TestDemandPlan:
     )
     def test_mock_divisor_starts_at_its_valuation(self, text, order, value):
         node = parse_expr(text)
-        assert leaf_demands(node, order)  # the divisor is planned, not skipped
+        assert leaf_demands(plan(node, order))  # the divisor is planned, not skipped
         s = eval_expr(node, order)
         assert s == TruncatedSeries.from_terms(value, order)
         for deeper in (order + 12, order + 24, order + 40):
@@ -369,7 +373,7 @@ class TestDemandPlan:
         # asked only at its valuation 1, where it is zero and never expanded
         monkeypatch.setattr(mock_mod, "mock_series", None)
         node = parse_expr("q^5/(mock(v)+1)")
-        assert leaf_demands(node, 3) == {Lit(1): 1}
+        assert leaf_demands(plan(node, 3)) == {Lit(1): 1}
         assert eval_expr(node, 3) == TruncatedSeries.zero(3)
 
     @pytest.mark.parametrize(
@@ -407,7 +411,7 @@ class TestDemandPlan:
                 eval_expr(node, 120)
             planned = {}
             for node in (claim.lhs, claim.rhs):
-                for leaf, o in leaf_demands(node, 120).items():
+                for leaf, o in leaf_demands(plan(node, 120)).items():
                     if isinstance(leaf, Mock):
                         planned[leaf.name] = max(planned.get(leaf.name, o), o)
             assert requested == planned, claim.id
@@ -456,6 +460,30 @@ def test_eval_order_is_exact(node, order):
         assert small == big.truncate(order)
 
 
+def _plan_nodes(p):
+    yield p.node
+    for kid in p.kids:
+        yield from _plan_nodes(kid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_exprs, st.integers(1, 30))
+@example(Subst(Mono(-4), 3), 1)  # its leaf q^-4 spans 5, the SUB node 13
+def test_cap_bounds_every_series_built(node, order):
+    p = plan(node, order)
+    # SUB(e, k) substitutes into e at ceil(N/k), k*ceil(N/k) >= N, then truncates
+    slack = max([n.power - 1 for n in _plan_nodes(p) if isinstance(n, Subst)], default=0)
+    built = []
+    real = expr_mod._apply
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_mod, "_apply", lambda *args: built.append(real(*args)) or built[-1])
+        try:
+            run(p)
+        except SeriesError:  # a divisor without a unit leading coefficient
+            pass
+    assert built and max(len(s.coeffs) for s in built) <= widest(p) + slack
+
+
 def unfolded(node, order):
     """A product of integers, q^k, l(k) and poch powers, factor by factor."""
     if isinstance(node, Lit):
@@ -502,7 +530,7 @@ class TestPochhammerFold:
     def test_leaf_demands_list_every_folded_poch(self, claim_id):
         node = registry_by_id()[claim_id].rhs
         pochs = poch_factors(node)
-        demands = leaf_demands(node, 400)
+        demands = leaf_demands(plan(node, 400))
         # eq3.2's second term carries a q, so the factors only it has are asked for 399
         assert pochs and set(demands) == pochs and set(demands.values()) <= {399, 400}
 
