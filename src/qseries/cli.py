@@ -12,7 +12,7 @@ Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 a command whose deepest expansion is beyond ``claims.MAX_ORDER``, and output
 with a coefficient past the interpreter's limit on digits in an integer's text).
 ``claims.within_cap`` plans the ``(series, order)`` reads of ``coeff``, ``series``
-and ``verify`` and caps every node before any work; the last two run those plans.
+and ``verify`` and caps every node before any work; all three run those plans.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import claims as claims_mod
 from . import partitions
 from .claims import MAX_ORDER, Claim, verify, within_cap
 from .expr import Mock, ParseError, parse_expr, run
-from .mock import MockThetaId, mock_series
+from .mock import MockThetaId
 from .ntheory import PreconditionError
 from .series import SeriesError, format_series
 
@@ -97,14 +97,14 @@ def _cmd_coeff(args) -> int:
     top = max(args.indices)
     try:
         mock_id = MockThetaId.from_name(args.name)
-        within_cap([(Mock(mock_id.value), top + 1)], MAX_ORDER)
+        (plan,) = within_cap([(Mock(mock_id.value), top + 1)], MAX_ORDER)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: index {top} {exc}", file=sys.stderr)
         return 2
-    series = mock_series(mock_id, top + 1)
+    series = run(plan)
     print(" ".join(str(series.coefficient(n)) for n in args.indices))
     return 0
 

@@ -4,7 +4,7 @@ Grammar (precedence low to high: + - then * / then unary - then ^):
 
     expr  := term { ("+" | "-") term }
     term  := factor { ("*" | "/") factor }
-    factor:= "-" factor | atom [ "^" int ]     so -l(1)^2 is -(l(1)^2)
+    factor:= "-" factor | atom [ "^" int ]     so -l(1)^2 is -1*(l(1)^2)
     atom  := "l(" nat ")" | "q" ["^" int] | int
            | "mock(" name ")"
            | "f(" sq "," sq ")"            sq := ["-"] "q" ["^" nat]
@@ -113,13 +113,8 @@ class RulesetRef:
 
 
 @dataclass(frozen=True)
-class Neg:
-    child: "Expr"
-
-
-@dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * /
+    op: str  # one of + - * /; a unary minus -x parses to Lit(-1) * x
     left: "Expr"
     right: "Expr"
 
@@ -151,7 +146,7 @@ class Alt:
 # a ``poch`` leaf is the ``PochhammerSpec`` that ``_fold`` puts in an eta quotient
 Expr = (
     Lit | Mono | Eta | Theta | PochhammerSpec | Mock | Stream | RulesetRef
-    | Neg | BinOp | Pow | Ap | Subst | Alt
+    | BinOp | Pow | Ap | Subst | Alt
 )
 
 
@@ -288,7 +283,7 @@ class _Parser:
         if kind == "sym" and val == "-":
             self.next()
             child = self.nested(self.factor)
-            return self.grow(Neg(child), pos, child)
+            return self.grow(BinOp("*", Lit(-1), child), pos, child)
         node = self.nested(self.atom)
         kind, val, pos = self.peek()
         if kind == "sym" and val == "^":
@@ -434,10 +429,6 @@ def _print(node: Expr, level: int) -> str:
         return f"SUB({_print(node.child, 0)},{node.power})"
     if isinstance(node, Alt):
         return f"ALT({_print(node.child, 0)})"
-    if isinstance(node, Neg):
-        inner = _print(node.child, 4)
-        text = f"-{inner}"
-        return f"({text})" if level >= 1 else text
     if isinstance(node, Pow):
         base = _print(node.base, 4)  # parenthesises a sum, product or negation
         # a power or monomial base prints its own ^k, so it needs parens here
@@ -445,6 +436,9 @@ def _print(node: Expr, level: int) -> str:
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, BinOp):
+        if node.op == "*" and node.left == Lit(-1):  # a unary minus
+            text = f"-{_print(node.right, 4)}"
+            return f"({text})" if level >= 1 else text
         if node.op in "+-":
             text = f"{_print(node.left, 0)} {node.op} {_print(node.right, 1)}"
             return f"({text})" if level >= 1 else text
@@ -466,7 +460,7 @@ def _valuation(node: Expr) -> int:
         return node.k
     if isinstance(node, Mock):  # where term 0 of its sum starts
         return mock_mod.valuation_schedule(mock_mod.MockThetaId.from_name(node.name), 0)
-    if isinstance(node, (Neg, Alt)):
+    if isinstance(node, Alt):
         return _valuation(node.child)
     if isinstance(node, Pow):
         return node.exponent * _valuation(node.base)
@@ -494,7 +488,7 @@ def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     are decided; ``plan`` follows it.
     """
     kids: list[tuple[Expr, int]] = []
-    if isinstance(node, (Neg, Alt)):
+    if isinstance(node, Alt):
         kids = [(node.child, order)]
     elif isinstance(node, Ap):
         kids = [(node.child, node.modulus * (order - 1) + node.residue + 1)]
@@ -538,9 +532,6 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | PochhammerSpec, int]]
         return 1, 0, {node.k: 1}
     if isinstance(node, PochhammerSpec) and node.base_exp:
         return 1, 0, {node: 1}
-    if isinstance(node, Neg):
-        inner = _eta_factors(node.child)
-        return None if inner is None else (-inner[0], inner[1], inner[2])
     if isinstance(node, Pow):
         inner = _eta_factors(node.base)
         n = node.exponent
@@ -584,7 +575,7 @@ def _fold(node: Expr) -> Expr:
     ``l(k)^e`` costs |e| sparse products, and apart ``^`` squares and
     multiplies.
     """
-    if not isinstance(node, (BinOp, Pow, Neg)) or (
+    if not isinstance(node, (BinOp, Pow)) or (
         isinstance(node, BinOp) and node.op in "+-"
     ):
         return node
@@ -627,8 +618,14 @@ def plan(node: Expr, order: int) -> Plan:
 
 
 def widest(p: Plan) -> int:
-    """The most coefficients a node of ``p`` spans: its order less a negative valuation."""
-    return max([p.order - min(_valuation(p.node), 0), *map(widest, p.kids)])
+    """The most coefficients the read ``p`` or a node of it spans: a node's
+    order less a negative valuation, and none where it is zero below its order."""
+
+    def span(p: Plan) -> int:
+        v = _valuation(p.node)
+        return max([p.order - min(v, 0) if v < p.order else 0, *map(span, p.kids)])
+
+    return max(p.order, span(p))
 
 
 def run(p: Plan) -> TruncatedSeries:
@@ -679,8 +676,6 @@ def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeri
         if node.name not in partitions.RULESETS:
             raise KeyError(f"unknown ruleset {node.name!r}")
         return partitions.count_dp(partitions.RULESETS[node.name], order)
-    if isinstance(node, Neg):
-        return -kids[0]
     if isinstance(node, Alt):
         return kids[0].alternate()
     if isinstance(node, Ap):

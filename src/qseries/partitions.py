@@ -4,7 +4,8 @@ weighted theta streams of the claim language's ``stream(kind, s)``.
 Every rule set has two independent routes.  ``count_signed`` is a plain
 backtracking enumerator over colored multisets of parts and is the trusted
 oracle; ``count_dp`` builds the same counts through the generating-function
-product and is the fast path.  Disagreement between the two localises bugs.
+product, one Pochhammer factor per residue class, and is the fast path.
+Disagreement between the two localises bugs.
 
 Colors are labeled: a part value v in color a and the same value in color b
 are distinct parts, which is exactly what the products (1 - q^v)^(-r) count.
@@ -17,8 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .products import eta, jacobi_cube, theta_f
-from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
+from .products import PochhammerSpec, apply_pochhammer, eta, jacobi_cube, theta_f
+from .series import SeriesError, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -172,23 +173,20 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     """Generating-function route: the series whose coefficient at n equals
     ``count_signed(ruleset, n)``, valid below ``order``.
 
-    Per part value v with c colors the factor is (1 - q^v)^(-c) for ordinary
-    classes, (1 + q^v)^c for distinct, and the sign-twisted variants
-    (1 - q^v)^c / (1 + q^v)^(-c) for signed classes.
+    Each residue class a mod m with c colors is one Pochhammer factor from
+    its least part a (m for a = 0): (q^a;q^m)^(-c) for ordinary parts,
+    (-q^a;q^m)^c for distinct, and the signed variants (-q^a;q^m)^(-c) and
+    (q^a;q^m)^c.
     """
     if order <= 0:
         return TruncatedSeries.zero(order)
-    rules = ruleset.rules
-    m = len(rules)
+    m = len(ruleset.rules)
     out = [1] + [0] * (order - 1)
-    for v in range(1, order):
-        rule = rules[v % m]
-        c = -1 if rule.signed_by_count else 1
-        for _ in range(rule.colors):
-            if rule.distinct:
-                mul_binomial(out, v, c)
-            else:
-                div_binomial(out, v, -c)
+    for a, rule in enumerate(ruleset.rules):
+        if rule.colors:
+            sign = -1 if rule.distinct != rule.signed_by_count else 1
+            power = rule.colors if rule.distinct else -rule.colors
+            apply_pochhammer(out, PochhammerSpec(sign, a or m, m), power)
     return TruncatedSeries(0, out, order)
 
 

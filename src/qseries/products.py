@@ -71,11 +71,8 @@ class EtaQuotientSpec:
             if not isinstance(e, int):
                 raise DomainError(f"Pochhammer exponent must be an integer, got {e!r}")
 
-    def __hash__(self):
-        return hash((tuple(sorted(self.exponents.items())), frozenset(self.pochs.items())))
 
-
-def _apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
+def apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
     """Multiply the power series ``out`` in place by the product ``spec`` to
     the integer ``power``, one binomial factor at a time; factors at or
     beyond the list's length contribute 1."""
@@ -92,7 +89,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     if order <= 0:
         return TruncatedSeries.zero(order)
     out = [1] + [0] * (order - 1)
-    _apply_pochhammer(out, spec, 1)
+    apply_pochhammer(out, spec, 1)
     return TruncatedSeries(0, out, order)
 
 
@@ -144,7 +141,7 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
     n = -(-order // g)
     out = [1] + [0] * (n - 1)
     for p, e in spec.pochs.items():
-        _apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
+        apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
     acc = TruncatedSeries(0, out, n)
     for k, e in sorted(spec.exponents.items()):
         if e == 0:

@@ -474,6 +474,12 @@ class TestDemandPlan:
             "skipped", f"needs order {span}, beyond the cap 50000; rerun with a higher cap"
         )
 
+    def test_node_zero_below_its_order_is_not_capped(self):
+        # the SUB node is asked for order 10^6 at its valuation 10^6: a zero series
+        lhs, rhs = parse_expr("AP(SUB(q^1000,1000),2,0)"), parse_expr("0")
+        r = verify(Claim("zero.node", ClaimKind.IDENTITY, lhs=lhs, rhs=rhs, order=1))
+        assert (r.status, r.order, r.message) == ("pass", 1, "")
+
     def test_cap_sees_the_direct_route(self, monkeypatch):
         # the series route needs lambda at 59, the direct summation at 365
         counts = _count_computes(monkeypatch)
@@ -636,6 +642,18 @@ class TestClaimFiles:
             "A=2\nB=1\nbound=10\norder=40\n"
         )
         assert verify(claims[0]).status == "pass"
+
+    def test_interpretation_generating_function_route_failure(self):
+        # beta's 3n+2 progression is not thm5.2's product: the enumeration
+        # agrees at bound 0, the generating function route differs at n = 1
+        (claim,) = parse_claim_file(
+            "[claim]\nid=i\ntype=interpretation\nmock=beta\nruleset=thm5.2\n"
+            "A=3\nB=2\nbound=0\norder=200\n"
+        )
+        r = verify(claim)
+        assert (r.status, r.order, r.first_failure, r.message) == (
+            "fail", 200, {"n": 1, "lhs": 1, "rhs": 3}, "generating function route disagrees"
+        )
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown field"):

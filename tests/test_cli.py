@@ -71,8 +71,9 @@ class TestSeries:
         assert code == 0
         assert "0:1 1:-1 2:-1 5:1" in out
 
-    # an integer past the interpreter's int() digit limit is a parse error, not a traceback
-    @pytest.mark.parametrize("text", ["l(", "1" + "0" * 5000, "q^" + "9" * 5000])
+    # an integer past the interpreter's int() digit limit, or a character the
+    # tokenizer does not know, is a parse error, not a traceback
+    @pytest.mark.parametrize("text", ["l(", "1" + "0" * 5000, "q^" + "9" * 5000, "l(1) $"])
     def test_parse_error(self, capsys, text):
         code, _, err = run_cli(capsys, "series", text, "--order", "10")
         assert code == 2
@@ -120,6 +121,15 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", text, "--order", str(order))
         assert (code, out) == (2, "")
         assert err == f"error: expansion needs order {span}, beyond the cap 50000\n"
+
+    def test_node_zero_below_its_order_is_not_capped(self, capsys):
+        # SUB(q^1000,1000) is asked for order 10^6 at its valuation 10^6, so it is 0
+        code, out, err = run_cli(capsys, "series", "AP(SUB(q^1000,1000),2,0)", "--order", "1")
+        assert (code, out, err) == (0, "0 + O(q^1)\n", "")
+        # the read's own order is still capped
+        code, out, err = run_cli(capsys, "series", "SUB(q^1000,1000)", "--order", "1000000")
+        assert (code, out) == (2, "")
+        assert err == "error: expansion needs order 1000000, beyond the cap 50000\n"
 
     def test_runs_the_plan_the_cap_checked(self, capsys, monkeypatch):
         capped, ran = [], []

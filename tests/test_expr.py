@@ -18,7 +18,6 @@ from qseries.expr import (
     Lit,
     Mock,
     Mono,
-    Neg,
     ParseError,
     Pow,
     Subst,
@@ -61,6 +60,13 @@ class TestParse:
         with pytest.raises(UnknownSymbolError):
             parse_expr("stream(cubes,1)")
 
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError, match=r"^unexpected character '\$' at offset 5$"):
+            parse_expr("l(1) $")
+
+    def test_trailing_whitespace(self):
+        assert parse_expr("l(1)   ") == Eta(1)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expr("l(1) l(2)")
@@ -78,7 +84,8 @@ class TestParse:
         assert s.coefficient(0) == 1 and s.coefficient(1) == -1
 
     def test_unary_minus_binds_looser_than_power(self):
-        assert parse_expr("-l(1)^2") == Neg(Pow(Eta(1), 2)) == parse_expr("-(l(1)^2)")
+        minus_square = BinOp("*", Lit(-1), Pow(Eta(1), 2))
+        assert parse_expr("-l(1)^2") == minus_square == parse_expr("-(l(1)^2)")
         assert format_series(eval_expr(parse_expr("-l(1)^2"), 3)) == "-1 + 2q + q^2 + O(q^3)"
         assert eval_expr(parse_expr("-2^2"), 1).coefficient(0) == -4
 
@@ -151,6 +158,11 @@ ATOMS = st.one_of(
 )
 
 
+def negate(node):
+    """The node a unary minus in front of ``node`` parses to."""
+    return BinOp("*", Lit(-1), node)
+
+
 def _compound(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children).map(
@@ -160,7 +172,7 @@ def _compound(children):
         st.tuples(children, st.integers(1, 4), st.integers(0, 3)).map(
             lambda t: Ap(t[0], t[1], min(t[2], t[1] - 1))
         ),
-        children.map(Neg),
+        children.map(negate),
     )
 
 
@@ -435,6 +447,7 @@ def _small_compound(children):
         ),
         st.tuples(children, st.integers(1, 3)).map(lambda t: Subst(t[0], t[1])),
         children.map(Alt),
+        children.map(negate),
     )
 
 
