@@ -32,8 +32,9 @@ product exact, and every divisor is evaluated past its valuation, so its
 leading coefficient is checked.
 Products, quotients, powers, integer scalars and ``q^k`` factors of ``l(k)``
 and ``poch`` fold into one ``products.eta_quotient`` call, which applies
-every ``poch`` factor binomial by binomial to one coefficient list and then
-the sparse ``l(k)`` factors; see ``_fold`` for the powers left out.
+every ``poch`` factor to one coefficient list as a nested Euler or Cauchy
+sum and then the sparse ``l(k)`` factors; see ``_fold`` for the powers left
+out.
 
 The parser bounds its input: nesting deeper than ``MAX_NESTING``, a tree
 deeper than ``MAX_DEPTH`` (a chain of n terms is n deep) and ``^`` exponents
@@ -554,14 +555,16 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | PochhammerSpec, int]]
 
 
 # A product holding a ``poch`` power with |e| above this is not folded.
-# Folded, the power applies its binomials |e| times; apart, square and
-# multiply makes a few dense products.  At order 1000 (best of three to
-# five runs in one process, 2-core VM) ``poch(-q,1)^e*l(1)`` took 140 ms
-# folded against 196 ms apart at e = 3, 262 against 302 ms at e = 6,
-# 298 against 277 ms at e = 8, and 1.18 s against 0.68 s at e = 30.  A
-# step above 1 favours the fold (``poch(-q,3)^10*l(1)`` 104 against
-# 261 ms).  3 is the largest ``poch`` power a registry claim uses.
-_MAX_FOLDED_POCH_POWER = 3
+# Folded, the power applies its Euler or Cauchy sum |e| times; apart,
+# square and multiply makes a few dense products.  At order 1000 (best of
+# three to five runs in one process, 2-core VM), folded against apart:
+# ``poch(-q,1)^e*l(1)`` 15 against 159 ms at e = 3, 162 against 733 ms at
+# e = 30 and 505 against 933 ms at e = 100; ``poch(q,1)^e*l(1)``, whose
+# base is the sparse pentagonal series, 12 against 9 ms at e = 3, 16
+# against 29 ms at e = 4, 356 against 470 ms at e = 60, and 396 against
+# 339 ms at e = 65.  ``l(1)/poch(q,1)^60`` is 385 against 659 ms.  60 is
+# the largest power at which the fold won for both products.
+_MAX_FOLDED_POCH_POWER = 60
 
 
 def _fold(node: Expr) -> Expr:

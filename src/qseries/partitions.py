@@ -4,7 +4,8 @@ weighted theta streams of the claim language's ``stream(kind, s)``.
 Every rule set has two independent routes.  ``count_signed`` is a plain
 backtracking enumerator over colored multisets of parts and is the trusted
 oracle; ``count_dp`` builds the same counts through the generating-function
-product, one Pochhammer factor per residue class, and is the fast path.
+product, one Pochhammer factor per residue class expanded as Euler's or
+Cauchy's q-binomial sum, and is the fast path.
 Disagreement between the two localises bugs.
 
 Colors are labeled: a part value v in color a and the same value in color b
@@ -176,7 +177,8 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     Each residue class a mod m with c colors is one Pochhammer factor from
     its least part a (m for a = 0): (q^a;q^m)^(-c) for ordinary parts,
     (-q^a;q^m)^c for distinct, and the signed variants (-q^a;q^m)^(-c) and
-    (q^a;q^m)^c.
+    (q^a;q^m)^c.  ``apply_pochhammer`` sums each one in O(sqrt(order/m))
+    levels of O(order) work.
     """
     if order <= 0:
         return TruncatedSeries.zero(order)

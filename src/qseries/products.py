@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import gcd
+from operator import add, sub
 
 from .ntheory import DomainError
-from .series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
+from .series import SeriesError, TruncatedSeries, div_binomial
 
 
 class DegenerateProductError(SeriesError):
@@ -74,18 +75,49 @@ class EtaQuotientSpec:
 
 def apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
     """Multiply the power series ``out`` in place by the product ``spec`` to
-    the integer ``power``, one binomial factor at a time; factors at or
-    beyond the list's length contribute 1."""
-    exponents = range(spec.base_exp, len(out), spec.step)
-    kernel = mul_binomial if power > 0 else div_binomial
+    the integer ``power``, truncated to the list's length.
+
+    With x = sign*q^base_exp and p = q^step, the product and its inverse are
+    the q-binomial sums of Euler and of Cauchy (the Durfee square):
+
+        (x;p)_inf   = sum_m (-x)^m p^(m(m-1)/2) / (p;p)_m
+        1/(x;p)_inf = sum_m x^m p^(m(m-1)) / ((p;p)_m (x;p)_m)
+
+    Term m starts at q^(base_exp*m + step*m(m-1)/2), or at
+    q^(base_exp*m + step*m(m-1)) for Cauchy, so O(sqrt(len/step)) terms
+    reach below the length.  Each sum times X, the input list, is taken in
+    nested form from its last term inward: H_top = X and
+    H_m = X + (T_(m+1)/T_m) H_(m+1), where the ratio is one binomial
+    division (two for Cauchy) and a signed shift, and H_0 is the answer.
+    H_m is only needed below the length less term m's valuation, so every
+    level works on a list that much shorter.  A power e applies the sum |e|
+    times.
+    """
+    a, d, s = spec.base_exp, spec.step, spec.sign
+    cauchy = power < 0
+    if cauchy and a == 0:
+        raise SeriesError("(-1; q^step)_inf leads with 2 and has no power series inverse")
+    gap = 2 * d if cauchy else d  # term m + 1 starts a + gap*m above term m
+    shift_in = add if s == (1 if cauchy else -1) else sub  # the ratio's sign, s or -s
+    n = len(out)
     for _ in range(abs(power)):
-        for e in exponents:
-            kernel(out, e, -spec.sign)
+        vals = [0]
+        while (v := vals[-1] + a + gap * (len(vals) - 1)) < n:
+            vals.append(v)
+        h = out[: n - vals[-1]]
+        for m in reversed(range(len(vals) - 1)):
+            div_binomial(h, d * (m + 1), -1)
+            if cauchy:
+                div_binomial(h, a + d * m, -s)
+            sh = a + gap * m
+            h[:] = map(shift_in, out[sh : n - vals[m]], h)
+            h[0:0] = out[:sh]
+        out[:] = h
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
-    """Expand a Pochhammer product to the given order; it stabilises because
-    factors with exponent >= order contribute 1."""
+    """Expand a Pochhammer product to the given order by Euler's sum (see
+    :func:`apply_pochhammer`); terms from q^order on contribute nothing."""
     if order <= 0:
         return TruncatedSeries.zero(order)
     out = [1] + [0] * (order - 1)
@@ -98,7 +130,7 @@ def eta(k: int, order: int) -> TruncatedSeries:
 
     O(sqrt(order/k)) terms, cheap enough to recompute on every call, so it is
     not memoised.  The result doubles as a standing check of the pentagonal
-    expansion against the factor-by-factor product.
+    expansion against Euler's sum for the same product.
     """
     if k < 1:
         raise DomainError(f"eta index must be positive, got {k}")
@@ -120,15 +152,15 @@ def eta(k: int, order: int) -> TruncatedSeries:
 def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> TruncatedSeries:
     """Expand ``prod_k l_k^{e_k} * prod_p poch_p^{e_p}`` exactly to the given order.
 
-    The Pochhammer factors are applied binomial by binomial to one
-    coefficient list.  Then the ``l_k`` numerator factors are multiplied in
-    and the denominator factors divided out one at a time, so that every
-    division is by a sparse pentagonal series.  When g, the gcd of the
-    indices and the Pochhammer exponents, is above 1, the product is a series
-    in ``q^g``: it is expanded at ``ceil(order/g)`` with every index divided
-    by g, and its coefficients are spread g apart into a list of length
-    ``order``, so the work and memory stay bounded by the order however
-    large g is.
+    The Pochhammer factors are applied to one coefficient list as nested
+    Euler or Cauchy sums (:func:`apply_pochhammer`).  Then the ``l_k``
+    numerator factors are multiplied in and the denominator factors divided
+    out one at a time, so that every division is by a sparse pentagonal
+    series.  When g, the gcd of the indices and the Pochhammer exponents, is
+    above 1, the product is a series in ``q^g``: it is expanded at
+    ``ceil(order/g)`` with every index divided by g, and its coefficients
+    are spread g apart into a list of length ``order``, so the work and
+    memory stay bounded by the order however large g is.
     """
     if isinstance(spec, dict):
         spec = EtaQuotientSpec(spec)

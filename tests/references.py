@@ -3,9 +3,11 @@ registry claims are checked against.  Nothing in ``qseries`` imports this
 module; pytest puts ``tests/`` on the path, so tests import it as
 ``references``.
 
-The dissection right-hand sides compute the prime dissections of psi(q),
-l_1 and l_1^3 term by term, independently of the claim language, as the
-reference the registry's lemma2.1-2.3 texts are checked against.  The
+``pochhammer_by_binomials`` is the product loop that ``apply_pochhammer``'s
+Euler and Cauchy sums replaced, kept as their oracle.  The dissection
+right-hand sides compute the prime dissections of psi(q), l_1 and l_1^3
+term by term, independently of the claim language, as the reference the
+registry's lemma2.1-2.3 texts are checked against.  The
 classical partition families are eta quotients, and the ``*_brute``
 counters enumerate the same partitions by plain backtracking.
 ``qualifying_primes`` scans for the primes a congruence family admits.
@@ -26,7 +28,19 @@ from qseries.products import (
     pochhammer,
     theta_f,
 )
-from qseries.series import SeriesError, TruncatedSeries
+from qseries.series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
+
+
+# -- products: the binomial-by-binomial Pochhammer product --------------------
+
+def pochhammer_by_binomials(out: list[int], spec: PochhammerSpec, power: int) -> None:
+    """Multiply ``out`` in place by ``spec`` to ``power``, one binomial
+    factor (1 - sign*q^e) at a time; factors at or beyond the list's length
+    contribute 1."""
+    kernel = mul_binomial if power > 0 else div_binomial
+    for _ in range(abs(power)):
+        for e in range(spec.base_exp, len(out), spec.step):
+            kernel(out, e, -spec.sign)
 
 
 # -- products: the triple product and the prime dissections ------------------

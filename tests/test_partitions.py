@@ -1,6 +1,7 @@
 """Partition counters: enumeration oracles against generating functions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qseries.mock import mock_series
 from qseries.partitions import (
@@ -13,8 +14,8 @@ from qseries.partitions import (
     iter_colored_partitions,
     theta_stream,
 )
-from qseries.products import eta, phi, psi
-from qseries.series import SeriesError
+from qseries.products import PochhammerSpec, eta, phi, psi
+from qseries.series import SeriesError, TruncatedSeries
 from references import (
     colored_partitions_brute,
     distinct_colored_brute,
@@ -24,6 +25,7 @@ from references import (
     p_r,
     p_rd,
     partitions_brute,
+    pochhammer_by_binomials,
     regular4,
     regular_brute,
 )
@@ -116,6 +118,31 @@ class TestCountDp:
         series = count_dp(rs, 15)
         for n in range(15):
             assert series.coefficient(n) == count_signed(rs, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(RULESETS)), st.integers(0, 300))
+    def test_equals_the_binomial_product_of_its_classes(self, name, order):
+        assert count_dp(RULESETS[name], order) == classes_by_binomials(RULESETS[name], order)
+
+    @pytest.mark.parametrize("name", sorted(RULESETS))
+    def test_equals_the_binomial_product_at_depth(self, name):
+        assert count_dp(RULESETS[name], 1000) == classes_by_binomials(RULESETS[name], 1000)
+
+
+def classes_by_binomials(ruleset, order):
+    """Per part value v and color: 1/(1 - q^v) for an ordinary part,
+    1 + q^v for a distinct one, and the sign of q^v flipped when the class
+    is signed by its number of parts."""
+    if order <= 0:
+        return TruncatedSeries.zero(order)
+    m = len(ruleset.rules)
+    out = [1] + [0] * (order - 1)
+    for a, rule in enumerate(ruleset.rules):
+        if rule.colors:
+            plus = rule.distinct != rule.signed_by_count  # the factor has 1 + q^v
+            power = rule.colors if rule.distinct else -rule.colors
+            pochhammer_by_binomials(out, PochhammerSpec(-1 if plus else 1, a or m, m), power)
+    return TruncatedSeries(0, out, order)
 
 
 class TestClassicalFamilies:

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qseries import ntheory
 from qseries.products import (
@@ -11,6 +12,7 @@ from qseries.products import (
     DomainError,
     EtaQuotientSpec,
     PochhammerSpec,
+    apply_pochhammer,
     eta,
     eta_quotient,
     jacobi_cube,
@@ -19,12 +21,13 @@ from qseries.products import (
     psi,
     theta_f,
 )
-from qseries.series import TruncatedSeries
+from qseries.series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 from references import (
     f1_p_dissection_final_term,
     f1_p_dissection_rhs,
     f1cubed_p_dissection_final_term,
     f1cubed_p_dissection_rhs,
+    pochhammer_by_binomials,
     psi_p_dissection_final_term,
     psi_p_dissection_rhs,
     triple_product,
@@ -70,6 +73,87 @@ class TestPochhammer:
 
     def test_one_domain_error(self):
         assert DomainError is ntheory.DomainError
+
+
+def applied(coeffs, spec, power):
+    out = list(coeffs)
+    apply_pochhammer(out, spec, power)
+    return out
+
+
+def by_binomials(coeffs, spec, power):
+    out = list(coeffs)
+    pochhammer_by_binomials(out, spec, power)
+    return out
+
+
+class TestApplyPochhammer:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), max_size=300),
+        st.sampled_from([1, -1]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(-4, 4),
+    )
+    def test_matches_the_binomial_product(self, coeffs, sign, base_exp, step, power):
+        spec = PochhammerSpec(sign, base_exp, step)
+        assert applied(coeffs, spec, power) == by_binomials(coeffs, spec, power)
+
+    @pytest.mark.parametrize("order", [1000, 2500])
+    @pytest.mark.parametrize(
+        "spec", [PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 1, 2), PochhammerSpec(1, 2, 3)]
+    )
+    @pytest.mark.parametrize("power", [1, -1])
+    def test_matches_the_binomial_product_at_depth(self, spec, power, order):
+        one = [1] + [0] * (order - 1)
+        assert applied(one, spec, power) == by_binomials(one, spec, power)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 7])
+    def test_power_zero_is_the_identity(self, length):
+        coeffs = list(range(3, 3 + length))
+        assert applied(coeffs, PochhammerSpec(-1, 1, 1), 0) == coeffs
+
+    @pytest.mark.parametrize("power", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("length", [0, 1, 2, 5])
+    def test_base_at_or_past_the_length_leaves_the_list(self, power, length):
+        coeffs = [4, -1, 7, 2, 9][:length]
+        assert applied(coeffs, PochhammerSpec(1, 5, 1), power) == coeffs
+
+    @pytest.mark.parametrize("power", [-1, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_step_at_or_past_the_length_applies_one_factor(self, sign, power):
+        coeffs = [5, -2, 0, 3, 1, 8, -7]
+        want = list(coeffs)
+        (mul_binomial if power > 0 else div_binomial)(want, 2, -sign)
+        for step in (7, 8, 100):
+            assert applied(coeffs, PochhammerSpec(sign, 2, step), power) == want
+
+    @pytest.mark.parametrize("length", [0, 1, 2])
+    @pytest.mark.parametrize("power", [-3, -1, 1, 3])
+    def test_short_lists(self, length, power):
+        coeffs = [2, -5][:length]
+        for spec in (PochhammerSpec(1, 1, 1), PochhammerSpec(-1, 1, 3)):
+            assert applied(coeffs, spec, power) == by_binomials(coeffs, spec, power)
+
+    def test_multiplies_a_list_that_is_not_one(self):
+        # (q;q)_inf / (q;q)_inf leaves any series as it was
+        coeffs = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5, 8]
+        spec = PochhammerSpec(1, 1, 1)
+        assert applied(applied(coeffs, spec, 1), spec, -1) == coeffs
+        assert applied(coeffs, spec, 2) == by_binomials(coeffs, spec, 2)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_base_exponent_zero_against_the_binomial_product(self, power):
+        coeffs = [1, 2, 0, -1] + [0] * 60
+        spec = PochhammerSpec(-1, 0, 3)
+        assert applied(coeffs, spec, power) == by_binomials(coeffs, spec, power)
+
+    @pytest.mark.parametrize("length", [0, 1, 5])
+    def test_inverse_from_base_exponent_zero_is_refused(self, length):
+        # (-1;q^k)_inf leads with 2, so no integer series inverts it
+        with pytest.raises(SeriesError, match="no power series inverse"):
+            applied([1] * length, PochhammerSpec(-1, 0, 2), -1)
 
 
 class TestEta:
@@ -137,11 +221,12 @@ class TestEtaQuotient:
         ],
     )
     def test_quotient_matches_factor_by_factor(self, exponents, pochs, order):
-        want = TruncatedSeries.one(order)
+        out = [1] + [0] * (order - 1)
+        for p, e in pochs.items():
+            pochhammer_by_binomials(out, p, e)
+        want = TruncatedSeries(0, out, order)
         for k, e in exponents.items():
             want = want * eta(k, order) ** e
-        for p, e in pochs.items():
-            want = want * pochhammer(p, order) ** e
         got = eta_quotient(EtaQuotientSpec(exponents, pochs), order)
         assert got.order == order and got == want
 
