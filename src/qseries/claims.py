@@ -268,7 +268,7 @@ def _verify_inner(
     bound = _bound(claim, count)
     coeffs = next(series)  # serves both routes
     failure = _first_difference(
-        (partitions.count_signed(rs, n), coeffs.coefficient(n)) for n in range(bound + 1)
+        zip(partitions.count_signed(rs, bound), map(coeffs.coefficient, range(bound + 1)))
     )
     if failure is not None:
         return fail(bound, failure, "backtracking enumeration disagrees")

@@ -206,7 +206,7 @@ def _cmd_enumerate(args) -> int:
             print(f"{'+' if sign > 0 else '-'} {rendered}")
         print(f"signed count = {total}")
     else:
-        print(partitions.count_signed(rs, args.n))
+        print(partitions.count_signed(rs, args.n)[args.n] if args.n >= 0 else 0)
     return 0
 
 

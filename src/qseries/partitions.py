@@ -2,15 +2,17 @@
 weighted theta streams of the claim language's ``stream(kind, s)``.
 
 Every rule set has two independent routes.  ``count_signed`` is a plain
-backtracking enumerator over colored multisets of parts and is the trusted
-oracle; ``count_dp`` builds the same counts through the generating-function
-product, one Pochhammer factor per residue class expanded as Euler's or
-Cauchy's q-binomial sum, and is the fast path.
+backtracking enumerator over colored multisets of parts, one walk that counts
+every size up to its bound, and is the trusted oracle; ``count_dp`` builds the
+same counts through the generating-function product, one Pochhammer factor per
+residue class expanded as Euler's or Cauchy's q-binomial sum, and is the fast
+path.
 Disagreement between the two localises bugs.
 
 Colors are labeled: a part value v in color a and the same value in color b
 are distinct parts, which is exactly what the products (1 - q^v)^(-r) count.
-Counters return 0 for negative arguments.
+A negative bound counts nothing: ``count_signed`` returns ``[]`` and
+``iter_colored_partitions`` yields nothing.
 """
 
 from __future__ import annotations
@@ -111,44 +113,46 @@ RULESETS: dict[str, PartitionRuleSet] = {
 }
 
 
-def count_signed(ruleset: PartitionRuleSet, n: int) -> int:
-    """Signed count of colored partitions of n, by exhaustive backtracking.
+def count_signed(ruleset: PartitionRuleSet, bound: int) -> list[int]:
+    """Signed counts of the colored partitions of every n in 0..bound (``[]``
+    for a negative bound), by one exhaustive backtracking walk.
 
     Each level picks the next part (value, color) the partition uses, from
     those after the previous level's and largest first, and its multiplicity
-    k >= 1, which leaves ``rem - k * value`` to the parts after it.  Every
-    admissible colored multiset of parts is visited exactly once and its sign
-    summed; the depth is the number of distinct parts.  Intended for n up to
-    about 30.
+    k >= 1, which leaves ``rem - k * value`` to the parts after it.  Every node
+    of the walk is one colored partition, of size ``bound - rem``, and adds its
+    sign there as the walk reaches it, so the walk visits each admissible
+    colored multiset of parts of size at most ``bound`` exactly once; its
+    depth is the number of distinct parts.  Its time grows with the number of
+    those partitions, about 3x per +5 of ``bound`` for thm6.1.
     """
-    if n < 0:
-        return 0
+    if bound < 0:
+        return []
     rules = ruleset.rules
     m = len(rules)
+    counts = [0] * (bound + 1)
 
-    def after(value: int, color: int, rem: int) -> int:
-        if rem == 0:
-            return 1
-        total = 0
+    def after(value: int, color: int, rem: int, sign: int) -> None:
+        counts[bound - rem] += sign
         for v in range(rem, value - 1, -1):
             rule = rules[v % m]
             top = 1 if rule.distinct else rem // v
             for c in range(rule.colors - 1, color if v == value else -1, -1):
                 for k in range(1, top + 1):
-                    sub = after(v, c, rem - k * v)
-                    total += -sub if rule.signed_by_count and k % 2 else sub
-        return total
+                    after(v, c, rem - k * v, -sign if rule.signed_by_count and k % 2 else sign)
 
-    return after(1, -1, n)  # every part (v, c) comes after (1, -1)
+    after(1, -1, bound, 1)  # every part (v, c) comes after (1, -1)
+    return counts
 
 
 def iter_colored_partitions(
     ruleset: PartitionRuleSet, n: int
 ) -> Iterator[tuple[tuple[tuple[int, int, int], ...], int]]:
     """Yield each colored partition of n as ((value, color, multiplicity), ...)
-    together with its sign.  Same walk as :func:`count_signed`: the parts of
-    a partition come in increasing (value, color) order, and the partitions
-    in increasing order of their multiplicities read from part (1, 0) up.
+    together with its sign.  The walk of :func:`count_signed` rooted at n,
+    kept to the nodes of size n: the parts of a partition come in increasing
+    (value, color) order, and the partitions in increasing order of their
+    multiplicities read from part (1, 0) up.
     """
     if n < 0:
         return
@@ -171,8 +175,8 @@ def iter_colored_partitions(
 
 
 def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
-    """Generating-function route: the series whose coefficient at n equals
-    ``count_signed(ruleset, n)``, valid below ``order``.
+    """Generating-function route: the series whose coefficients below
+    ``order`` are ``count_signed(ruleset, order - 1)``.
 
     Each residue class a mod m with c colors is one Pochhammer factor from
     its least part a (m for a = 0): (q^a;q^m)^(-c) for ordinary parts,

@@ -322,7 +322,7 @@ def test_frozen_spot_values():
     v = mock_series("v", 6)
     ok = (
         [v.coefficient(k) for k in (1, 3, 5)] == [1, 1, 3]
-        and count_signed(RULESETS["thm3.2"], 2) == 3
+        and count_signed(RULESETS["thm3.2"], 2)[2] == 3
         and eta_quotient({4: 3, 1: -1, 2: -1}, 3).coefficient(2) == 3
     )
     check("spot-values P_v(5)=3 on three routes", ok)

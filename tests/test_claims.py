@@ -178,6 +178,26 @@ class TestVerify:
             series = verify(claim)
             assert series.status == "pass", cid
 
+    def test_interpretation_walks_once_to_its_bound(self, monkeypatch):
+        calls = []
+        real = partitions.count_signed
+        monkeypatch.setattr(
+            partitions, "count_signed", lambda rs, bound: calls.append(bound) or real(rs, bound)
+        )
+        table = registry_by_id()
+        assert verify(table["thm3.2"]).status == "pass"
+        assert calls == [table["thm3.2"].bound]
+        calls.clear()
+        assert verify(table["thm3.2"], count=0).status == "pass"
+        assert calls == [0]
+        calls.clear()
+        # the refuted claim still fails at n = 1, after one whole walk
+        pinned = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())
+        (want,) = [r for r in pinned if r["id"] == "thm5.2"]
+        report = verify(table["thm5.2"])
+        assert json.dumps(_scrub(report)) == json.dumps(want)
+        assert calls == [table["thm5.2"].bound]
+
     def test_report_determinism(self):
         claim = registry_by_id()["eq2.5.psi"]
         a = verify(claim).to_dict()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qseries import cli, expr
+from qseries import cli, expr, partitions
 from qseries.cli import main
 
 
@@ -406,6 +406,18 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "thm3.2", "2")
         assert code == 0
         assert out.strip() == "3"
+
+    def test_count_below_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "thm3.2", "-1")
+        assert (code, out) == (0, "0\n")
+
+    @pytest.mark.parametrize("name", sorted(partitions.RULESETS))
+    def test_count_is_the_signed_count_of_the_listing(self, capsys, name):
+        for n in range(-1, 9):
+            code, out, _ = run_cli(capsys, "enumerate", name, str(n))
+            listed = run_cli(capsys, "enumerate", name, str(n), "--list")
+            assert code == listed[0] == 0
+            assert f"signed count = {out.strip()}" == listed[1].splitlines()[-1]
 
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "thm3.2", "2", "--list")
