@@ -17,15 +17,17 @@ Grammar (precedence low to high: + - then * / then unary - then ^):
            | "ALT(" expr ")"               q -> -q
            | "(" expr ")"
 
-Evaluation follows an exact demand plan.  ``_child_orders`` is the one place
-that decides orders: from each factor's valuation it gives every child the
-order it must reach so that its parent is exact below the requested order
-(``q^k`` is an exact shift, ``AP(e, m, r)`` asks for ``m*(N-1) + r + 1``,
-``SUB(e, k)`` for ``ceil(N/k)``, a product asks each factor for N minus the
-other factor's valuation).  ``plan`` folds each node once into a
-:class:`Plan` tree of those orders, evaluating nothing, so a caller can check
-caps on it (``widest``) before any work; ``run`` evaluates exactly that tree
-to a series of exactly the requested order, and ``eval_expr`` is both.
+Evaluation follows an exact demand plan, which ``plan`` builds in two linear
+passes, evaluating nothing.  The bottom-up pass gives each node its valuation
+and eta factors from its children's.  The top-down pass folds each node it
+keeps and takes every child order from ``_child_orders``, the one place that
+decides orders: from each factor's valuation it gives every child the order
+it must reach so that its parent is exact below the requested order (``q^k``
+is an exact shift, ``AP(e, m, r)`` asks for ``m*(N-1) + r + 1``, ``SUB(e, k)``
+for ``ceil(N/k)``, a product asks each factor for N minus the other factor's
+valuation).  Each :class:`Plan` node carries its order and valuation, so a
+caller can check caps on it (``widest``) before any work; ``run`` evaluates
+exactly that tree to a series of exactly the requested order.
 No node is answered without evaluation: a child is never asked for less than
 its valuation, so a factor that is zero below the order still keeps its
 product exact, and every divisor is evaluated past its valuation, so its
@@ -48,7 +50,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import mock as mock_mod
 from . import partitions, products
@@ -450,37 +452,70 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-def _valuation(node: Expr) -> int:
-    """The exponent at which the evaluated series of ``node`` starts.
+class _Facts(NamedTuple):
+    """What the bottom-up pass knows of one node, from its children's facts."""
 
-    It is the valuation ``TruncatedSeries`` arithmetic gives the result, so it
-    is where a divisor or a negative power's base must have coefficient +1 or
-    -1.  ``_child_orders`` never asks a node for less than this order.
-    """
-    if isinstance(node, Mono):
-        return node.k
-    if isinstance(node, Mock):  # where term 0 of its sum starts
-        return mock_mod.valuation_schedule(mock_mod.MockThetaId.from_name(node.name), 0)
-    if isinstance(node, Alt):
-        return _valuation(node.child)
-    if isinstance(node, Pow):
-        return node.exponent * _valuation(node.base)
-    if isinstance(node, Ap):
-        return -(-(_valuation(node.child) - node.residue) // node.modulus)
-    if isinstance(node, Subst):
-        return node.power * _valuation(node.child)
-    if isinstance(node, BinOp):
-        a, b = _valuation(node.left), _valuation(node.right)
+    node: Expr
+    valuation: int
+    factors: tuple[int, int, dict[int | PochhammerSpec, int]] | None
+    kids: tuple[_Facts, ...]
+
+
+def _facts(node: Expr) -> _Facts:
+    """The facts of ``node`` and of every node under it, each node visited once.
+
+    The valuation is the exponent at which ``TruncatedSeries`` arithmetic
+    starts the node's series, so a divisor or a negative power's base must
+    have coefficient +1 or -1 there.  The factors are ``(c, s, {f: e})``
+    when ``node`` is ``c * q^s * prod f^e``, each f an index k of ``l(k)``
+    or a ``poch`` whose series starts at 1 (``poch(-q^0,m)`` starts at 2),
+    else None."""
+    v, factors, kids = 0, None, ()  # every constant, product, theta and ruleset leaf starts at 0
+    if isinstance(node, Lit):
+        factors = node.value, 0, {}
+    elif isinstance(node, Mono):
+        v, factors = node.k, (1, node.k, {})
+    elif isinstance(node, Eta):
+        factors = 1, 0, {node.k: 1}
+    elif isinstance(node, PochhammerSpec) and node.base_exp:
+        factors = 1, 0, {node: 1}
+    elif isinstance(node, Mock):  # where term 0 of its sum starts
+        v = mock_mod.valuation_schedule(mock_mod.MockThetaId.from_name(node.name), 0)
+    elif isinstance(node, (Alt, Ap, Subst)):
+        kids = (_facts(node.child),)
+        v = kids[0].valuation
+        if isinstance(node, Ap):
+            v = -(-(v - node.residue) // node.modulus)
+        elif isinstance(node, Subst):
+            v *= node.power
+    elif isinstance(node, Pow):
+        kids = (base := _facts(node.base),)
+        n, inner = node.exponent, base.factors
+        v = n * base.valuation
+        if inner is not None and (n >= 0 or inner[0] in (1, -1)):
+            scale, shift, exps = inner
+            factors = scale ** abs(n), n * shift, {k: n * e for k, e in exps.items()}
+    elif isinstance(node, BinOp):
+        kids = left, right = _facts(node.left), _facts(node.right)
         if node.op in "+-":
-            return min(a, b)
-        return a + b if node.op == "*" else a - b
-    return 0  # constants and every product, theta and ruleset leaf
+            v = min(left.valuation, right.valuation)
+        else:
+            sign = 1 if node.op == "*" else -1
+            v = left.valuation + sign * right.valuation
+            a, b = left.factors, right.factors
+            # dividing by +1 or -1 is multiplying by it
+            if a is not None and b is not None and (sign == 1 or b[0] in (1, -1)):
+                exps = dict(a[2])
+                for k, e in b[2].items():
+                    exps[k] = exps.get(k, 0) + sign * e
+                factors = a[0] * b[0], a[1] + sign * b[1], exps
+    return _Facts(node, v, factors, kids)
 
 
-def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
-    """The children ``plan`` plans for ``node``, each with its order.
+def _child_orders(f: _Facts, order: int) -> list[tuple[_Facts, int]]:
+    """The children ``plan`` plans for the node of ``f``, each with its order.
 
-    Each child order is the least that makes ``node`` exact below ``order``,
+    Each child order is the least that makes the node exact below ``order``,
     given the valuations of the other factors, and never below the child's
     own valuation: a child that is zero below the order then still starts
     where the plan says, so its parent keeps its precision.  A divisor or a
@@ -488,70 +523,31 @@ def _child_orders(node: Expr, order: int) -> list[tuple[Expr, int]]:
     its leading coefficient is checked.  This is the only place where orders
     are decided; ``plan`` follows it.
     """
-    kids: list[tuple[Expr, int]] = []
-    if isinstance(node, Alt):
-        kids = [(node.child, order)]
-    elif isinstance(node, Ap):
-        kids = [(node.child, node.modulus * (order - 1) + node.residue + 1)]
+    node, kids = f.node, f.kids
+    pairs = [(kid, order) for kid in kids]  # the child of ALT, the terms of a sum
+    if isinstance(node, Ap):
+        pairs = [(kids[0], node.modulus * (order - 1) + node.residue + 1)]
     elif isinstance(node, Subst):
-        kids = [(node.child, -(-order // node.power))]
-    elif isinstance(node, Pow) and node.exponent:
-        n, v = node.exponent, _valuation(node.base)
+        pairs = [(kids[0], -(-order // node.power))]
+    elif isinstance(node, Pow):
+        n, v = node.exponent, kids[0].valuation
         need = order - (n - 1) * v
-        kids = [(node.base, need if n > 0 else max(need, v + 1))]
-    elif isinstance(node, BinOp):
-        left, right = node.left, node.right
-        if node.op in "+-":
-            kids = [(left, order), (right, order)]
-        elif node.op == "*":
-            # an integer scalar or a q^k factor is applied exactly, not multiplied
-            if isinstance(left, (Lit, Mono)):
-                kids = [(right, order - _valuation(left))]
-            elif isinstance(right, (Lit, Mono)):
-                kids = [(left, order - _valuation(right))]
-            else:
-                kids = [(left, order - _valuation(right)), (right, order - _valuation(left))]
-        elif isinstance(right, Mono):
-            kids = [(left, order + right.k)]
+        pairs = [(kids[0], need if n > 0 else max(need, v + 1))] if n else []
+    elif isinstance(node, BinOp) and node.op == "*":
+        left, right = kids
+        # an integer scalar or a q^k factor is applied exactly, not multiplied
+        if isinstance(node.left, (Lit, Mono)):
+            pairs = [(right, order - left.valuation)]
+        elif isinstance(node.right, (Lit, Mono)):
+            pairs = [(left, order - right.valuation)]
         else:
-            vl, vr = _valuation(left), _valuation(right)
-            kids = [(left, order + vr), (right, max(order - vl + 2 * vr, vr + 1))]
-    return [(child, max(o, _valuation(child))) for child, o in kids]
-
-
-def _eta_factors(node: Expr) -> tuple[int, int, dict[int | PochhammerSpec, int]] | None:
-    """``(c, s, {f: e})`` when ``node`` is ``c * q^s * prod f^e``, else None.
-
-    Each factor f is an index k of ``l(k)`` or a ``poch`` whose series starts
-    at 1; ``poch(-q^0,m)`` starts at 2, so it is not a factor here.
-    """
-    if isinstance(node, Lit):
-        return node.value, 0, {}
-    if isinstance(node, Mono):
-        return 1, node.k, {}
-    if isinstance(node, Eta):
-        return 1, 0, {node.k: 1}
-    if isinstance(node, PochhammerSpec) and node.base_exp:
-        return 1, 0, {node: 1}
-    if isinstance(node, Pow):
-        inner = _eta_factors(node.base)
-        n = node.exponent
-        if inner is None or (n < 0 and inner[0] not in (1, -1)):
-            return None
-        scale, shift, exps = inner
-        return scale ** abs(n), n * shift, {k: n * e for k, e in exps.items()}
-    if isinstance(node, BinOp) and node.op in "*/":
-        left = _eta_factors(node.left)
-        right = None if left is None else _eta_factors(node.right)
-        if right is None or (node.op == "/" and right[0] not in (1, -1)):
-            return None
-        sign = 1 if node.op == "*" else -1
-        exps = dict(left[2])
-        for k, e in right[2].items():
-            exps[k] = exps.get(k, 0) + sign * e
-        # dividing by +1 or -1 is multiplying by it
-        return left[0] * right[0], left[1] + sign * right[1], exps
-    return None
+            pairs = [(left, order - right.valuation), (right, order - left.valuation)]
+    elif isinstance(node, BinOp) and node.op == "/":
+        vl, vr = kids[0].valuation, kids[1].valuation
+        pairs = [(kids[0], order + vr)]
+        if not isinstance(node.right, Mono):  # dividing by q^k is an exact shift
+            pairs.append((kids[1], max(order - vl + 2 * vr, vr + 1)))
+    return [(kid, max(o, kid.valuation)) for kid, o in pairs]
 
 
 # A product holding a ``poch`` power with |e| above this is not folded.
@@ -567,9 +563,9 @@ def _eta_factors(node: Expr) -> tuple[int, int, dict[int | PochhammerSpec, int]]
 _MAX_FOLDED_POCH_POWER = 60
 
 
-def _fold(node: Expr) -> Expr:
-    """Fold a product of ``l(k)`` and ``poch`` powers into
-    ``q^shift * scale * EtaQuotientSpec``.
+def _fold(f: _Facts) -> _Facts:
+    """``f`` with its product of ``l(k)`` and ``poch`` powers folded, by the
+    factors it carries, into ``q^shift * scale * EtaQuotientSpec``.
 
     The shift and the scale stay ``*`` nodes, which ``_child_orders`` applies
     exactly; the leaf carries only the exponents.  A product with a ``poch``
@@ -578,46 +574,46 @@ def _fold(node: Expr) -> Expr:
     ``l(k)^e`` costs |e| sparse products, and apart ``^`` squares and
     multiplies.
     """
-    if not isinstance(node, (BinOp, Pow)) or (
-        isinstance(node, BinOp) and node.op in "+-"
-    ):
-        return node
-    factors = _eta_factors(node)
-    if factors is None:
-        return node
-    scale, shift, exps = factors
+    if f.factors is None or not isinstance(f.node, (BinOp, Pow)):
+        return f
+    scale, shift, exps = f.factors
     exps = {k: e for k, e in exps.items() if e}
-    pochs = {f: e for f, e in exps.items() if isinstance(f, PochhammerSpec)}
+    pochs = {k: e for k, e in exps.items() if isinstance(k, PochhammerSpec)}
     if any(abs(e) > MAX_EXPONENT for e in exps.values()) or any(
         abs(e) > _MAX_FOLDED_POCH_POWER for e in pochs.values()
     ):
-        return node
-    if not exps:
-        folded: Expr = Lit(scale)
-    else:
-        folded = products.EtaQuotientSpec(
-            {k: e for k, e in exps.items() if isinstance(k, int)}, pochs
-        )
+        return f
+    folded: Expr = Lit(scale)
+    if exps:
+        etas = {k: e for k, e in exps.items() if isinstance(k, int)}
+        folded = products.EtaQuotientSpec(etas, pochs)
         if scale != 1:
             folded = BinOp("*", Lit(scale), folded)
-    return BinOp("*", Mono(shift), folded) if shift else folded
+    return _facts(BinOp("*", Mono(shift), folded) if shift else folded)
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
     """One node of a demand plan: the folded ``node``, the ``order`` it is
-    evaluated to, and the plans of the children ``_apply`` combines."""
+    evaluated to, the ``valuation`` its series starts at, and the plans of
+    the children ``_apply`` combines.  ``_facts`` gives every node its
+    valuation and factors bottom-up, then ``_place`` folds the nodes it keeps
+    and orders their children top-down, each pass one visit per node."""
 
     node: Expr
     order: int
+    valuation: int
     kids: tuple[Plan, ...]
 
 
 def plan(node: Expr, order: int) -> Plan:
-    """The demand plan of ``node`` at ``order``: every node folded once, and
-    each child at the order ``_child_orders`` gives it.  Nothing is evaluated."""
-    node = _fold(node)
-    return Plan(node, order, tuple(starmap(plan, _child_orders(node, order))))
+    """The demand plan of ``node`` at ``order``; nothing is evaluated."""
+    return _place(_facts(node), order)
+
+
+def _place(f: _Facts, order: int) -> Plan:
+    f = _fold(f)
+    return Plan(f.node, order, f.valuation, tuple(starmap(_place, _child_orders(f, order))))
 
 
 def widest(p: Plan) -> int:
@@ -625,7 +621,7 @@ def widest(p: Plan) -> int:
     order less a negative valuation, and none where it is zero below its order."""
 
     def span(p: Plan) -> int:
-        v = _valuation(p.node)
+        v = p.valuation
         return max([p.order - min(v, 0) if v < p.order else 0, *map(span, p.kids)])
 
     return max(p.order, span(p))
@@ -638,7 +634,7 @@ def run(p: Plan) -> TruncatedSeries:
     not +1 or -1, and :class:`SeriesError` if an evaluation delivers less
     than its plan demands.
     """
-    result = _apply(p.node, p.order, list(map(run, p.kids)))
+    result = _apply(p, list(map(run, p.kids)))
     if result.order < p.order:
         raise SeriesError(
             f"{type(p.node).__name__} node delivered order {result.order}, "
@@ -653,8 +649,9 @@ def eval_expr(node: Expr, order: int) -> TruncatedSeries:
     return run(plan(node, order))
 
 
-def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeries:
+def _apply(p: Plan, kids: list[TruncatedSeries]) -> TruncatedSeries:
     """Combine evaluated children (or expand a leaf) at the planned order."""
+    node, order = p.node, p.order
     if isinstance(node, Lit):
         return TruncatedSeries.one(order).scale(node.value)
     if isinstance(node, Mono):
@@ -668,7 +665,7 @@ def _apply(node: Expr, order: int, kids: list[TruncatedSeries]) -> TruncatedSeri
     if isinstance(node, PochhammerSpec):
         return products.pochhammer(node, order)
     if isinstance(node, Mock):  # mock_series starts at q^0; the plan at the valuation
-        v = _valuation(node)
+        v = p.valuation
         if order <= v:
             return TruncatedSeries.zero(order)
         s = mock_mod.mock_series(node.name, order)

@@ -191,7 +191,7 @@ class TruncatedSeries:
     def _unit_lead(self) -> int:
         if not self.coeffs or self.coeffs[0] not in (1, -1):
             lead = self.coeffs[0] if self.coeffs else None
-            raise NonUnitError(f"leading coefficient {lead!r} is not +1 or -1")
+            raise NonUnitError(f"leading coefficient {_text_or_digits(lead)} is not +1 or -1")
         return self.coeffs[0]
 
     def invert(self) -> "TruncatedSeries":

@@ -16,7 +16,7 @@ counters enumerate the same partitions by plain backtracking.
 
 from __future__ import annotations
 
-from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta, _valuation
+from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta
 from qseries.ntheory import FAMILIES, DomainError, is_prime, legendre
 from qseries.products import (
     DivergenceError,
@@ -349,7 +349,7 @@ def leaf_demands(plan: Plan) -> dict[Expr, int]:
     while stack:
         plan = stack.pop()
         node, order = plan.node, plan.order
-        if order <= _valuation(node):
+        if order <= plan.valuation:
             leaves = []
         elif isinstance(node, EtaQuotientSpec):
             leaves = [Eta(k) for k in node.exponents] + list(node.pochs)

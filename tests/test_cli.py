@@ -168,6 +168,17 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", BIG, "--order", "2")
         assert (code, out, err) == (2, "", DIGITS_ERROR)
 
+    @past_the_digit_limit
+    def test_divisor_lead_past_the_digit_limit_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qseries", "series", f"1/{BIG}", "--order", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: leading coefficient (4516 digits) is not +1 or -1\n"
+        assert "Traceback" not in proc.stderr
+
     def test_reciprocal_of_a_mock_stream(self, capsys):
         # v(q) starts at q^1, so 1/v(q) starts at q^-1
         code, out, _ = run_cli(capsys, "series", "1/mock(v)", "--order", "6")
@@ -391,6 +402,16 @@ class TestVerify:
             assert out.splitlines()[1].startswith("big,fail,1,0,")
         else:
             assert (code, out, err) == (2, "", DIGITS_ERROR)
+
+    @past_the_digit_limit
+    def test_divisor_lead_past_the_digit_limit_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "user.claims"
+        path.write_text(f"[claim]\nid=big\ntype=identity\nlhs=1/{BIG}\nrhs=0\norder=2\n")
+        code, out, _ = run_cli(capsys, "verify", "big", "--claims", str(path), "--format", "json")
+        assert code == 2
+        (report,) = json.loads(out)
+        assert report["status"] == "error"
+        assert report["message"] == "leading coefficient (4516 digits) is not +1 or -1"
 
     def test_deep_claim_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "user.claims"
