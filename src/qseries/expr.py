@@ -669,7 +669,7 @@ def _apply(p: Plan, kids: list[TruncatedSeries]) -> TruncatedSeries:
         if order <= v:
             return TruncatedSeries.zero(order)
         s = mock_mod.mock_series(node.name, order)
-        return TruncatedSeries(v, s.coeffs[v:], s.order)
+        return TruncatedSeries._trusted(v, s.coeffs[v:], s.order)
     if isinstance(node, Stream):
         return partitions.theta_stream(node.kind, node.scale, order)
     if isinstance(node, RulesetRef):

@@ -131,7 +131,7 @@ def _lambda_hecke(order: int) -> TruncatedSeries:
             if e < order:
                 num[e] += -1 if (n + j) % 2 else 1
         n += 1
-    return TruncatedSeries(0, num, order) / products.psi(order)
+    return TruncatedSeries._trusted(0, num, order) / products.psi(order)
 
 
 def _nu_hecke(order: int) -> TruncatedSeries:
@@ -155,7 +155,7 @@ def _nu_hecke(order: int) -> TruncatedSeries:
                     s += cone
                     e = r * (r - 1) + 6 * r * s + 3 * s * (s - 1) + i * r + j * s
                 r += cone
-    return TruncatedSeries(0, num, order) / products.phi(order).alternate()
+    return TruncatedSeries._trusted(0, num, order) / products.phi(order).alternate()
 
 
 def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
@@ -174,7 +174,7 @@ def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
     while (val := valuation_schedule(mock_id, len(vals))) < order:
         vals.append(val)
     if not vals:  # the first term starts at or above the order
-        return TruncatedSeries(0, [0] * order, order)
+        return TruncatedSeries._trusted(0, [0] * order, order)
     base = _TERMS[mock_id][0]
     start = vals[-1]
     acc = [0] * (order - start)
@@ -191,7 +191,7 @@ def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
         # Guard for the valuation invariant: every factor is a unit series.
         assert acc[0] == sign, (mock_id, n)
     acc[0:0] = [0] * start
-    return TruncatedSeries(0, acc, order)
+    return TruncatedSeries._trusted(0, acc, order)
 
 
 _cache: dict[MockThetaId, TruncatedSeries] = {}

@@ -193,7 +193,7 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
             sign = -1 if rule.distinct != rule.signed_by_count else 1
             power = rule.colors if rule.distinct else -rule.colors
             apply_pochhammer(out, PochhammerSpec(sign, a or m, m), power)
-    return TruncatedSeries(0, out, order)
+    return TruncatedSeries._trusted(0, out, order)
 
 
 class ThetaStreamKind(enum.Enum):

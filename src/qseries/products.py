@@ -122,7 +122,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
         return TruncatedSeries.zero(order)
     out = [1] + [0] * (order - 1)
     apply_pochhammer(out, spec, 1)
-    return TruncatedSeries(0, out, order)
+    return TruncatedSeries._trusted(0, out, order)
 
 
 def eta(k: int, order: int) -> TruncatedSeries:
@@ -174,7 +174,7 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
     out = [1] + [0] * (n - 1)
     for p, e in spec.pochs.items():
         apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
-    acc = TruncatedSeries(0, out, n)
+    acc = TruncatedSeries._trusted(0, out, n)
     for k, e in sorted(spec.exponents.items()):
         if e == 0:
             continue
@@ -185,7 +185,7 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
         return acc
     out = [0] * order
     out[::g] = acc.coeffs
-    return TruncatedSeries(0, out, order)
+    return TruncatedSeries._trusted(0, out, order)
 
 
 def theta_f(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeries:

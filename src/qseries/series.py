@@ -9,6 +9,14 @@ its result, so a pipeline can never silently report a wrong coefficient.
 Coefficients are plain Python ints; there is no floating point anywhere.
 Division exists only by series whose leading coefficient is a unit (+1/-1),
 which keeps every result integral.
+
+The integer invariant is checked once, where values enter: the public
+constructors ``TruncatedSeries(...)``, :func:`make` and
+:meth:`TruncatedSeries.from_terms` check the valuation, the order and every
+coefficient (or exponent).  Everything the package computes itself (the ring
+operations and exponent surgery here, the products, partition and mock
+kernels) is integer arithmetic on checked values, so it builds its results
+through the private ``TruncatedSeries._trusted``, which checks only the shape.
 """
 
 from __future__ import annotations
@@ -30,6 +38,11 @@ class UnknownCoefficientError(SeriesError):
     """A coefficient at or beyond the order of validity was requested."""
 
 
+def _check_int(what: str, x) -> None:
+    if not isinstance(x, int):
+        raise SeriesError(f"non-integer {what} {x!r}")
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -41,11 +54,31 @@ class TruncatedSeries:
     ``coeffs`` always equals ``order - valuation``.  Exponents below the
     valuation have coefficient zero, exponents at or above the order are
     unknown.  Instances are immutable and safe to share across threads.
+
+    Calling the class checks that the valuation, the order and every
+    coefficient are ints; the package's own producers, whose values are ints
+    by construction, build through :meth:`_trusted` instead, which checks
+    only that the length matches the valuation and the order.
     """
 
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation: int, coeffs: Sequence[int], order: int):
+        _check_int("valuation", valuation)
+        _check_int("order", order)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise SeriesError(f"non-integer coefficient {c!r}")
+        self._fill(valuation, coeffs, order)
+
+    @classmethod
+    def _trusted(cls, valuation: int, coeffs: Sequence[int], order: int) -> "TruncatedSeries":
+        """Build from values that are ints by construction, checking the shape only."""
+        self = object.__new__(cls)
+        self._fill(valuation, coeffs, order)
+        return self
+
+    def _fill(self, valuation: int, coeffs: Sequence[int], order: int) -> None:
         if order < valuation:
             raise SeriesError(f"order {order} below valuation {valuation}")
         if len(coeffs) != order - valuation:
@@ -53,9 +86,6 @@ class TruncatedSeries:
                 f"expected {order - valuation} coefficients for valuation "
                 f"{valuation} and order {order}, got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise SeriesError(f"non-integer coefficient {c!r}")
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "order", order)
@@ -68,21 +98,21 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         """The zero series, valid below ``order``."""
-        return cls(order, (), order)
+        return cls._trusted(order, (), order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         """The constant 1, valid below ``order``."""
         if order <= 0:
             return cls.zero(order)
-        return cls(0, (1,) + (0,) * (order - 1), order)
+        return cls._trusted(0, (1,) + (0,) * (order - 1), order)
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "TruncatedSeries":
         """``q^k``, valid below ``order``."""
         if order <= k:
             return cls.zero(order)
-        return cls(k, (1,) + (0,) * (order - k - 1), order)
+        return cls._trusted(k, (1,) + (0,) * (order - k - 1), order)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int], order: int) -> "TruncatedSeries":
@@ -91,6 +121,10 @@ class TruncatedSeries:
         Exponents at or beyond ``order`` are ignored: they carry no
         information at this truncation level.
         """
+        _check_int("order", order)
+        for e, c in terms.items():
+            _check_int("exponent", e)
+            _check_int("coefficient", c)
         live = {e: c for e, c in terms.items() if e < order and c}
         if not live:
             return cls.zero(order)
@@ -98,7 +132,7 @@ class TruncatedSeries:
         out = [0] * (order - val)
         for e, c in live.items():
             out[e - val] = c
-        return cls(val, out, order)
+        return cls._trusted(val, out, order)
 
     # -- basic queries ------------------------------------------------
 
@@ -155,10 +189,10 @@ class TruncatedSeries:
             for i, c in enumerate(chunk):
                 if c:
                     out[base + i] += c
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries._trusted(val, out, order)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.valuation, [-c for c in self.coeffs], self.order)
+        return TruncatedSeries._trusted(self.valuation, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -167,7 +201,7 @@ class TruncatedSeries:
         """Multiply every coefficient by the integer ``c`` (order preserved)."""
         if not isinstance(c, int):
             raise SeriesError(f"scale factor must be an integer, got {c!r}")
-        return TruncatedSeries(self.valuation, [c * x for x in self.coeffs], self.order)
+        return TruncatedSeries._trusted(self.valuation, [c * x for x in self.coeffs], self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         val = self.valuation + other.valuation
@@ -186,7 +220,7 @@ class TruncatedSeries:
         for i, c in enumerate(a.coeffs[:length]):
             if c:
                 out[i:] = _plus(out[i:], c, bc)
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries._trusted(val, out, order)
 
     def _unit_lead(self) -> int:
         if not self.coeffs or self.coeffs[0] not in (1, -1):
@@ -237,7 +271,7 @@ class TruncatedSeries:
                 s -= c * out[n - k]
             if s:
                 out[n] = b0 * s
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries._trusted(val, out, order)
 
     def __pow__(self, e: int) -> "TruncatedSeries":
         if not isinstance(e, int):
@@ -270,7 +304,7 @@ class TruncatedSeries:
         if order <= val:
             return TruncatedSeries.zero(order)
         out = [self.coefficient(m * (val + i) + r) for i in range(order - val)]
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries._trusted(val, out, order)
 
     def substitute(self, k: int) -> "TruncatedSeries":
         """Replace ``q`` by ``q^k`` for a positive integer ``k``."""
@@ -282,17 +316,17 @@ class TruncatedSeries:
         order = self.order * k
         out = [0] * (order - val)
         out[::k] = self.coeffs
-        return TruncatedSeries(val, out, order)
+        return TruncatedSeries._trusted(val, out, order)
 
     def alternate(self) -> "TruncatedSeries":
         """Replace ``q`` by ``-q``: negate coefficients of odd exponents."""
         v = self.valuation
         out = [c if (v + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
-        return TruncatedSeries(v, out, self.order)
+        return TruncatedSeries._trusted(v, out, self.order)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by the exact monomial ``q^k`` (k may be negative)."""
-        return TruncatedSeries(self.valuation + k, self.coeffs, self.order + k)
+        return TruncatedSeries._trusted(self.valuation + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients at or beyond ``order``."""
@@ -300,7 +334,7 @@ class TruncatedSeries:
             return self
         if order <= self.valuation:
             return TruncatedSeries.zero(order)
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.valuation, self.coeffs[: order - self.valuation], order
         )
 

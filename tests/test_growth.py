@@ -5,11 +5,19 @@ sizes and bounds the ratio of the two counts by the complexity the code
 states.  A contract bounds a ratio of counts, never a wall time.
 """
 
+from functools import partial
+
 import pytest
 
 from qseries import expr as expr_mod
+from qseries import mock as mock_mod
+from qseries import products
+from qseries import series as series_mod
 from qseries.claims import MAX_ORDER, within_cap
 from qseries.expr import parse_expr
+from qseries.mock import MockThetaId
+from qseries.partitions import RULESETS, count_dp
+from qseries.products import EtaQuotientSpec, PochhammerSpec
 
 # trees of the given depth: a left-leaning product chain and a sum of d terms
 TREES = {
@@ -42,3 +50,51 @@ def test_planning_is_linear_in_depth(shape):
     # with four times the nodes, costs four times the visits (199 and 799 here)
     small, big = (planner_visits(TREES[shape](d)) for d in (100, 400))
     assert big <= 4.5 * small
+
+
+def kernel_elements(build, n: int) -> int:
+    """Coefficients the binomial kernels touch while ``build(n)`` runs: the
+    sum of ``len(coeffs) - e`` over the calls of ``mul_binomial`` and
+    ``div_binomial``, patched in every module that imports them by name."""
+    touched = 0
+
+    def counting(real):
+        def kernel(coeffs, e, c):
+            nonlocal touched
+            touched += max(len(coeffs) - e, 0)
+            return real(coeffs, e, c)
+
+        return kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (series_mod, products, mock_mod):
+            for name in ("mul_binomial", "div_binomial"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, counting(getattr(series_mod, name)))
+        build(n)
+    return touched
+
+
+POCH = PochhammerSpec(1, 1, 1)  # poch(q,1) = (q;q)_inf
+# Nested Euler and Cauchy sums: O(sqrt(N)) levels of O(N) work each, so twice
+# the order costs about 2^1.5 = 2.83 times the work (2.86-2.91 measured, the
+# level count rounding up; an O(N^2) sum reads 4).  lambda and nu are left
+# out: their _incremental is O(N^2) by its docstring.
+SUMS = {
+    "eta_quotient poch(q,1)^1": lambda n: products.eta_quotient(EtaQuotientSpec({}, {POCH: 1}), n),
+    "eta_quotient poch(q,1)^-1": lambda n: products.eta_quotient(EtaQuotientSpec({}, {POCH: -1}), n),
+    "count_dp thm6.1": lambda n: count_dp(RULESETS["thm6.1"], n),
+    "count_dp thm3.2": lambda n: count_dp(RULESETS["thm3.2"], n),
+    **{
+        f"_incremental {m.value}": partial(mock_mod._incremental, m)
+        for m in (MockThetaId.MU, MockThetaId.SIGMA, MockThetaId.BETA,
+                  MockThetaId.V, MockThetaId.PHI6, MockThetaId.PSI6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_nested_sums_grow_as_n_to_the_one_and_a_half(name):
+    small, big = (kernel_elements(SUMS[name], n) for n in (1000, 2000))
+    assert small > 0
+    assert big <= 3.0 * small, (small, big, big / small)

@@ -5,6 +5,18 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qseries import mock as mock_mod
+from qseries.claims import registry_by_id, verify
+from qseries.partitions import RULESETS, count_dp
+from qseries.products import (
+    EtaQuotientSpec,
+    PochhammerSpec,
+    eta,
+    eta_quotient,
+    jacobi_cube,
+    pochhammer,
+    theta_f,
+)
 from qseries.series import (
     NonUnitError,
     SeriesError,
@@ -87,6 +99,32 @@ class TestMake:
     def test_rejects_floats(self):
         with pytest.raises(SeriesError):
             make(0, [1.0], 1)
+
+    def test_constructor_rejects_float_coefficient(self):
+        with pytest.raises(SeriesError):
+            TruncatedSeries(0, [1.0], 1)
+
+    def test_from_terms_rejects_float_coefficient(self):
+        with pytest.raises(SeriesError):
+            TruncatedSeries.from_terms({0: 1.5}, 3)
+
+    def test_from_terms_rejects_float_exponent(self):
+        with pytest.raises(SeriesError, match="exponent 0.5"):
+            TruncatedSeries.from_terms({0.5: 1}, 3)
+
+    @pytest.mark.parametrize("build", [make, TruncatedSeries])
+    def test_rejects_float_valuation(self, build):
+        with pytest.raises(SeriesError, match="valuation 0.5"):
+            build(0.5, [1], 1.5)
+
+    @pytest.mark.parametrize("build", [make, TruncatedSeries])
+    def test_rejects_float_order(self, build):
+        with pytest.raises(SeriesError, match="order 1.0"):
+            build(0, [1], 1.0)
+
+    def test_from_terms_rejects_float_order(self):
+        with pytest.raises(SeriesError, match="order 3.0"):
+            TruncatedSeries.from_terms({0: 1}, 3.0)
 
 
 class TestAdd:
@@ -559,3 +597,70 @@ def test_truncation_stability(a, b, k):
     cut = full.truncate(min(full.order, full.valuation + k))
     again = (a.truncate(a.order) * b).truncate(cut.order)
     assert cut == again
+
+
+# -- the integer invariant is checked where values enter ---------------------
+
+def assert_int_series(s):
+    assert all(type(c) is int for c in s.coeffs), s
+    assert len(s.coeffs) == s.order - s.valuation
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_series, small_series, unit_series, unit_divisors, st.integers(-3, 3),
+       st.integers(1, 4), st.data())
+def test_every_operation_builds_int_coefficients(a, b, u, d, c, m, data):
+    r = data.draw(st.integers(0, m - 1))
+    k = data.draw(st.integers(-5, 5))
+    cut = data.draw(st.integers(a.valuation - 2, a.order + 2))
+    for s in (a + b, a - b, -a, a * b, a / d, u / d, a ** 2, u ** -2, a.scale(c), u.invert(),
+              a.extract_ap(m, r), a.substitute(m), a.alternate(), a.shift(k), a.truncate(cut)):
+        assert_int_series(s)
+
+
+@pytest.mark.parametrize("order", [0, 1, 40])
+def test_every_leaf_builds_int_coefficients(order):
+    p = PochhammerSpec(-1, 1, 2)
+    leaves = [
+        eta(2, order),
+        theta_f(1, 1, -1, 2, order),
+        jacobi_cube(order),
+        pochhammer(p, order),
+        eta_quotient(EtaQuotientSpec({1: -2, 2: 3}, {p: -1}), order),
+        eta_quotient({2: 2, 4: -1}, order),
+        count_dp(RULESETS["thm3.2"], order),
+    ]
+    saved = dict(mock_mod._cache)
+    try:
+        mock_mod._cache.clear()
+        for name in ("v", "lambda", "nu"):
+            leaves.append(mock_mod.mock_series(name, order + 5))  # a miss
+            leaves.append(mock_mod.mock_series(name, order))  # a cache hit
+    finally:
+        mock_mod._cache.clear()
+        mock_mod._cache.update(saved)
+    for s in leaves:
+        assert_int_series(s)
+
+
+def test_package_producers_skip_the_checking_constructor(monkeypatch):
+    # the checking constructor is for values from outside; cached mock reads
+    # and whole claim verifications build only through the trusted one
+    table = registry_by_id()
+    for name in ("v", "mu"):
+        mock_mod.mock_series(name, 101)
+    calls = 0
+    checking = TruncatedSeries.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        checking(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counted)
+    for i in range(200):
+        n = (7 * i) % 100
+        mock_mod.mock_series("v" if i % 2 else "mu", n + 1).coefficient(n)
+    reports = [verify(table[cid]) for cid in ("thm6.1.gf", "thm3.1")]
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert calls == 0
