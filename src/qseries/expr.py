@@ -33,10 +33,10 @@ its valuation, so a factor that is zero below the order still keeps its
 product exact, and every divisor is evaluated past its valuation, so its
 leading coefficient is checked.
 Products, quotients, powers, integer scalars and ``q^k`` factors of ``l(k)``
-and ``poch`` fold into one ``products.eta_quotient`` call, which applies
-every ``poch`` factor to one coefficient list as a nested Euler or Cauchy
-sum and then the sparse ``l(k)`` factors; see ``_fold`` for the powers left
-out.
+and ``poch`` fold into one ``products.eta_quotient`` call, which expands
+the factors grid by grid, each ``poch`` factor as a nested Euler or Cauchy
+sum and each ``l(k)`` factor as a sparse pentagonal series; see ``_fold``
+for the powers left out.
 
 The parser bounds its input: nesting deeper than ``MAX_NESTING``, a tree
 deeper than ``MAX_DEPTH`` (a chain of n terms is n deep) and ``^`` exponents

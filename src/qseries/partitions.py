@@ -5,8 +5,8 @@ Every rule set has two independent routes.  ``count_signed`` is a plain
 backtracking enumerator over colored multisets of parts, one walk that counts
 every size up to its bound, and is the trusted oracle; ``count_dp`` builds the
 same counts through the generating-function product, one Pochhammer factor per
-residue class expanded as Euler's or Cauchy's q-binomial sum, and is the fast
-path.
+residue class, expanded grid by grid as one ``products.eta_quotient``, and is
+the fast path.
 Disagreement between the two localises bugs.
 
 Colors are labeled: a part value v in color a and the same value in color b
@@ -21,7 +21,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .products import PochhammerSpec, apply_pochhammer, eta, jacobi_cube, theta_f
+from .products import (
+    EtaQuotientSpec,
+    PochhammerSpec,
+    eta,
+    eta_quotient,
+    jacobi_cube,
+    theta_f,
+)
 from .series import SeriesError, TruncatedSeries
 
 
@@ -181,19 +188,17 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     Each residue class a mod m with c colors is one Pochhammer factor from
     its least part a (m for a = 0): (q^a;q^m)^(-c) for ordinary parts,
     (-q^a;q^m)^c for distinct, and the signed variants (-q^a;q^m)^(-c) and
-    (q^a;q^m)^c.  ``apply_pochhammer`` sums each one in O(sqrt(order/m))
-    levels of O(order) work.
+    (q^a;q^m)^c.  The product is one :func:`eta_quotient`, which expands the
+    factors grid by grid, so a class whose residue shares a factor with m is
+    summed at a fraction of the order.
     """
-    if order <= 0:
-        return TruncatedSeries.zero(order)
     m = len(ruleset.rules)
-    out = [1] + [0] * (order - 1)
+    pochs = {}
     for a, rule in enumerate(ruleset.rules):
         if rule.colors:
             sign = -1 if rule.distinct != rule.signed_by_count else 1
-            power = rule.colors if rule.distinct else -rule.colors
-            apply_pochhammer(out, PochhammerSpec(sign, a or m, m), power)
-    return TruncatedSeries._trusted(0, out, order)
+            pochs[PochhammerSpec(sign, a or m, m)] = rule.colors if rule.distinct else -rule.colors
+    return eta_quotient(EtaQuotientSpec({}, pochs), order)
 
 
 class ThetaStreamKind(enum.Enum):

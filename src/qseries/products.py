@@ -8,7 +8,7 @@ Everything returns a :class:`TruncatedSeries` exact to the requested order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gcd
+from math import gcd, sqrt
 from operator import add, sub
 
 from .ntheory import DomainError
@@ -152,40 +152,82 @@ def eta(k: int, order: int) -> TruncatedSeries:
 def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> TruncatedSeries:
     """Expand ``prod_k l_k^{e_k} * prod_p poch_p^{e_p}`` exactly to the given order.
 
-    The Pochhammer factors are applied to one coefficient list as nested
-    Euler or Cauchy sums (:func:`apply_pochhammer`).  Then the ``l_k``
-    numerator factors are multiplied in and the denominator factors divided
-    out one at a time, so that every division is by a sparse pentagonal
-    series.  When g, the gcd of the indices and the Pochhammer exponents, is
-    above 1, the product is a series in ``q^g``: it is expanded at
-    ``ceil(order/g)`` with every index divided by g, and its coefficients
-    are spread g apart into a list of length ``order``, so the work and
-    memory stay bounded by the order however large g is.
+    The expansion goes grid by grid.  A factor's grid is k for ``l_k`` and
+    gcd(a, d) for ``(±q^a; q^d)_inf``: the factor is a series in q^grid.
+    Asked for n coefficients, the expansion
+    - drops every factor whose grid is n or more, which is 1 below q^n;
+    - when every grid shares a g > 1, expands the product with every
+      index divided by g at ``ceil(n/g)`` and spreads the coefficients g
+      apart, so the work and memory stay bounded by the order however large
+      g is;
+    - otherwise picks the grid d > 1 whose multiples carry the most pass
+      work, estimated as ``sum |e| (1 - 1/d) / sqrt(grid)``, expands those
+      factors first (which divides their grids by d), and applies the other
+      factors at full length.
+    No index is ever factored: d is one of the grids present, and each
+    level either divides n by at least 2 or is followed by one that does.
+    At every level the numerator factors go in before the denominator
+    factors, so the passes run on small integers.  The Pochhammer factors
+    are applied to a coefficient list as nested Euler or Cauchy sums
+    (:func:`apply_pochhammer`); the ``l_k`` factors are multiplied in or
+    divided out one power at a time, so that every division is by a sparse
+    pentagonal series.
     """
     if isinstance(spec, dict):
         spec = EtaQuotientSpec(spec)
     if order <= 0:
         return TruncatedSeries.zero(order)
-    g = gcd(
-        *(k for k, e in spec.exponents.items() if e),
-        *(x for p, e in spec.pochs.items() if e for x in (p.base_exp, p.step)),
-    ) or 1
-    n = -(-order // g)
-    out = [1] + [0] * (n - 1)
-    for p, e in spec.pochs.items():
-        apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
-    acc = TruncatedSeries._trusted(0, out, n)
-    for k, e in sorted(spec.exponents.items()):
-        if e == 0:
-            continue
-        s = eta(k // g, n)
-        for _ in range(abs(e)):
-            acc = acc * s if e > 0 else acc / s
-    if g == 1:
-        return acc
-    out = [0] * order
-    out[::g] = acc.coeffs
-    return TruncatedSeries._trusted(0, out, order)
+    return _expand([*spec.exponents.items(), *spec.pochs.items()], order)
+
+
+def _grid(factor: int | PochhammerSpec) -> int:
+    """The g for which the factor ``l_k`` (given as k) or a Pochhammer
+    product is a series in q^g: k, or gcd(a, d) for ``(±q^a; q^d)_inf``."""
+    if isinstance(factor, PochhammerSpec):
+        return gcd(factor.base_exp, factor.step)
+    return factor
+
+
+def _divided(factor: int | PochhammerSpec, g: int) -> int | PochhammerSpec:
+    """The factor with q^g replaced by q; g divides its grid."""
+    if isinstance(factor, PochhammerSpec):
+        return replace(factor, base_exp=factor.base_exp // g, step=factor.step // g)
+    return factor // g
+
+
+def _expand(factors: list[tuple[int | PochhammerSpec, int]], n: int) -> TruncatedSeries:
+    """The product of ``(k or Pochhammer spec, power)`` factors below q^n,
+    n >= 1, by the grid-by-grid steps of :func:`eta_quotient`."""
+    factors = [(x, e) for x, e in factors if e and _grid(x) < n]
+    grids = {_grid(x) for x, _ in factors}
+    g = gcd(*grids)
+    if g > 1:
+        inner = _expand([(_divided(x, g), e) for x, e in factors], -(-n // g))
+        out = [0] * n
+        out[::g] = inner.coeffs
+        return TruncatedSeries._trusted(0, out, n)
+    work = {
+        d: sum(abs(e) * (1 - 1 / d) / sqrt(_grid(x)) for x, e in factors if _grid(x) % d == 0)
+        for d in sorted(grids - {1})
+    }
+    if work:
+        d = max(work, key=work.get)
+        acc = _expand([(x, e) for x, e in factors if _grid(x) % d == 0], n)
+        factors = [(x, e) for x, e in factors if _grid(x) % d]
+    else:
+        acc = TruncatedSeries.one(n)
+    # numerators first; at each sign the Pochhammer factors, which work on
+    # a list in place, before the l_k factors
+    for x, e in sorted(factors, key=lambda f: (f[1] < 0, isinstance(f[0], int))):
+        if isinstance(x, PochhammerSpec):
+            out = list(acc.coeffs)
+            apply_pochhammer(out, x, e)
+            acc = TruncatedSeries._trusted(0, out, n)
+        else:
+            s = eta(x, n)
+            for _ in range(abs(e)):
+                acc = acc * s if e > 0 else acc / s
+    return acc
 
 
 def theta_f(sign1: int, a: int, sign2: int, b: int, order: int) -> TruncatedSeries:

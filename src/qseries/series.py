@@ -13,7 +13,9 @@ which keeps every result integral.
 The integer invariant is checked once, where values enter: the public
 constructors ``TruncatedSeries(...)``, :func:`make` and
 :meth:`TruncatedSeries.from_terms` check the valuation, the order and every
-coefficient (or exponent).  Everything the package computes itself (the ring
+coefficient (or exponent), and ``zero``, ``one``, ``monomial``, ``shift`` and
+``truncate`` check that their exponents and orders are ints, in O(1).
+Everything the package computes itself (the ring
 operations and exponent surgery here, the products, partition and mock
 kernels) is integer arithmetic on checked values, so it builds its results
 through the private ``TruncatedSeries._trusted``, which checks only the shape.
@@ -98,11 +100,13 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         """The zero series, valid below ``order``."""
+        _check_int("order", order)
         return cls._trusted(order, (), order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         """The constant 1, valid below ``order``."""
+        _check_int("order", order)
         if order <= 0:
             return cls.zero(order)
         return cls._trusted(0, (1,) + (0,) * (order - 1), order)
@@ -110,6 +114,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, k: int, order: int) -> "TruncatedSeries":
         """``q^k``, valid below ``order``."""
+        _check_int("exponent", k)
+        _check_int("order", order)
         if order <= k:
             return cls.zero(order)
         return cls._trusted(k, (1,) + (0,) * (order - k - 1), order)
@@ -165,14 +171,21 @@ class TruncatedSeries:
         """Compare on the overlap of known ranges.
 
         Returns ``(True, None)`` on agreement, else ``(False, e)`` with the
-        first disagreeing exponent.
+        first disagreeing exponent.  The two windows from the lower
+        valuation to the lower order are compared as slices, each padded
+        with zeros below its valuation.
         """
-        hi = min(self.order, other.order)
         lo = min(self.valuation, other.valuation)
-        for e in range(lo, hi):
-            if self.coefficient(e) != other.coefficient(e):
-                return False, e
-        return True, None
+        hi = min(self.order, other.order)
+        a, b = self._window(lo, hi), other._window(lo, hi)
+        if a == b:
+            return True, None
+        return False, lo + next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+    def _window(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The coefficients of ``q^lo .. q^(hi-1)``, for lo <= valuation and hi <= order."""
+        v = self.valuation
+        return (0,) * (min(v, hi) - lo) + self.coeffs[: max(hi - v, 0)]
 
     # -- ring operations ----------------------------------------------
 
@@ -213,7 +226,7 @@ class TruncatedSeries:
         # coefficient of the operand with fewer of them.  Both operands hold
         # at least ``length`` coefficients, so every slice of ``out`` is full.
         a, b = self, other
-        if sum(1 for c in a.coeffs if c) > sum(1 for c in b.coeffs if c):
+        if len(a.coeffs) - a.coeffs.count(0) > len(b.coeffs) - b.coeffs.count(0):
             a, b = b, a
         out = [0] * length
         bc = b.coeffs
@@ -326,10 +339,12 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by the exact monomial ``q^k`` (k may be negative)."""
+        _check_int("shift", k)
         return TruncatedSeries._trusted(self.valuation + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients at or beyond ``order``."""
+        _check_int("order", order)
         if order >= self.order:
             return self
         if order <= self.valuation:

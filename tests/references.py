@@ -4,7 +4,11 @@ module; pytest puts ``tests/`` on the path, so tests import it as
 ``references``.
 
 ``pochhammer_by_binomials`` is the product loop that ``apply_pochhammer``'s
-Euler and Cauchy sums replaced, kept as their oracle.  The dissection
+Euler and Cauchy sums replaced, kept as their oracle, and
+``eta_quotient_flat`` is the one-level eta-quotient loop that the
+grid-by-grid expansion of ``eta_quotient`` replaced.
+``agrees_by_coefficients`` is the exponent-by-exponent comparison that
+``TruncatedSeries.agrees_with`` replaced.  The dissection
 right-hand sides compute the prime dissections of psi(q), l_1 and l_1^3
 term by term, independently of the claim language, as the reference the
 registry's lemma2.1-2.3 texts are checked against.  The
@@ -16,12 +20,16 @@ counters enumerate the same partitions by plain backtracking.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from math import gcd
+
 from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta
 from qseries.ntheory import FAMILIES, DomainError, is_prime, legendre
 from qseries.products import (
     DivergenceError,
     EtaQuotientSpec,
     PochhammerSpec,
+    apply_pochhammer,
     eta,
     eta_quotient,
     jacobi_cube,
@@ -29,6 +37,17 @@ from qseries.products import (
     theta_f,
 )
 from qseries.series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
+
+
+# -- series: the comparison one exponent at a time --------------------------
+
+def agrees_by_coefficients(a: TruncatedSeries, b: TruncatedSeries) -> tuple[bool, int | None]:
+    """``a.agrees_with(b)`` by reading both coefficients at every exponent
+    from the lower valuation up to the lower order."""
+    for e in range(min(a.valuation, b.valuation), min(a.order, b.order)):
+        if a.coefficient(e) != b.coefficient(e):
+            return False, e
+    return True, None
 
 
 # -- products: the binomial-by-binomial Pochhammer product --------------------
@@ -41,6 +60,38 @@ def pochhammer_by_binomials(out: list[int], spec: PochhammerSpec, power: int) ->
     for _ in range(abs(power)):
         for e in range(spec.base_exp, len(out), spec.step):
             kernel(out, e, -spec.sign)
+
+
+def eta_quotient_flat(spec: EtaQuotientSpec | dict[int, int], order: int) -> TruncatedSeries:
+    """The eta quotient in one level: when g, the gcd of every index and
+    Pochhammer exponent, is above 1, expand in q^g at ``ceil(order/g)``;
+    apply every Pochhammer factor to one list, then multiply in or divide
+    out the ``l_k`` factors in increasing k, every factor at full length."""
+    if isinstance(spec, dict):
+        spec = EtaQuotientSpec(spec)
+    if order <= 0:
+        return TruncatedSeries.zero(order)
+    g = gcd(
+        *(k for k, e in spec.exponents.items() if e),
+        *(x for p, e in spec.pochs.items() if e for x in (p.base_exp, p.step)),
+    ) or 1
+    n = -(-order // g)
+    out = [1] + [0] * (n - 1)
+    for p, e in spec.pochs.items():
+        if e:
+            apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
+    acc = TruncatedSeries(0, out, n)
+    for k, e in sorted(spec.exponents.items()):
+        if e == 0:
+            continue
+        s = eta(k // g, n)
+        for _ in range(abs(e)):
+            acc = acc * s if e > 0 else acc / s
+    if g == 1:
+        return acc
+    out = [0] * order
+    out[::g] = acc.coeffs
+    return TruncatedSeries(0, out, order)
 
 
 # -- products: the triple product and the prime dissections ------------------

@@ -18,6 +18,8 @@ from qseries.expr import parse_expr
 from qseries.mock import MockThetaId
 from qseries.partitions import RULESETS, count_dp
 from qseries.products import EtaQuotientSpec, PochhammerSpec
+from qseries.series import TruncatedSeries
+from references import eta_quotient_flat
 
 # trees of the given depth: a left-leaning product chain and a sum of d terms
 TREES = {
@@ -96,5 +98,69 @@ SUMS = {
 @pytest.mark.parametrize("name", SUMS)
 def test_nested_sums_grow_as_n_to_the_one_and_a_half(name):
     small, big = (kernel_elements(SUMS[name], n) for n in (1000, 2000))
+    assert small > 0
+    assert big <= 3.0 * small, (small, big, big / small)
+
+
+def pass_work(build, n: int) -> int:
+    """The pass work of ``build(n)``: nnz(sparser operand) * len over every
+    ``TruncatedSeries.__mul__``, nnz(divisor) * len over every
+    ``__truediv__`` (len is the result's), plus :func:`kernel_elements`."""
+    work = 0
+    real_mul, real_div = TruncatedSeries.__mul__, TruncatedSeries.__truediv__
+
+    def nnz(s: TruncatedSeries) -> int:
+        return len(s.coeffs) - s.coeffs.count(0)
+
+    def mul(a, b):
+        nonlocal work
+        out = real_mul(a, b)
+        work += min(nnz(a), nnz(b)) * len(out.coeffs)
+        return out
+
+    def div(a, b):
+        nonlocal work
+        out = real_div(a, b)
+        work += nnz(b) * len(out.coeffs)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TruncatedSeries, "__mul__", mul)
+        patch.setattr(TruncatedSeries, "__truediv__", div)
+        elements = kernel_elements(build, n)
+    return work + elements
+
+
+EQ24 = {2: 5, 1: -2, 4: -2}  # eq2.4's rhs l(2)^5/(l(1)^2 l(4)^2), grids 1, 2 and 4
+# count_dp's product for thm5.2: one Pochhammer factor per residue class mod 6
+THM52 = EtaQuotientSpec({}, {
+    PochhammerSpec(1, 1, 6): -1, PochhammerSpec(1, 3, 6): -1, PochhammerSpec(1, 5, 6): -1,
+    PochhammerSpec(1, 2, 6): -2, PochhammerSpec(1, 4, 6): -2, PochhammerSpec(1, 6, 6): 1,
+})
+
+
+# eta_quotient expands the factors on a grid d at a d-th of the order, so it
+# does less pass work than the one-level loop that runs every factor at full
+# length (at N = 1000: 207 500 against 339 000 for eq2.4, 161 120 against
+# 241 328 for thm5.2)
+def test_grid_by_grid_cuts_the_pass_work_of_eq2_4():
+    new, flat = (
+        pass_work(partial(f, EQ24), 1000) for f in (products.eta_quotient, eta_quotient_flat)
+    )
+    assert new <= 0.65 * flat, (new, flat, new / flat)
+
+
+def test_grid_by_grid_cuts_the_pass_work_of_count_dp():
+    assert count_dp(RULESETS["thm5.2"], 300) == eta_quotient_flat(THM52, 300)  # the same product
+    new = pass_work(partial(count_dp, RULESETS["thm5.2"]), 1000)
+    flat = pass_work(partial(eta_quotient_flat, THM52), 1000)
+    assert new <= 0.75 * flat, (new, flat, new / flat)
+
+
+# each pass over a sparse pentagonal series is O(N^1.5) (about sqrt(N) terms
+# times N), so twice the order costs about 2^1.5 = 2.83 times the work
+# (207 500 and 584 000, 2.81)
+def test_eta_quotient_passes_grow_as_n_to_the_one_and_a_half():
+    small, big = (pass_work(partial(products.eta_quotient, EQ24), n) for n in (1000, 2000))
     assert small > 0
     assert big <= 3.0 * small, (small, big, big / small)

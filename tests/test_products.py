@@ -23,6 +23,7 @@ from qseries.products import (
 )
 from qseries.series import SeriesError, TruncatedSeries, div_binomial, mul_binomial
 from references import (
+    eta_quotient_flat,
     f1_p_dissection_final_term,
     f1_p_dissection_rhs,
     f1cubed_p_dissection_final_term,
@@ -218,6 +219,10 @@ class TestEtaQuotient:
             ({6: 1}, {PochhammerSpec(-1, 3, 6): 2, PochhammerSpec(1, 6, 6): -1}),  # g = 3
             ({}, {PochhammerSpec(1, 4, 4): 1, PochhammerSpec(-1, 2, 4): 3}),  # g = 2
             ({2: 1, 1: -1}, {PochhammerSpec(-1, 1, 2): 2, PochhammerSpec(1, 2, 3): -1}),  # g = 1
+            ({2: 3, 3: 2, 1: -3, 6: -1}, {}),  # thm6.1.gf's rhs, grids 1, 2, 3 and 6
+            ({2: 5, 1: -2, 4: -2}, {}),  # eq2.4's rhs, grids 1, 2 and 4
+            # triple.phi's rhs, grids 1 and 2
+            ({}, {PochhammerSpec(-1, 1, 2): 2, PochhammerSpec(1, 2, 2): 1}),
         ],
     )
     def test_quotient_matches_factor_by_factor(self, exponents, pochs, order):
@@ -229,6 +234,35 @@ class TestEtaQuotient:
             want = want * eta(k, order) ** e
         got = eta_quotient(EtaQuotientSpec(exponents, pochs), order)
         assert got.order == order and got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 12), st.integers(-4, 4), max_size=5),
+        st.dictionaries(
+            st.builds(
+                PochhammerSpec, st.sampled_from([1, -1]), st.integers(1, 12), st.integers(1, 12)
+            ),
+            st.integers(-3, 3),
+            max_size=3,
+        ),
+        st.integers(-2, 200),
+    )
+    def test_grid_by_grid_matches_the_one_level_loop(self, exponents, pochs, order):
+        spec = EtaQuotientSpec(exponents, pochs)
+        got = eta_quotient(spec, order)
+        assert got.order == order and got == eta_quotient_flat(spec, order)
+
+    def test_huge_prime_index_is_dropped_not_factored(self):
+        # 2^61 - 1 is prime: a design that factors indices hangs here
+        big = 2**61 - 1
+        assert eta_quotient({big: 2, 1: -1}, 50) == eta_quotient({1: -1}, 50)
+        minus = PochhammerSpec(-1, 1, 1)
+        spec = EtaQuotientSpec({2: 1}, {PochhammerSpec(1, big, big): -1, minus: 1})
+        assert eta_quotient(spec, 50) == eta_quotient(EtaQuotientSpec({2: 1}, {minus: 1}), 50)
+
+    def test_pochhammer_factor_to_the_zero_is_one(self):
+        spec = EtaQuotientSpec({2: 1}, {PochhammerSpec(1, 1, 1): 0})
+        assert eta_quotient(spec, 20) == eta(2, 20)
 
     @pytest.mark.parametrize(
         "exponents", [{10**9: 1}, {10**9: -2}, {10**9: 3, 2 * 10**9: -1}]

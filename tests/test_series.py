@@ -26,6 +26,7 @@ from qseries.series import (
     make,
     mul_binomial,
 )
+from references import agrees_by_coefficients
 
 
 def geometric(order):
@@ -125,6 +126,30 @@ class TestMake:
     def test_from_terms_rejects_float_order(self):
         with pytest.raises(SeriesError, match="order 3.0"):
             TruncatedSeries.from_terms({0: 1}, 3.0)
+
+    def test_zero_rejects_float_order(self):
+        with pytest.raises(SeriesError, match="order 1.5"):
+            TruncatedSeries.zero(1.5)
+
+    def test_one_rejects_float_order(self):
+        with pytest.raises(SeriesError, match="order 2.0"):
+            TruncatedSeries.one(2.0)
+
+    def test_monomial_rejects_float_order(self):
+        with pytest.raises(SeriesError, match="order 3.0"):
+            TruncatedSeries.monomial(1, 3.0)
+
+    def test_monomial_rejects_float_exponent(self):
+        with pytest.raises(SeriesError, match="exponent 1.0"):
+            TruncatedSeries.monomial(1.0, 3)
+
+    def test_shift_rejects_float_shift(self):
+        with pytest.raises(SeriesError, match="shift 0.5"):
+            make(0, [1, 2], 2).shift(0.5)
+
+    def test_truncate_rejects_float_order(self):
+        with pytest.raises(SeriesError, match="order 1.5"):
+            make(0, [1, 2], 2).truncate(1.5)
 
 
 class TestAdd:
@@ -369,6 +394,53 @@ unit_series = st.builds(
     st.sampled_from([1, -1]),
     st.lists(st.integers(-9, 9), min_size=0, max_size=20),
 )
+
+
+def near_copy(base, shift, cut, bump):
+    """``base`` with its valuation moved by ``shift`` zeros (coefficients kept
+    in place), its order cut by ``cut``, and one coefficient bumped."""
+    coeffs = list(base.coeffs)
+    if bump is not None and coeffs:
+        coeffs[bump % len(coeffs)] += 1
+    if shift < 0:
+        coeffs = [0] * -shift + coeffs
+    else:
+        coeffs = coeffs[shift:]
+    val = base.valuation + shift
+    order = max(base.order - cut, val)
+    return make(val, (coeffs + [0] * order)[: order - val], order)
+
+
+@settings(max_examples=300)
+@given(
+    small_series,
+    st.integers(-4, 4),
+    st.integers(0, 8),
+    st.one_of(st.none(), st.integers(0, 30)),
+    st.booleans(),
+)
+def test_agrees_with_matches_the_exponent_loop(a, shift, cut, bump, swap):
+    # different valuations, cut orders (down to an empty overlap) and one
+    # changed coefficient, either way round
+    b = near_copy(a, shift, cut, bump)
+    if swap:
+        a, b = b, a
+    assert a.agrees_with(b) == agrees_by_coefficients(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (make(0, [], 0), make(5, [], 5), (True, None)),  # empty overlap
+        (make(3, [1], 4), make(0, [0, 0, 0], 3), (True, None)),  # empty below the order
+        (make(2, [1, 0], 4), make(0, [0, 0, 1, 0], 4), (True, None)),
+        (make(1, [1, 2], 3), make(0, [1, 1, 2], 3), (False, 0)),
+        (make(0, [0, 0, 1], 3), make(2, [2], 3), (False, 2)),
+    ],
+)
+def test_agrees_with_pads_below_the_higher_valuation(a, b, want):
+    assert a.agrees_with(b) == want == agrees_by_coefficients(a, b)
+    assert b.agrees_with(a) == want
 
 
 @settings(max_examples=150)
