@@ -4,7 +4,10 @@ Each sum is stated once, as its row of ``_TERMS``, copied from the paper's
 definition; the valuation schedule, the signs and the incremental route's
 factors are all read from that row.
 
-``_compute`` is the one place a stream is expanded, by one of two routes.
+``_compute`` is the one place a stream is expanded, by one of two routes,
+and it never expands a stream from q^0 twice: the expansion it keeps in
+``_cache`` is resumable, so a read deeper than the cached order extends it
+over the new coefficients only.
 
 * ``lambda`` and ``nu``, whose terms start at q^n and q^(n+1), come from
   Hecke-type double sums (indefinite theta series)::
@@ -22,13 +25,20 @@ factors are all read from that row.
   coefficients from q^20000 up to ``claims.MAX_ORDER`` rest on the fitted
   identity alone.  It is not derived from any relation the claim registry
   verifies.  Each numerator is enumerated lattice point by lattice point
-  (O(order) terms) and divided once by the theta series, a division that
-  touches only its O(sqrt(order)) nonzeros.
-* the other six streams are summed by ``_incremental`` in nested (Horner)
+  (O(order) terms) and divided once by the theta series, a pull division
+  that touches only its O(sqrt(order)) nonzeros.  An extension enumerates
+  the numerator anew and continues the pull division from the cached
+  quotient over the new range only (``_hecke``).
+* the other six streams are summed by ``_nested`` in nested (Horner)
   form, from the last term inward: each level multiplies one list by the
   ratio of consecutive terms (``_step_factors``, O(order) per term) and
-  adds that level's +-1.  For lambda and nu that sum is O(order^2); it
-  stays callable for them as the deep cross-check the tests run.
+  adds that level's +-1.  Each binomial stage of a level keeps the last e
+  values it reads (for a product its inputs, for a quotient its outputs,
+  and for a division by 1 + q^e both), and an extension runs each stage
+  over those and the new coefficients only.  ``_incremental`` is a fresh
+  sum extended once; for lambda and nu it is O(order^2) in time and in
+  kept values, and stays callable for them as the deep cross-check the
+  tests run.
 
 A third, slow reference route rebuilds every term from scratch out of
 finite Pochhammer products.  It keeps its own copy of each definition on
@@ -43,9 +53,11 @@ applied afterwards (``TruncatedSeries.alternate`` / ``substitute``).
 from __future__ import annotations
 
 import enum
+from itertools import repeat
+from operator import sub
 
 from . import products
-from .series import TruncatedSeries, div_binomial, mul_binomial
+from .series import TruncatedSeries, div_binomial, mul_binomial, pull_quotient
 
 
 class MockThetaId(enum.Enum):
@@ -111,17 +123,24 @@ def _step_factors(
 
 
 def _compute(mock_id: MockThetaId, order: int) -> TruncatedSeries:
-    if mock_id is MockThetaId.LAMBDA:
-        return _lambda_hecke(order)
-    if mock_id is MockThetaId.NU:
-        return _nu_hecke(order)
-    return _incremental(mock_id, order)
+    """The stream below ``order``, from its cached expansion.
+
+    A cached expansion shallower than ``order`` (none at all counts as
+    order 0) is extended over the new coefficients only and kept in its
+    place, so the cache only ever grows.
+    """
+    series, levels = _cache.get(mock_id, (None, None))
+    if series is None or series.order < order:
+        if mock_id in _HECKE:
+            series, levels = _hecke(mock_id, series, order), None
+        else:
+            series, levels = _nested(mock_id, series, levels, order)
+        _cache[mock_id] = series, levels
+    return series.truncate(order)
 
 
-def _lambda_hecke(order: int) -> TruncatedSeries:
-    """lambda below ``order`` as its Hecke-type numerator divided by psi(q)."""
-    if order <= 0:
-        return TruncatedSeries.zero(order)
+def _lambda_numerator(order: int) -> list[int]:
+    """psi(q) lambda(q) below ``order``, lattice point by lattice point."""
     num = [0] * order
     n = 0
     while n * (n + 3) // 2 < order:  # row n's smallest exponent, at |j| = n
@@ -131,13 +150,11 @@ def _lambda_hecke(order: int) -> TruncatedSeries:
             if e < order:
                 num[e] += -1 if (n + j) % 2 else 1
         n += 1
-    return TruncatedSeries._trusted(0, num, order) / products.psi(order)
+    return num
 
 
-def _nu_hecke(order: int) -> TruncatedSeries:
-    """nu below ``order`` as its Hecke-type numerator divided by phi(-q)."""
-    if order <= 0:
-        return TruncatedSeries.zero(order)
+def _nu_numerator(order: int) -> list[int]:
+    """phi(-q) nu(q) below ``order``, lattice point by lattice point."""
     num = [0] * order
     for sign, i, j in ((1, 3, 4), (-1, 1, 2)):
         # sign * f_{2,6,6}(q^i, q^j, q), over the cones r, s >= 0 and r, s <= -1.
@@ -155,61 +172,152 @@ def _nu_hecke(order: int) -> TruncatedSeries:
                     s += cone
                     e = r * (r - 1) + 6 * r * s + 3 * s * (s - 1) + i * r + j * s
                 r += cone
-    return TruncatedSeries._trusted(0, num, order) / products.phi(order).alternate()
+    return num
 
 
-def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
-    """Sum the stream in nested form, from its last term inward.
+# the Hecke-type numerator and the theta series it is divided by
+_HECKE = {
+    MockThetaId.LAMBDA: (_lambda_numerator, products.psi),
+    MockThetaId.NU: (_nu_numerator, lambda order: products.phi(order).alternate()),
+}
+
+
+def _hecke(mock_id: MockThetaId, series: TruncatedSeries | None, order: int) -> TruncatedSeries:
+    """lambda or nu below ``order``: the quotient in ``series`` (none: an
+    empty one) continued by the pull division of the numerator, enumerated
+    anew to ``order``, by the theta series."""
+    if order <= 0:
+        return TruncatedSeries.zero(order)
+    numerator, theta = _HECKE[mock_id]
+    out = list(series.coeffs) if series else []
+    pull_quotient(out, numerator(order), theta(order).coeffs)
+    return TruncatedSeries._trusted(0, out, order)
+
+
+def _lambda_hecke(order: int) -> TruncatedSeries:
+    """lambda below ``order`` by the Hecke route: a fresh expansion to half
+    the order, extended once."""
+    return _hecke(MockThetaId.LAMBDA, _hecke(MockThetaId.LAMBDA, None, order // 2), order)
+
+
+def _nu_hecke(order: int) -> TruncatedSeries:
+    """nu below ``order`` by the Hecke route: a fresh expansion to half the
+    order, extended once."""
+    return _hecke(MockThetaId.NU, _hecke(MockThetaId.NU, None, order // 2), order)
+
+
+def _stage(
+    window: tuple[list[int], list[int]], part: list[int], e: int, c: int, divide: bool
+) -> tuple[tuple[list[int], list[int]], list[int]]:
+    """Multiply in, or divide out, the factor ``1 + c q^e`` over ``part``,
+    the new coefficients of a list whose earlier ones the stage has seen.
+
+    ``window`` is (inputs, outputs): the last e of the list's earlier
+    inputs and outputs that the stage kept, fewer near the list's start and
+    none on a fresh list.  A product keeps its inputs, a quotient its
+    outputs, and a division by ``1 + q^e`` its inputs as well.  Returns the
+    new window and the new outputs.
+    """
+    ins, outs = window
+    if not divide:
+        part[0:0] = ins
+        kept = part[-e:], []
+        mul_binomial(part, e, c)
+        del part[: len(ins)]
+        return kept, part
+    kept_in = (ins + part[-e:])[-e:] if c == 1 else []
+    if c == 1 and len(outs) == e and 4 * e * e < e + len(part):
+        # the kernel's route: a product by 1 - q^e, which reads the inputs,
+        # then running sums along the classes mod 2e, which read the outputs
+        # 2e back, out[i - 2e] = in[i - e] - out[i - e]
+        part[0:0] = ins
+        mul_binomial(part, e, -1)
+        part[:e] = [*map(sub, ins, outs), *outs]
+        div_binomial(part, 2 * e, -1)
+        skip = 2 * e
+    else:
+        # below e places the outputs are the inputs, so any kernel route reads right
+        part[0:0] = outs
+        div_binomial(part, e, c)
+        skip = len(outs)
+    kept = kept_in, part[-e:]
+    del part[:skip]
+    return kept, part
+
+
+def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list | None,
+            order: int) -> tuple[TruncatedSeries, list]:
+    """Sum the stream in nested form, from its last term inward, resuming
+    the expansion in ``series`` and ``levels`` (None: from nothing).
 
     With T_n the term n and s_n its sign, the stream is s_0 T_0 G_0 where
     G_n = 1 + (s_{n+1} T_{n+1} / s_n T_n) G_{n+1} and the last term's G is 1.
-    One list holds s_n G_n below ``order - val_n``: step n + 1's factors go
-    through the binomial kernels, the valuation gap to term n goes in at the
-    front, and s_n is added to the constant term.  Keeping the sign in the
-    list spares an alternating stream any negation pass.
+    Level n's list holds s_n G_n below ``order - val_n``: step n + 1's
+    factors go through the binomial kernels, the valuation gap to term n
+    goes in at the front, and s_n is added to the constant term.  Keeping
+    the sign in the list spares an alternating stream any negation pass.
+
+    Only the coefficients from the cached order up are new, so level n
+    takes only the new part of level n + 1's list, and each stage runs the
+    kernel over what it kept of the earlier ones (``_stage``) and the new
+    part.  Levels of terms that start at or above the cached order are
+    fresh: their lists are whole and their stages keep nothing yet.
+    Returns the series and each level's kept windows.
     """
     if order <= 0:
-        return TruncatedSeries.zero(order)
+        return TruncatedSeries.zero(order), []
+    done = max(series.order, 0) if series else 0
+    old = series.coeffs if series else ()
     vals = []
     while (val := valuation_schedule(mock_id, len(vals))) < order:
         vals.append(val)
-    if not vals:  # the first term starts at or above the order
-        return TruncatedSeries._trusted(0, [0] * order, order)
     base = _TERMS[mock_id][0]
-    start = vals[-1]
-    acc = [0] * (order - start)
+    kept = [None] * len(vals)
+    part, lo = [], order  # level n's new coefficients, from exponent lo up
     for n in reversed(range(len(vals))):
-        acc[0:0] = [0] * (start - vals[n])
-        start = vals[n]
-        sign = base**n
-        acc[0] = sign
+        start = max(done, vals[n])
+        part[0:0] = [0] * (lo - start)
+        lo = start
+        fresh = vals[n] >= done
+        if fresh:
+            part[0] = sign = base**n
         nums, dens = _step_factors(mock_id, n)
-        for e, c in nums:
-            mul_binomial(acc, e, c)
-        for e, c in dens:
-            div_binomial(acc, e, c)
+        stages = [(e, c, False) for e, c in nums] + [(e, c, True) for e, c in dens]
+        windows = repeat(([], [])) if fresh else levels[n]
+        kept[n] = []
+        for (e, c, divide), window in zip(stages, windows):
+            window, part = _stage(window, part, e, c, divide)
+            kept[n].append(window)
         # Guard for the valuation invariant: every factor is a unit series.
-        assert acc[0] == sign, (mock_id, n)
-    acc[0:0] = [0] * start
-    return TruncatedSeries._trusted(0, acc, order)
+        assert not fresh or part[0] == sign, (mock_id, n)
+    coeffs = [*old, *repeat(0, lo - done), *part]
+    return TruncatedSeries._trusted(0, coeffs, order), kept
 
 
-_cache: dict[MockThetaId, TruncatedSeries] = {}
+def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
+    """The stream below ``order`` summed in nested form: a fresh expansion
+    to half the order, extended once.  For lambda and nu it is O(order^2),
+    and stays callable as the deep cross-check the tests run."""
+    return _nested(mock_id, *_nested(mock_id, None, None, order // 2), order)[0]
+
+
+# id -> (the deepest expansion, the nested sum's windows; None for lambda and nu)
+_cache: dict[MockThetaId, tuple[TruncatedSeries, list | None]] = {}
 
 
 def mock_series(mock_id: MockThetaId | str, order: int) -> TruncatedSeries:
     """Exact q-expansion of the chosen function below the given order.
 
-    Completed series are memoised per id and only ever grow (write-once per
-    order), so repeated verification passes share the largest expansion.
+    Each stream's deepest expansion is memoised per id and only ever grows:
+    a shallower request truncates it, and a deeper one extends it over the
+    new coefficients only (``_compute``), never from q^0 again.
     """
     if isinstance(mock_id, str):
         mock_id = MockThetaId.from_name(mock_id)
     cached = _cache.get(mock_id)
-    if cached is not None and cached.order >= order:
-        return cached.truncate(order)
-    _cache[mock_id] = _compute(mock_id, order)  # deeper than anything cached
-    return _cache[mock_id]
+    if cached is not None and cached[0].order >= order:
+        return cached[0].truncate(order)
+    return _compute(mock_id, order)
 
 
 # -- reference route -------------------------------------------------------

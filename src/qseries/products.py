@@ -160,10 +160,14 @@ def eta_quotient(spec: EtaQuotientSpec | dict[int, int], order: int) -> Truncate
       index divided by g at ``ceil(n/g)`` and spreads the coefficients g
       apart, so the work and memory stay bounded by the order however large
       g is;
-    - otherwise picks the grid d > 1 whose multiples carry the most pass
-      work, estimated as ``sum |e| (1 - 1/d) / sqrt(grid)``, expands those
-      factors first (which divides their grids by d), and applies the other
-      factors at full length.
+    - otherwise picks the grid d > 1 where expanding its multiples first
+      saves the most pass work, expands those factors first (which divides
+      their grids by d), and applies the other factors at full length.  The
+      saving is estimated as ``sum |e| (1 - 1/d) / sqrt(grid)`` over the
+      multiples of d, less the free first multiplication that the product
+      loses: a product started from 1 multiplies its first ``l_k`` numerator
+      in at the cost of one nonzero, not of a pass of 1/sqrt(k).  When no d
+      saves anything, every factor goes in at full length.
     No index is ever factored: d is one of the grids present, and each
     level either divides n by at least 2 or is followed by one that does.
     At every level the numerator factors go in before the denominator
@@ -195,6 +199,20 @@ def _divided(factor: int | PochhammerSpec, g: int) -> int | PochhammerSpec:
     return factor // g
 
 
+def _in_turn(factor: tuple[int | PochhammerSpec, int]) -> tuple[bool, bool]:
+    """The order factors go in: numerators first, and at each sign the
+    Pochhammer factors, which work on a list in place, before the l_k factors."""
+    return factor[1] < 0, isinstance(factor[0], int)
+
+
+def _free_pass(factors: list[tuple[int | PochhammerSpec, int]]) -> float:
+    """The pass work, in the units of :func:`eta_quotient`'s estimate, that
+    expanding ``factors`` from 1 saves: its first pass reads one nonzero when
+    it multiplies by an ``l_k``, where a pass over a dense list costs 1/sqrt(k)."""
+    x, e = min(factors, key=_in_turn, default=(None, 0))
+    return 1 / sqrt(x) if isinstance(x, int) and e > 0 else 0
+
+
 def _expand(factors: list[tuple[int | PochhammerSpec, int]], n: int) -> TruncatedSeries:
     """The product of ``(k or Pochhammer spec, power)`` factors below q^n,
     n >= 1, by the grid-by-grid steps of :func:`eta_quotient`."""
@@ -206,19 +224,20 @@ def _expand(factors: list[tuple[int | PochhammerSpec, int]], n: int) -> Truncate
         out = [0] * n
         out[::g] = inner.coeffs
         return TruncatedSeries._trusted(0, out, n)
-    work = {
-        d: sum(abs(e) * (1 - 1 / d) / sqrt(_grid(x)) for x, e in factors if _grid(x) % d == 0)
-        for d in sorted(grids - {1})
-    }
-    if work:
-        d = max(work, key=work.get)
+    saved = {}
+    for d in sorted(grids - {1}):
+        group = [(x, e) for x, e in factors if _grid(x) % d == 0]
+        saved[d] = (
+            sum(abs(e) * (1 - 1 / d) / sqrt(_grid(x)) for x, e in group)
+            + _free_pass(group) / d - _free_pass(factors)
+        )
+    d = max(saved, key=saved.get, default=None)
+    if d is not None and saved[d] > 0:
         acc = _expand([(x, e) for x, e in factors if _grid(x) % d == 0], n)
         factors = [(x, e) for x, e in factors if _grid(x) % d]
     else:
         acc = TruncatedSeries.one(n)
-    # numerators first; at each sign the Pochhammer factors, which work on
-    # a list in place, before the l_k factors
-    for x, e in sorted(factors, key=lambda f: (f[1] < 0, isinstance(f[0], int))):
+    for x, e in sorted(factors, key=_in_turn):
         if isinstance(x, PochhammerSpec):
             out = list(acc.coeffs)
             apply_pochhammer(out, x, e)

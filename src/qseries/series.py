@@ -24,7 +24,7 @@ through the private ``TruncatedSeries._trusted``, which checks only the shape.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -155,7 +155,8 @@ class TruncatedSeries:
     def coefficients(self, upto: int | None = None) -> list[int]:
         """Coefficients of ``q^0 .. q^(upto-1)`` as a list (Laurent part dropped)."""
         n = self.order if upto is None else min(upto, self.order)
-        return [self.coefficient(e) for e in range(0, n)]
+        v = self.valuation
+        return [0] * max(min(v, n), 0) + list(self.coeffs[max(-v, 0) : max(n - v, 0)])
 
     def nonzero_items(self) -> list[tuple[int, int]]:
         """Sorted ``(exponent, coefficient)`` pairs with nonzero coefficient."""
@@ -247,7 +248,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact division; ``other`` must have unit leading coefficient."""
-        b0 = other._unit_lead()
+        other._unit_lead()
         val = self.valuation - other.valuation
         order = min(
             self.order - other.valuation,
@@ -255,35 +256,8 @@ class TruncatedSeries:
         )
         if order <= val:
             return TruncatedSeries.zero(order)
-        length = order - val
-        # Divisor terms of +1 and -1 are subtracted and added as they are;
-        # only the others cost a multiplication.
-        plus, minus, nz = [], [], []
-        for k, c in enumerate(other.coeffs[1:length], 1):
-            if c == 1:
-                plus.append(k)
-            elif c == -1:
-                minus.append(k)
-            elif c:
-                nz.append((k, c))
-        ac = self.coeffs
-        out = [0] * length
-        for n in range(length):
-            s = ac[n]
-            for k in plus:
-                if k > n:
-                    break
-                s -= out[n - k]
-            for k in minus:
-                if k > n:
-                    break
-                s += out[n - k]
-            for k, c in nz:
-                if k > n:
-                    break
-                s -= c * out[n - k]
-            if s:
-                out[n] = b0 * s
+        out: list[int] = []
+        pull_quotient(out, self.coeffs[: order - val], other.coeffs)
         return TruncatedSeries._trusted(val, out, order)
 
     def __pow__(self, e: int) -> "TruncatedSeries":
@@ -316,8 +290,7 @@ class TruncatedSeries:
         order = _ceil_div(self.order - r, m)
         if order <= val:
             return TruncatedSeries.zero(order)
-        out = [self.coefficient(m * (val + i) + r) for i in range(order - val)]
-        return TruncatedSeries._trusted(val, out, order)
+        return TruncatedSeries._trusted(val, self.coeffs[m * val + r - self.valuation :: m], order)
 
     def substitute(self, k: int) -> "TruncatedSeries":
         """Replace ``q`` by ``q^k`` for a positive integer ``k``."""
@@ -334,7 +307,8 @@ class TruncatedSeries:
     def alternate(self) -> "TruncatedSeries":
         """Replace ``q`` by ``-q``: negate coefficients of odd exponents."""
         v = self.valuation
-        out = [c if (v + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
+        out = list(self.coeffs)
+        out[(v + 1) % 2 :: 2] = map(neg, out[(v + 1) % 2 :: 2])
         return TruncatedSeries._trusted(v, out, self.order)
 
     def shift(self, k: int) -> "TruncatedSeries":
@@ -421,6 +395,45 @@ def div_binomial(coeffs: list[int], e: int, c: int) -> None:
         return
     for lo in range(e, n, e):
         coeffs[lo : lo + e] = _plus(coeffs[lo : lo + e], -c, coeffs[lo - e : lo])
+
+
+def pull_quotient(out: list[int], num: Sequence[int], den: Sequence[int]) -> None:
+    """Extend ``out``, the first coefficients of the power series quotient
+    ``num / den``, in place to ``len(num)`` coefficients.
+
+    ``den[0]`` must be +1 or -1 and ``den`` must hold at least ``len(num)``
+    coefficients.  Coefficient n is pulled from the numerator and the
+    quotient below it, so the loop runs over the new range only.  Divisor
+    terms of +1 and -1 are subtracted and added as they are; only the
+    others cost a multiplication.
+    """
+    b0 = den[0]
+    start, length = len(out), len(num)
+    plus, minus, nz = [], [], []
+    for k, c in enumerate(den[1:length], 1):
+        if c == 1:
+            plus.append(k)
+        elif c == -1:
+            minus.append(k)
+        elif c:
+            nz.append((k, c))
+    out += repeat(0, length - start)
+    for n in range(start, length):
+        s = num[n]
+        for k in plus:
+            if k > n:
+                break
+            s -= out[n - k]
+        for k in minus:
+            if k > n:
+                break
+            s += out[n - k]
+        for k, c in nz:
+            if k > n:
+                break
+            s -= c * out[n - k]
+        if s:
+            out[n] = b0 * s
 
 
 def make(valuation: int, coeffs: Iterable[int], order: int) -> TruncatedSeries:

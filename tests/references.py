@@ -8,7 +8,10 @@ Euler and Cauchy sums replaced, kept as their oracle, and
 ``eta_quotient_flat`` is the one-level eta-quotient loop that the
 grid-by-grid expansion of ``eta_quotient`` replaced.
 ``agrees_by_coefficients`` is the exponent-by-exponent comparison that
-``TruncatedSeries.agrees_with`` replaced.  The dissection
+``TruncatedSeries.agrees_with`` replaced, and ``coefficients_by_exponent``,
+``extract_ap_by_exponent`` and ``alternate_by_parity`` are the
+coefficient-at-a-time definitions that the slices of ``coefficients``,
+``extract_ap`` and ``alternate`` replaced.  The dissection
 right-hand sides compute the prime dissections of psi(q), l_1 and l_1^3
 term by term, independently of the claim language, as the reference the
 registry's lemma2.1-2.3 texts are checked against.  The
@@ -48,6 +51,27 @@ def agrees_by_coefficients(a: TruncatedSeries, b: TruncatedSeries) -> tuple[bool
         if a.coefficient(e) != b.coefficient(e):
             return False, e
     return True, None
+
+
+def coefficients_by_exponent(s: TruncatedSeries, upto: int | None = None) -> list[int]:
+    """``s.coefficients(upto)``: one ``coefficient`` call per exponent from 0."""
+    n = s.order if upto is None else min(upto, s.order)
+    return [s.coefficient(e) for e in range(0, n)]
+
+
+def extract_ap_by_exponent(s: TruncatedSeries, m: int, r: int) -> TruncatedSeries:
+    """``s.extract_ap(m, r)``: coefficient m*n + r of ``s`` read as that of q^n."""
+    val = -((r - s.valuation) // m)
+    order = -((r - s.order) // m)
+    if order <= val:
+        return TruncatedSeries.zero(order)
+    return TruncatedSeries(val, [s.coefficient(m * n + r) for n in range(val, order)], order)
+
+
+def alternate_by_parity(s: TruncatedSeries) -> TruncatedSeries:
+    """``s.alternate()``: each coefficient negated when its exponent is odd."""
+    v = s.valuation
+    return TruncatedSeries(v, [c if (v + i) % 2 == 0 else -c for i, c in enumerate(s.coeffs)], s.order)
 
 
 # -- products: the binomial-by-binomial Pochhammer product --------------------

@@ -209,7 +209,8 @@ class TestVerify:
 
 
 def _count_computes(monkeypatch) -> dict[str, int]:
-    """Start the mock memo empty and count every fresh expansion per id."""
+    """Start the mock memo empty and count every expansion, a read past the
+    cached order, per id."""
     counts: dict[str, int] = {}
     real = mock_mod._compute
 

@@ -102,6 +102,45 @@ def test_nested_sums_grow_as_n_to_the_one_and_a_half(name):
     assert big <= 3.0 * small, (small, big, big / small)
 
 
+NESTED = (MockThetaId.MU, MockThetaId.SIGMA, MockThetaId.BETA,
+          MockThetaId.V, MockThetaId.PHI6, MockThetaId.PSI6)
+
+
+def ramp(mock_id: MockThetaId, n: int) -> None:
+    """Read the stream at n/2 and then at n, from an empty memo."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mock_mod, "_cache", {})
+        mock_mod.mock_series(mock_id, n // 2)
+        mock_mod.mock_series(mock_id, n)
+
+
+# A read at 2N after one at N extends the cached expansion over the new
+# coefficients only, so the two reads together touch about what one fresh
+# expansion to 2N does (1.00-1.01 measured at N = 1000).  Recomputing from
+# q^0 read 1 + 2^-1.5, about 1.35.
+@pytest.mark.parametrize("mock_id", NESTED, ids=[m.value for m in NESTED])
+def test_extending_a_nested_sum_costs_one_fresh_expansion(mock_id):
+    extended = kernel_elements(partial(ramp, mock_id), 2000)
+    fresh = kernel_elements(partial(mock_mod._nested, mock_id, None, None), 2000)
+    assert fresh > 0
+    assert extended <= 1.2 * fresh, (extended, fresh, extended / fresh)
+
+
+@pytest.mark.parametrize("mock_id", [MockThetaId.LAMBDA, MockThetaId.NU], ids=["lambda", "nu"])
+def test_extending_a_hecke_quotient_pulls_only_the_new_range(mock_id):
+    pulled = []
+    real = series_mod.pull_quotient
+
+    def recording(out, num, den):
+        pulled.append((len(out), len(num)))
+        return real(out, num, den)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mock_mod, "pull_quotient", recording)
+        ramp(mock_id, 2000)
+    assert pulled == [(0, 1000), (1000, 2000)]
+
+
 def pass_work(build, n: int) -> int:
     """The pass work of ``build(n)``: nnz(sparser operand) * len over every
     ``TruncatedSeries.__mul__``, nnz(divisor) * len over every
@@ -155,6 +194,16 @@ def test_grid_by_grid_cuts_the_pass_work_of_count_dp():
     new = pass_work(partial(count_dp, RULESETS["thm5.2"]), 1000)
     flat = pass_work(partial(eta_quotient_flat, THM52), 1000)
     assert new <= 0.75 * flat, (new, flat, new / flat)
+
+
+# eq2.8.phineg's rhs l(1)^2/l(2): expanding 1/l(2) in q^2 first would cost
+# the free first multiplication by l(1) (120 500 against 89 000 at N = 1000),
+# so the estimate keeps it flat
+def test_a_denominator_grid_costs_no_free_multiplication():
+    new, flat = (
+        pass_work(partial(f, {1: 2, 2: -1}), 1000) for f in (products.eta_quotient, eta_quotient_flat)
+    )
+    assert new <= flat, (new, flat)
 
 
 # each pass over a sparse pentagonal series is O(N^1.5) (about sqrt(N) terms

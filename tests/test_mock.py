@@ -2,6 +2,8 @@
 routes, frozen head coefficients, valuation schedules, structural relations.
 """
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,9 +54,18 @@ def test_hecke_route_matches_incremental_deep(mock_id):
     assert _incremental(mock_id, 3000) == mock_series(mock_id, 3000)
 
 
-def test_nu_route_at_every_small_order():
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """Start the memo of expansions empty, and put the old one back after."""
+    monkeypatch.setattr(mock_mod, "_cache", {})
+
+
+def test_nu_route_at_every_small_order(empty_cache):
+    # a fresh expansion to half the order extended once, and the cached
+    # expansion extended by one order at a time
     deep = _incremental(MockThetaId.NU, 300)
     for order in range(301):
+        assert mock_mod._nu_hecke(order) == deep.truncate(order), order
         assert mock_mod._compute(MockThetaId.NU, order) == deep.truncate(order), order
 
 
@@ -69,11 +80,12 @@ def test_incremental_at_every_small_order(mock_id):
         assert _incremental(mock_id, order) == deep.truncate(order), order
 
 
-def test_lambda_route_at_its_row_boundaries():
+def test_lambda_route_at_its_row_boundaries(empty_cache):
     # row n of the lambda numerator starts at q^(n(n+3)/2)
     deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
     orders = {0, 1} | {n * (n + 3) // 2 + d for n in range(41) for d in (-1, 0, 1)}
     for order in sorted(o for o in orders if o >= 0):
+        assert mock_mod._lambda_hecke(order) == deep.truncate(order), order
         assert mock_mod._compute(MockThetaId.LAMBDA, order) == deep.truncate(order), order
 
 
@@ -91,6 +103,59 @@ def test_hecke_route_truncation_property(name, x, y):
     finally:
         mock_mod._cache.clear()
         mock_mod._cache.update(saved)
+
+
+def fresh(mock_id: MockThetaId, order: int) -> TruncatedSeries:
+    """The stream below ``order`` expanded from nothing, cache untouched."""
+    if mock_id in mock_mod._HECKE:
+        return mock_mod._hecke(mock_id, None, order)
+    return mock_mod._nested(mock_id, None, None, order)[0]
+
+
+REFERENCE_ORDER = 60
+
+
+@cache
+def reference(mock_id: MockThetaId) -> TruncatedSeries:
+    return mock_series_reference(mock_id, REFERENCE_ORDER)
+
+
+@st.composite
+def ramps(draw):
+    """Steps (id, order) and the step before which the memo is emptied: per
+    id a nondecreasing run of orders, among them 0, 1, a term's valuation
+    and its neighbours, and repeats; the ids' runs interleaved."""
+    runs = {}
+    for mock_id in MockThetaId:
+        near = st.builds(
+            lambda n, d, m=mock_id: max(valuation_schedule(m, n) + d, 0),
+            st.integers(0, 12), st.sampled_from([-1, 0, 1]),
+        )
+        orders = draw(st.lists(
+            st.one_of(st.sampled_from([0, 1]), near, st.integers(0, 400)), max_size=6
+        ))
+        runs[mock_id] = sorted(orders + orders[: draw(st.integers(0, 2))])  # a repeat or two
+    turns = draw(st.permutations([m for m, orders in runs.items() for _ in orders]))
+    steps = [(m, runs[m].pop(0)) for m in turns]
+    return steps, draw(st.integers(0, len(steps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ramps())
+def test_every_step_of_a_ramp_equals_a_fresh_expansion(ramp):
+    steps, clear_at = ramp
+    saved = mock_mod._cache
+    mock_mod._cache = {}
+    try:
+        for i, (mock_id, order) in enumerate(steps):
+            if i == clear_at:
+                mock_mod._cache.clear()
+            got = mock_series(mock_id, order)
+            assert got == fresh(mock_id, order), (mock_id, order)
+            low = min(order, REFERENCE_ORDER)
+            assert got.truncate(low) == reference(mock_id).truncate(low), (mock_id, order)
+    finally:
+        mock_mod._cache = saved
 
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))

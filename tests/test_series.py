@@ -26,7 +26,12 @@ from qseries.series import (
     make,
     mul_binomial,
 )
-from references import agrees_by_coefficients
+from references import (
+    agrees_by_coefficients,
+    alternate_by_parity,
+    coefficients_by_exponent,
+    extract_ap_by_exponent,
+)
 
 
 def geometric(order):
@@ -426,6 +431,27 @@ def test_agrees_with_matches_the_exponent_loop(a, shift, cut, bump, swap):
     if swap:
         a, b = b, a
     assert a.agrees_with(b) == agrees_by_coefficients(a, b)
+
+
+def shape(s: TruncatedSeries) -> tuple:
+    return s.valuation, s.coeffs, s.order
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-12, 12),
+    st.lists(st.integers(-9, 9), max_size=30),
+    st.integers(1, 7),
+    st.integers(0, 6),
+    st.one_of(st.none(), st.integers(-3, 40)),
+)
+def test_exponent_surgery_matches_the_coefficient_loops(val, coeffs, m, r, upto):
+    # valuations on both sides of 0 and of the residue, every modulus up to 7
+    s = make(val, coeffs, val + len(coeffs))
+    r %= m
+    assert shape(s.extract_ap(m, r)) == shape(extract_ap_by_exponent(s, m, r))
+    assert shape(s.alternate()) == shape(alternate_by_parity(s))
+    assert s.coefficients(upto) == coefficients_by_exponent(s, upto)
 
 
 @pytest.mark.parametrize(
