@@ -33,12 +33,11 @@ over the new coefficients only.
   form, from the last term inward: each level multiplies one list by the
   ratio of consecutive terms (``_step_factors``, O(order) per term) and
   adds that level's +-1.  Each binomial stage of a level keeps the last e
-  values it reads (for a product its inputs, for a quotient its outputs,
-  and for a division by 1 + q^e both), and an extension runs each stage
-  over those and the new coefficients only.  ``_incremental`` is a fresh
-  sum extended once; for lambda and nu it is O(order^2) in time and in
-  kept values, and stays callable for them as the deep cross-check the
-  tests run.
+  values it reads (for a product its inputs, for a quotient its outputs),
+  and an extension runs each stage over those and the new coefficients
+  only.  ``_incremental`` is a fresh sum; for lambda and nu it is
+  O(order^2) in time and in kept values, and stays callable for them as
+  the deep cross-check the tests run.
 
 A third, slow reference route rebuilds every term from scratch out of
 finite Pochhammer products.  It keeps its own copy of each definition on
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import enum
 from itertools import repeat
-from operator import sub
 
 from . import products
 from .series import TruncatedSeries, div_binomial, mul_binomial, pull_quotient
@@ -194,54 +192,27 @@ def _hecke(mock_id: MockThetaId, series: TruncatedSeries | None, order: int) -> 
     return TruncatedSeries._trusted(0, out, order)
 
 
-def _lambda_hecke(order: int) -> TruncatedSeries:
-    """lambda below ``order`` by the Hecke route: a fresh expansion to half
-    the order, extended once."""
-    return _hecke(MockThetaId.LAMBDA, _hecke(MockThetaId.LAMBDA, None, order // 2), order)
-
-
-def _nu_hecke(order: int) -> TruncatedSeries:
-    """nu below ``order`` by the Hecke route: a fresh expansion to half the
-    order, extended once."""
-    return _hecke(MockThetaId.NU, _hecke(MockThetaId.NU, None, order // 2), order)
-
-
 def _stage(
-    window: tuple[list[int], list[int]], part: list[int], e: int, c: int, divide: bool
-) -> tuple[tuple[list[int], list[int]], list[int]]:
+    window: list[int], part: list[int], e: int, c: int, divide: bool
+) -> tuple[list[int], list[int]]:
     """Multiply in, or divide out, the factor ``1 + c q^e`` over ``part``,
     the new coefficients of a list whose earlier ones the stage has seen.
 
-    ``window`` is (inputs, outputs): the last e of the list's earlier
-    inputs and outputs that the stage kept, fewer near the list's start and
-    none on a fresh list.  A product keeps its inputs, a quotient its
-    outputs, and a division by ``1 + q^e`` its inputs as well.  Returns the
-    new window and the new outputs.
+    ``window`` is what the stage kept of the list's earlier coefficients:
+    a product its last e inputs, a quotient its last e outputs, fewer near
+    the list's start and none on a fresh list.  A quotient's first e
+    outputs are its inputs, so with the kept outputs in front the kernel
+    leaves them as they are and reads them as the outputs e back, on every
+    route it takes.  Returns the new window and the new outputs.
     """
-    ins, outs = window
-    if not divide:
-        part[0:0] = ins
-        kept = part[-e:], []
-        mul_binomial(part, e, c)
-        del part[: len(ins)]
-        return kept, part
-    kept_in = (ins + part[-e:])[-e:] if c == 1 else []
-    if c == 1 and len(outs) == e and 4 * e * e < e + len(part):
-        # the kernel's route: a product by 1 - q^e, which reads the inputs,
-        # then running sums along the classes mod 2e, which read the outputs
-        # 2e back, out[i - 2e] = in[i - e] - out[i - e]
-        part[0:0] = ins
-        mul_binomial(part, e, -1)
-        part[:e] = [*map(sub, ins, outs), *outs]
-        div_binomial(part, 2 * e, -1)
-        skip = 2 * e
-    else:
-        # below e places the outputs are the inputs, so any kernel route reads right
-        part[0:0] = outs
+    part[0:0] = window
+    if divide:
         div_binomial(part, e, c)
-        skip = len(outs)
-    kept = kept_in, part[-e:]
-    del part[:skip]
+        kept = part[-e:]
+    else:
+        kept = part[-e:]
+        mul_binomial(part, e, c)
+    del part[: len(window)]
     return kept, part
 
 
@@ -283,7 +254,7 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
             part[0] = sign = base**n
         nums, dens = _step_factors(mock_id, n)
         stages = [(e, c, False) for e, c in nums] + [(e, c, True) for e, c in dens]
-        windows = repeat(([], [])) if fresh else levels[n]
+        windows = repeat([]) if fresh else levels[n]
         kept[n] = []
         for (e, c, divide), window in zip(stages, windows):
             window, part = _stage(window, part, e, c, divide)
@@ -295,10 +266,10 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
 
 
 def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
-    """The stream below ``order`` summed in nested form: a fresh expansion
-    to half the order, extended once.  For lambda and nu it is O(order^2),
-    and stays callable as the deep cross-check the tests run."""
-    return _nested(mock_id, *_nested(mock_id, None, None, order // 2), order)[0]
+    """The stream below ``order`` summed afresh in nested form.  For lambda
+    and nu it is O(order^2), and stays callable as the deep cross-check the
+    tests run."""
+    return _nested(mock_id, None, None, order)[0]
 
 
 # id -> (the deepest expansion, the nested sum's windows; None for lambda and nu)
@@ -314,9 +285,6 @@ def mock_series(mock_id: MockThetaId | str, order: int) -> TruncatedSeries:
     """
     if isinstance(mock_id, str):
         mock_id = MockThetaId.from_name(mock_id)
-    cached = _cache.get(mock_id)
-    if cached is not None and cached[0].order >= order:
-        return cached[0].truncate(order)
     return _compute(mock_id, order)
 
 

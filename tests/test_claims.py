@@ -209,14 +209,17 @@ class TestVerify:
 
 
 def _count_computes(monkeypatch) -> dict[str, int]:
-    """Start the mock memo empty and count every expansion, a read past the
-    cached order, per id."""
+    """Start the mock memo empty and count every expansion, a read that
+    changes the cached order, per id."""
     counts: dict[str, int] = {}
     real = mock_mod._compute
 
     def counting(mock_id, order):
-        counts[mock_id.value] = counts.get(mock_id.value, 0) + 1
-        return real(mock_id, order)
+        before = mock_mod._cache.get(mock_id, (None,))[0]
+        out = real(mock_id, order)
+        if mock_mod._cache[mock_id][0] is not before:
+            counts[mock_id.value] = counts.get(mock_id.value, 0) + 1
+        return out
 
     monkeypatch.setattr(mock_mod, "_cache", {})
     monkeypatch.setattr(mock_mod, "_compute", counting)

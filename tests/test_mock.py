@@ -60,24 +60,32 @@ def empty_cache(monkeypatch):
     monkeypatch.setattr(mock_mod, "_cache", {})
 
 
+def extended_once(mock_id: MockThetaId, order: int) -> TruncatedSeries:
+    """The stream below ``order``: a fresh expansion to half the order,
+    extended once, cache untouched."""
+    if mock_id in mock_mod._HECKE:
+        return mock_mod._hecke(mock_id, mock_mod._hecke(mock_id, None, order // 2), order)
+    return mock_mod._nested(mock_id, *mock_mod._nested(mock_id, None, None, order // 2), order)[0]
+
+
 def test_nu_route_at_every_small_order(empty_cache):
     # a fresh expansion to half the order extended once, and the cached
     # expansion extended by one order at a time
     deep = _incremental(MockThetaId.NU, 300)
     for order in range(301):
-        assert mock_mod._nu_hecke(order) == deep.truncate(order), order
+        assert extended_once(MockThetaId.NU, order) == deep.truncate(order), order
         assert mock_mod._compute(MockThetaId.NU, order) == deep.truncate(order), order
 
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))
 def test_incremental_at_every_small_order(mock_id):
     # every order at or below the first term's valuation, and each valuation
-    # gap of the nested sum, taken on its own
+    # gap of the nested sum, taken on its own, fresh and extended once
     for order in range(41):
         assert _incremental(mock_id, order) == mock_series_reference(mock_id, order), order
     deep = _incremental(mock_id, 400)
     for order in range(401):
-        assert _incremental(mock_id, order) == deep.truncate(order), order
+        assert extended_once(mock_id, order) == deep.truncate(order), order
 
 
 def test_lambda_route_at_its_row_boundaries(empty_cache):
@@ -85,7 +93,7 @@ def test_lambda_route_at_its_row_boundaries(empty_cache):
     deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
     orders = {0, 1} | {n * (n + 3) // 2 + d for n in range(41) for d in (-1, 0, 1)}
     for order in sorted(o for o in orders if o >= 0):
-        assert mock_mod._lambda_hecke(order) == deep.truncate(order), order
+        assert extended_once(MockThetaId.LAMBDA, order) == deep.truncate(order), order
         assert mock_mod._compute(MockThetaId.LAMBDA, order) == deep.truncate(order), order
 
 
