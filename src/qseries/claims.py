@@ -29,8 +29,7 @@ import enum
 import io
 import json
 import time
-from dataclasses import dataclass
-from importlib import resources
+import os
 from typing import Iterable, Sequence
 
 from . import expr as expr_mod
@@ -38,6 +37,7 @@ from . import mock as mock_mod
 from . import partitions
 from .expr import Expr, ParseError, Plan, parse_expr, plan, run, widest
 from .ntheory import FAMILIES, FamilyIndex, PreconditionError, family_indices
+from .records import Record
 
 
 class ClaimKind(enum.Enum):
@@ -48,45 +48,105 @@ class ClaimKind(enum.Enum):
     INTERPRETATION = "interpretation"
 
 
-@dataclass
-class Claim:
+class Claim(Record):
     id: str
     kind: ClaimKind
-    cite: str = ""
-    notes: str = ""
+    cite: str
+    notes: str
     # identity / recurrence series route
-    lhs: Expr | None = None
-    rhs: Expr | None = None
-    order: int = 0
+    lhs: Expr | None
+    rhs: Expr | None
+    order: int
     # congruence
-    expr: Expr | None = None
-    A: int = 1
-    B: int = 0
-    M: int = 0
-    count: int = 0
+    expr: Expr | None
+    A: int
+    B: int
+    M: int
+    count: int
     # congruence family
-    family: str | None = None
-    p: int = 0
-    alpha: int = 0
+    family: str | None
+    p: int
+    alpha: int
     # interpretation
-    mock: str | None = None
-    ruleset: str | None = None
-    bound: int = 0
-    dp_order: int = 0
+    mock: str | None
+    ruleset: str | None
+    bound: int
+    dp_order: int
     # recurrence direct route: the series it reads, each at bound + 1, and
     # its lhs and rhs factors (see _DIRECT_ROUTES), summed for n = 0..bound
-    direct_reads: tuple[Expr, ...] = ()
-    direct: tuple[_Side, _Side] | None = None
+    direct_reads: tuple[Expr, ...]
+    direct: tuple[_Side, _Side] | None
+
+    def __init__(
+        self,
+        id: str,
+        kind: ClaimKind,
+        cite: str = "",
+        notes: str = "",
+        lhs: Expr | None = None,
+        rhs: Expr | None = None,
+        order: int = 0,
+        expr: Expr | None = None,
+        A: int = 1,
+        B: int = 0,
+        M: int = 0,
+        count: int = 0,
+        family: str | None = None,
+        p: int = 0,
+        alpha: int = 0,
+        mock: str | None = None,
+        ruleset: str | None = None,
+        bound: int = 0,
+        dp_order: int = 0,
+        direct_reads: tuple[Expr, ...] = (),
+        direct: tuple[_Side, _Side] | None = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.cite = cite
+        self.notes = notes
+        self.lhs = lhs
+        self.rhs = rhs
+        self.order = order
+        self.expr = expr
+        self.A = A
+        self.B = B
+        self.M = M
+        self.count = count
+        self.family = family
+        self.p = p
+        self.alpha = alpha
+        self.mock = mock
+        self.ruleset = ruleset
+        self.bound = bound
+        self.dp_order = dp_order
+        self.direct_reads = direct_reads
+        self.direct = direct
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     claim_id: str
     status: str  # pass | fail | skipped | error
-    order: int = 0
-    first_failure: dict | None = None
-    message: str = ""
-    elapsed_ms: int = 0
+    order: int
+    first_failure: dict | None
+    message: str
+    elapsed_ms: int
+
+    def __init__(
+        self,
+        claim_id: str,
+        status: str,
+        order: int = 0,
+        first_failure: dict | None = None,
+        message: str = "",
+        elapsed_ms: int = 0,
+    ):
+        self.claim_id = claim_id
+        self.status = status
+        self.order = order
+        self.first_failure = first_failure
+        self.message = message
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
         return {
@@ -363,8 +423,9 @@ def registry() -> list[Claim]:
     """The built-in claim set: the packaged ``registry.claims``, in file order."""
     global _registry_cache
     if _registry_cache is None:
-        text = resources.files(__package__).joinpath("registry.claims").read_text("utf-8")
-        _registry_cache = parse_claim_file(text, "registry.claims")
+        path = os.path.join(os.path.dirname(__file__), "registry.claims")
+        with open(path, encoding="utf-8") as handle:
+            _registry_cache = parse_claim_file(handle.read(), "registry.claims")
     return list(_registry_cache)
 
 

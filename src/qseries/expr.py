@@ -47,7 +47,6 @@ past ``MAX_EXPONENT`` (the 3k of ``psi(q^k)`` too) are parse errors, never a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 from typing import Any, Callable, NamedTuple
@@ -55,6 +54,7 @@ from typing import Any, Callable, NamedTuple
 from . import mock as mock_mod
 from . import partitions, products
 from .products import PochhammerSpec
+from .records import FrozenRecord
 from .series import SeriesError, TruncatedSeries
 
 MAX_NESTING = 100  # nesting of parentheses, calls and unary minus
@@ -76,74 +76,108 @@ class UnknownSymbolError(ParseError):
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(FrozenRecord):
     value: int
 
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Mono:
+
+class Mono(FrozenRecord):
     k: int
 
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
-@dataclass(frozen=True)
-class Eta:
+
+class Eta(FrozenRecord):
     k: int
 
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
-@dataclass(frozen=True)
-class Theta:
+
+class Theta(FrozenRecord):
     sign1: int
     a: int
     sign2: int
     b: int
 
+    def __init__(self, sign1: int, a: int, sign2: int, b: int):
+        object.__setattr__(self, "sign1", sign1)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "sign2", sign2)
+        object.__setattr__(self, "b", b)
 
-@dataclass(frozen=True)
-class Mock:
+
+class Mock(FrozenRecord):
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
-class Stream:
+
+class Stream(FrozenRecord):
     kind: str
     scale: int
 
+    def __init__(self, kind: str, scale: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "scale", scale)
 
-@dataclass(frozen=True)
-class RulesetRef:
+
+class RulesetRef(FrozenRecord):
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
-class BinOp:
+
+class BinOp(FrozenRecord):
     op: str  # one of + - * /; a unary minus -x parses to Lit(-1) * x
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
+class Pow(FrozenRecord):
+    base: Expr
     exponent: int
 
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class Ap:
-    child: "Expr"
+
+class Ap(FrozenRecord):
+    child: Expr
     modulus: int
     residue: int
 
+    def __init__(self, child: Expr, modulus: int, residue: int):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
 
-@dataclass(frozen=True)
-class Subst:
-    child: "Expr"
+
+class Subst(FrozenRecord):
+    child: Expr
     power: int
 
+    def __init__(self, child: Expr, power: int):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "power", power)
 
-@dataclass(frozen=True)
-class Alt:
-    child: "Expr"
+
+class Alt(FrozenRecord):
+    child: Expr
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
 # a ``poch`` leaf is the ``PochhammerSpec`` that ``_fold`` puts in an eta quotient
@@ -592,18 +626,27 @@ def _fold(f: _Facts) -> _Facts:
     return _facts(BinOp("*", Mono(shift), folded) if shift else folded)
 
 
-@dataclass(frozen=True, eq=False)
-class Plan:
+class Plan(FrozenRecord):
     """One node of a demand plan: the folded ``node``, the ``order`` it is
     evaluated to, the ``valuation`` its series starts at, and the plans of
     the children ``_apply`` combines.  ``_facts`` gives every node its
     valuation and factors bottom-up, then ``_place`` folds the nodes it keeps
-    and orders their children top-down, each pass one visit per node."""
+    and orders their children top-down, each pass one visit per node.
+    A plan is equal only to itself."""
 
     node: Expr
     order: int
     valuation: int
     kids: tuple[Plan, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, node: Expr, order: int, valuation: int, kids: tuple[Plan, ...]):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "kids", kids)
 
 
 def plan(node: Expr, order: int) -> Plan:

@@ -36,7 +36,7 @@ over the new coefficients only.
   values it reads (for a product its inputs, for a quotient its outputs),
   and an extension runs each stage over those and the new coefficients
   only.  ``_incremental`` is a fresh sum; for lambda and nu it is
-  O(order^2) in time and in kept values, and stays callable for them as
+  O(order^2) in time, keeps no windows, and stays callable for them as
   the deep cross-check the tests run.
 
 A third, slow reference route rebuilds every term from scratch out of
@@ -233,7 +233,8 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
     kernel over what it kept of the earlier ones (``_stage``) and the new
     part.  Levels of terms that start at or above the cached order are
     fresh: their lists are whole and their stages keep nothing yet.
-    Returns the series and each level's kept windows.
+    Returns the series and each level's kept windows, which are empty for
+    lambda and nu: ``_compute`` never resumes those here.
     """
     if order <= 0:
         return TruncatedSeries.zero(order), []
@@ -243,6 +244,7 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
     while (val := valuation_schedule(mock_id, len(vals))) < order:
         vals.append(val)
     base = _TERMS[mock_id][0]
+    resumed = mock_id not in _HECKE  # _compute extends lambda and nu by _hecke
     kept = [None] * len(vals)
     part, lo = [], order  # level n's new coefficients, from exponent lo up
     for n in reversed(range(len(vals))):
@@ -258,7 +260,8 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
         kept[n] = []
         for (e, c, divide), window in zip(stages, windows):
             window, part = _stage(window, part, e, c, divide)
-            kept[n].append(window)
+            if resumed:
+                kept[n].append(window)
         # Guard for the valuation invariant: every factor is a unit series.
         assert not fresh or part[0] == sign, (mock_id, n)
     coeffs = [*old, *repeat(0, lo - done), *part]

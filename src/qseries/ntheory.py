@@ -4,7 +4,7 @@ exact progression indices of the built-in congruence families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 
 class DomainError(ValueError):
@@ -66,17 +66,20 @@ def legendre(w: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
+class FamilyIndex(FrozenRecord):
     """One arithmetic progression ``A*n + B`` carrying a mod-M vanishing claim."""
 
     A: int
     B: int
     M: int
 
+    def __init__(self, A: int, B: int, M: int):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "M", M)
 
-@dataclass(frozen=True)
-class FamilySpec:
+
+class FamilySpec(FrozenRecord):
     """Shape of one congruence family.
 
     Indices are ``A = c * p^(2a+2)`` and ``B = c * p^(2a+1) * j + (d *
@@ -92,6 +95,19 @@ class FamilySpec:
     e: int
     modulus: int
     mock: str
+
+    def __init__(
+        self, name: str, legendre_w: int, min_p: int, c: int, d: int, e: int, modulus: int,
+        mock: str,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "legendre_w", legendre_w)
+        object.__setattr__(self, "min_p", min_p)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "mock", mock)
 
     def step_exceeds(self, p: int, alpha: int, bound: int) -> bool:
         """Whether the step ``A = c * p^(2*alpha+2)`` exceeds ``bound``, for p >= 2.

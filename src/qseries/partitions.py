@@ -18,7 +18,6 @@ A negative bound counts nothing: ``count_signed`` returns ``[]`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator
 
 from .products import (
@@ -29,36 +28,39 @@ from .products import (
     jacobi_cube,
     theta_f,
 )
+from .records import FrozenRecord
 from .series import SeriesError, TruncatedSeries
 
 
-@dataclass(frozen=True)
-class ResidueRule:
+class ResidueRule(FrozenRecord):
     """Coloring/distinctness/sign rule for one residue class of parts.
 
     ``colors = 0`` forbids parts in the class; ``signed_by_count`` weights a
     partition by (-1)^(number of parts in this class).
     """
 
-    colors: int = 1
-    distinct: bool = False
-    signed_by_count: bool = False
+    colors: int
+    distinct: bool
+    signed_by_count: bool
 
-    def __post_init__(self):
-        if self.colors < 0:
-            raise ValueError(f"colors must be nonnegative, got {self.colors}")
+    def __init__(self, colors: int = 1, distinct: bool = False, signed_by_count: bool = False):
+        if colors < 0:
+            raise ValueError(f"colors must be nonnegative, got {colors}")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "signed_by_count", signed_by_count)
 
 
-@dataclass(frozen=True)
-class PartitionRuleSet:
+class PartitionRuleSet(FrozenRecord):
     """One ResidueRule per residue class modulo ``len(rules)``, in residue
     order, so that the rule for a part v is ``rules[v % len(rules)]``."""
 
     rules: tuple[ResidueRule, ...]
 
-    def __post_init__(self):
-        if not self.rules:
+    def __init__(self, rules: tuple[ResidueRule, ...]):
+        if not rules:
             raise ValueError("a rule set needs a rule for at least one residue class")
+        object.__setattr__(self, "rules", rules)
 
     @classmethod
     def from_map(

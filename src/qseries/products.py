@@ -7,11 +7,11 @@ Everything returns a :class:`TruncatedSeries` exact to the requested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import gcd, sqrt
 from operator import add, sub
 
 from .ntheory import DomainError
+from .records import FrozenRecord
 from .series import SeriesError, TruncatedSeries, div_binomial
 
 
@@ -23,8 +23,7 @@ class DivergenceError(SeriesError):
     """A bilateral theta sum whose exponents do not grow (|cd| >= 1 analogue)."""
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
+class PochhammerSpec(FrozenRecord):
     """The infinite product ``(sign * q^base_exp ; q^step)_inf``, and the
     claim language's ``poch`` leaf.
 
@@ -36,41 +35,52 @@ class PochhammerSpec:
     base_exp: int
     step: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if self.base_exp < 0:
-            raise DomainError(f"base exponent must be nonnegative, got {self.base_exp}")
-        if self.step < 1:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if self.base_exp == 0 and self.sign == 1:
+    def __init__(self, sign: int, base_exp: int, step: int):
+        if sign not in (1, -1):
+            raise DomainError(f"sign must be +1 or -1, got {sign}")
+        if base_exp < 0:
+            raise DomainError(f"base exponent must be nonnegative, got {base_exp}")
+        if step < 1:
+            raise DomainError(f"step must be positive, got {step}")
+        if base_exp == 0 and sign == 1:
             raise DegenerateProductError("(1; q^step)_inf is the zero product")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "base_exp", base_exp)
+        object.__setattr__(self, "step", step)
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(FrozenRecord):
     """A finite product of integer powers of ``l_k = (q^k; q^k)_inf`` and of
     Pochhammer products.
 
     ``exponents`` maps k to the power of ``l_k``; ``pochs`` maps a
-    :class:`PochhammerSpec` to its power.  Every Pochhammer factor starts at
-    ``q^1`` or later, so each one is a unit series and may be divided out.
+    :class:`PochhammerSpec` to its power; either defaults to a new empty
+    dict.  Every Pochhammer factor starts at ``q^1`` or later, so each one
+    is a unit series and may be divided out.
     """
 
-    exponents: dict[int, int] = field(default_factory=dict)
-    pochs: dict[PochhammerSpec, int] = field(default_factory=dict)
+    exponents: dict[int, int]
+    pochs: dict[PochhammerSpec, int]
 
-    def __post_init__(self):
-        for k, e in self.exponents.items():
+    def __init__(
+        self,
+        exponents: dict[int, int] | None = None,
+        pochs: dict[PochhammerSpec, int] | None = None,
+    ):
+        exponents = {} if exponents is None else exponents
+        pochs = {} if pochs is None else pochs
+        for k, e in exponents.items():
             if not (isinstance(k, int) and k >= 1):
                 raise DomainError(f"eta index must be a positive integer, got {k!r}")
             if not isinstance(e, int):
                 raise DomainError(f"eta exponent must be an integer, got {e!r}")
-        for p, e in self.pochs.items():
+        for p, e in pochs.items():
             if not (isinstance(p, PochhammerSpec) and p.base_exp >= 1):
                 raise DomainError(f"Pochhammer factor must start at q^1 or later, got {p!r}")
             if not isinstance(e, int):
                 raise DomainError(f"Pochhammer exponent must be an integer, got {e!r}")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "pochs", pochs)
 
 
 def apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:
@@ -195,7 +205,7 @@ def _grid(factor: int | PochhammerSpec) -> int:
 def _divided(factor: int | PochhammerSpec, g: int) -> int | PochhammerSpec:
     """The factor with q^g replaced by q; g divides its grid."""
     if isinstance(factor, PochhammerSpec):
-        return replace(factor, base_exp=factor.base_exp // g, step=factor.step // g)
+        return PochhammerSpec(factor.sign, factor.base_exp // g, factor.step // g)
     return factor // g
 
 

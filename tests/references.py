@@ -23,7 +23,6 @@ counters enumerate the same partitions by plain backtracking.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import gcd
 
 from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta
@@ -103,7 +102,7 @@ def eta_quotient_flat(spec: EtaQuotientSpec | dict[int, int], order: int) -> Tru
     out = [1] + [0] * (n - 1)
     for p, e in spec.pochs.items():
         if e:
-            apply_pochhammer(out, replace(p, base_exp=p.base_exp // g, step=p.step // g), e)
+            apply_pochhammer(out, PochhammerSpec(p.sign, p.base_exp // g, p.step // g), e)
     acc = TruncatedSeries(0, out, n)
     for k, e in sorted(spec.exponents.items()):
         if e == 0:

@@ -13,6 +13,11 @@ from qseries import cli, expr, partitions
 from qseries.cli import main
 
 
+# modules the package's start-up must not import: dataclasses pulls in inspect,
+# and importlib.resources costs 13-20 ms under python -S
+SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -503,3 +508,15 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0 1 1 2"
+
+    def test_start_up_imports_no_slow_module(self):
+        # -S keeps site's .pth files, which may load those modules, out of it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import qseries, qseries.cli; qseries.registry(); "
+            f"print(qseries.__file__); print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [str(src / "qseries" / "__init__.py"), ""]

@@ -88,6 +88,14 @@ def test_incremental_at_every_small_order(mock_id):
         assert extended_once(mock_id, order) == deep.truncate(order), order
 
 
+@pytest.mark.parametrize("mock_id", list(MockThetaId))
+def test_nested_sum_keeps_windows_only_for_the_streams_it_resumes(mock_id):
+    # _compute extends lambda and nu through _hecke, so their nested sum,
+    # run only as a fresh cross-check, keeps none of its O(order^2) windows
+    levels = mock_mod._nested(mock_id, None, None, 400)[1]
+    assert any(map(any, levels)) == (mock_id not in HECKE)
+
+
 def test_lambda_route_at_its_row_boundaries(empty_cache):
     # row n of the lambda numerator starts at q^(n(n+3)/2)
     deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
