@@ -30,7 +30,7 @@ import io
 import json
 import time
 import os
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import expr as expr_mod
 from . import mock as mock_mod

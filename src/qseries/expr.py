@@ -47,9 +47,9 @@ past ``MAX_EXPONENT`` (the 3k of ``psi(q^k)`` too) are parse errors, never a
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from functools import partial
 from itertools import starmap
-from typing import Any, Callable, NamedTuple
 
 from . import mock as mock_mod
 from . import partitions, products
@@ -273,7 +273,7 @@ class _Parser:
             raise ParseError("expected a name", pos)
         return val
 
-    def arguments(self, *readers: Callable[[], Any]) -> tuple[list[Any], list[int]]:
+    def arguments(self, *readers: Callable[[], object]) -> tuple[list[object], list[int]]:
         """Read ``(arg, ..., arg)``, one per reader; return the values and where each starts."""
         self.expect_sym("(")
         values, starts = [], []
@@ -486,13 +486,22 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-class _Facts(NamedTuple):
+class _Facts:
     """What the bottom-up pass knows of one node, from its children's facts."""
 
-    node: Expr
-    valuation: int
-    factors: tuple[int, int, dict[int | PochhammerSpec, int]] | None
-    kids: tuple[_Facts, ...]
+    __slots__ = ("node", "valuation", "factors", "kids")
+
+    def __init__(
+        self,
+        node: Expr,
+        valuation: int,
+        factors: tuple[int, int, dict[int | PochhammerSpec, int]] | None,
+        kids: tuple[_Facts, ...],
+    ):
+        self.node = node
+        self.valuation = valuation
+        self.factors = factors
+        self.kids = kids
 
 
 def _facts(node: Expr) -> _Facts:

@@ -18,7 +18,7 @@ A negative bound counts nothing: ``count_signed`` returns ``[]`` and
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from collections.abc import Iterator
 
 from .products import (
     EtaQuotientSpec,
@@ -128,27 +128,34 @@ def count_signed(ruleset: PartitionRuleSet, bound: int) -> list[int]:
 
     Each level picks the next part (value, color) the partition uses, from
     those after the previous level's and largest first, and its multiplicity
-    k >= 1, which leaves ``rem - k * value`` to the parts after it.  Every node
-    of the walk is one colored partition, of size ``bound - rem``, and adds its
-    sign there as the walk reaches it, so the walk visits each admissible
+    k >= 1, which leaves ``r = rem - k * value`` to the parts after it.  Every
+    node of the walk is one colored partition, of size ``bound - r``, whose
+    sign its parent's loop adds there, so the walk visits each admissible
     colored multiset of parts of size at most ``bound`` exactly once; its
-    depth is the number of distinct parts.  Its time grows with the number of
-    those partitions, about 3x per +5 of ``bound`` for thm6.1.
+    depth is the number of distinct parts.  Only a node with ``r >= value``
+    is then called to walk its children: with ``r < value`` no later part
+    fits, since each is at least ``value``.  That spares the call of about
+    81% of the nodes on the registry's rule sets.  The time grows with the
+    number of those partitions, about 3x per +5 of ``bound`` for thm6.1.
     """
     if bound < 0:
         return []
     rules = ruleset.rules
     m = len(rules)
     counts = [0] * (bound + 1)
+    counts[0] = 1  # the empty partition, the root
 
     def after(value: int, color: int, rem: int, sign: int) -> None:
-        counts[bound - rem] += sign
         for v in range(rem, value - 1, -1):
             rule = rules[v % m]
             top = 1 if rule.distinct else rem // v
             for c in range(rule.colors - 1, color if v == value else -1, -1):
                 for k in range(1, top + 1):
-                    after(v, c, rem - k * v, -sign if rule.signed_by_count and k % 2 else sign)
+                    r = rem - k * v
+                    s = -sign if rule.signed_by_count and k % 2 else sign
+                    counts[bound - r] += s
+                    if r >= v:  # else no later part fits, and the node is childless
+                        after(v, c, r, s)
 
     after(1, -1, bound, 1)  # every part (v, c) comes after (1, -1)
     return counts

@@ -23,9 +23,9 @@ through the private ``TruncatedSeries._trusted``, which checks only the shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, Sequence
 
 
 class SeriesError(ValueError):

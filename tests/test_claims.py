@@ -27,8 +27,9 @@ from qseries.claims import (
     tally,
     verify,
 )
-from qseries.expr import Ap, Expr, Mock, RulesetRef, eval_expr, parse_expr, to_text
-from qseries.ntheory import PreconditionError, family_indices
+from qseries.expr import Ap, BinOp, Expr, Mock, Mono, RulesetRef, eval_expr, parse_expr, to_text
+from qseries.ntheory import FAMILIES, PreconditionError, family_indices
+from qseries.series import TruncatedSeries
 import references
 from references import leaf_demands
 
@@ -520,6 +521,87 @@ class TestDemandPlan:
             assert r.order == _requested_order(claim, r.status), claim.id
         pinned = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())
         assert [_scrub(r) for r in reports] == pinned
+
+
+def _copy(claim: Claim, **fields) -> Claim:
+    """A new claim with ``claim``'s fields, ``fields`` in place of its own; ``claim`` is untouched."""
+    return Claim(**{**{name: getattr(claim, name) for name in Claim._fields}, **fields})
+
+
+def _plus_q(node: Expr, e: int) -> Expr:
+    return BinOp("+", node, Mono(e))
+
+
+def _holding(*kinds: ClaimKind) -> list[str]:
+    """The ids of the registry claims of ``kinds`` that hold as stated."""
+    return [c.id for c in registry() if c.kind in kinds and c.id not in EXPECTED_DEFECTS]
+
+
+class TestEveryCheckReadsItsLastIndex:
+    """A claim that holds, with one coefficient raised by 1 at the last index
+    its check states, fails there; raised just past that index, it passes.
+    The perturbation is a claim-language node, so it runs through the real
+    plan; the refuted claims are pinned in test_acceptance.py instead."""
+
+    @pytest.mark.parametrize("cid", _holding(ClaimKind.IDENTITY, ClaimKind.RECURRENCE))
+    def test_identity_and_recurrence(self, cid):
+        claim = registry_by_id()[cid]
+        n = claim.order
+        r = verify(_copy(claim, rhs=_plus_q(claim.rhs, n - 1)))
+        assert (r.status, r.order, r.first_failure["n"], r.message) == ("fail", n, n - 1, "")
+        assert verify(_copy(claim, rhs=_plus_q(claim.rhs, n))).status == "pass"
+
+    @pytest.mark.parametrize("cid", _holding(ClaimKind.CONGRUENCE))
+    def test_congruence(self, cid):
+        claim = registry_by_id()[cid]
+        A, B, c = claim.A, claim.B, claim.count
+        r = verify(_copy(claim, expr=_plus_q(claim.expr, A * (c - 1) + B)))
+        assert (r.status, r.first_failure["n"]) == ("fail", c - 1)
+        assert verify(_copy(claim, expr=_plus_q(claim.expr, A * c + B))).status == "pass"
+
+    @pytest.mark.parametrize("cid", _holding(ClaimKind.CONGRUENCE_FAMILY))
+    def test_family_on_its_last_progression(self, cid):
+        claim = registry_by_id()[cid]
+        last = family_indices(claim.family, claim.p, claim.alpha)[-1]
+        node, c = claim.expr or Mock(FAMILIES[claim.family].mock), claim.count
+        r = verify(_copy(claim, expr=_plus_q(node, last.A * (c - 1) + last.B)))
+        assert (r.status, r.first_failure["n"]) == ("fail", c - 1)
+        assert r.message == f"progression j={claim.p - 1} (A={last.A}, B={last.B}, M={last.M})"
+        assert verify(_copy(claim, expr=_plus_q(node, last.A * c + last.B))).status == "pass"
+
+    @pytest.mark.parametrize("cid", _holding(ClaimKind.INTERPRETATION))
+    def test_interpretation_enumeration(self, cid, monkeypatch):
+        claim = registry_by_id()[cid]
+        real = partitions.count_signed
+
+        def raised(rs, bound):
+            counts = real(rs, bound)
+            counts[-1] += 1
+            return counts
+
+        monkeypatch.setattr(partitions, "count_signed", raised)
+        r = verify(claim)
+        assert (r.status, r.order, r.first_failure["n"], r.message) == (
+            "fail", claim.bound, claim.bound, "backtracking enumeration disagrees"
+        )
+
+    @pytest.mark.parametrize("cid", _holding(ClaimKind.INTERPRETATION))
+    def test_interpretation_generating_function(self, cid, monkeypatch):
+        claim = registry_by_id()[cid]
+        target = claim.dp_order or claim.bound + 1
+        real = partitions.count_dp
+
+        def raised(at):
+            # count_dp to order at + 1 with coefficient ``at`` raised; the plan truncates it
+            return lambda rs, order: real(rs, at + 1) + TruncatedSeries.monomial(at, at + 1)
+
+        monkeypatch.setattr(partitions, "count_dp", raised(target - 1))
+        r = verify(claim)
+        assert (r.status, r.order, r.first_failure["n"], r.message) == (
+            "fail", target, target - 1, "generating function route disagrees"
+        )
+        monkeypatch.setattr(partitions, "count_dp", raised(target))
+        assert verify(claim).status == "pass"
 
 
 class TestErrors:

@@ -14,8 +14,8 @@ from qseries.cli import main
 
 
 # modules the package's start-up must not import: dataclasses pulls in inspect,
-# and importlib.resources costs 13-20 ms under python -S
-SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources")
+# importlib.resources costs 13-20 ms under python -S, and typing about 3.5 ms
+SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "typing")
 
 
 def run_cli(capsys, *argv):

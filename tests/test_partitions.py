@@ -101,6 +101,20 @@ class TestCountSigned:
             sum(sign for _, sign in iter_colored_partitions(rs, n)) for n in range(bound + 1)
         ]
 
+    # the nodes the walk visits for each registry rule set at the claims'
+    # bound 25: with every sign dropped, each node adds 1
+    NODES_AT_25 = {"thm3.2": 27_638, "thm4.2": 58_199, "thm5.2": 40_560, "thm6.1": 106_269}
+
+    @pytest.mark.parametrize("name", sorted(NODES_AT_25))
+    def test_walk_visits_each_colored_partition_once(self, name):
+        unsigned = PartitionRuleSet(
+            tuple(ResidueRule(r.colors, r.distinct, False) for r in RULESETS[name].rules)
+        )
+        nodes = sum(count_signed(unsigned, 25))
+        assert nodes == self.NODES_AT_25[name]
+        # the unsigned product counts every colored partition of size <= 25 once
+        assert nodes == sum(count_dp(unsigned, 26).coefficients())
+
     def test_iterator_depth_is_not_n(self):
         # the walk recurses once per distinct part, so n = 400 is no RecursionError
         parts, sign = next(iter_colored_partitions(RULESETS["thm6.1"], 400))
