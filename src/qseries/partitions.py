@@ -126,38 +126,60 @@ def count_signed(ruleset: PartitionRuleSet, bound: int) -> list[int]:
     """Signed counts of the colored partitions of every n in 0..bound (``[]``
     for a negative bound), by one exhaustive backtracking walk.
 
-    Each level picks the next part (value, color) the partition uses, from
-    those after the previous level's and largest first, and its multiplicity
-    k >= 1, which leaves ``r = rem - k * value`` to the parts after it.  Every
-    node of the walk is one colored partition, of size ``bound - r``, whose
-    sign its parent's loop adds there, so the walk visits each admissible
-    colored multiset of parts of size at most ``bound`` exactly once; its
-    depth is the number of distinct parts.  Only a node with ``r >= value``
-    is then called to walk its children: with ``r < value`` no later part
-    fits, since each is at least ``value``.  That spares the call of about
-    81% of the nodes on the registry's rule sets.  The time grows with the
-    number of those partitions, about 3x per +5 of ``bound`` for thm6.1.
+    The walk runs over one flat index j of the admissible parts (value,
+    color), in increasing order.  They repeat with period m = ``len(rules)``:
+    one period, ``pattern``, holds an entry (offset t in 1..m, distinct,
+    signed) for each color of the class t mod m, and part j has value
+    ``(j // P) * m + t`` for ``pattern[j % P]``, where P = ``len(pattern)``.
+    The parts of value at most ``rem`` are the first
+    ``(rem // m) * P + below[rem % m]``, with ``below[R]`` the entries of
+    offset at most R.  Nothing else is stored, so beside the returned list
+    the walk takes O(P) memory, and no step visits a value no part may take.
+
+    Each level picks the next part j the partition uses, from those after
+    the previous level's part and largest first, and its multiplicity
+    k >= 1 (only 1 for a distinct part), which leaves ``r = rem - k * value``
+    to the parts after j.  Every node of the walk is one colored partition,
+    of size ``bound - r``, whose sign its parent's loop adds there, so the
+    walk visits each admissible colored multiset of parts of size at most
+    ``bound`` exactly once; its depth is the number of distinct parts.  Only
+    a node with ``r >= value`` is then called to walk its children: with
+    ``r < value`` no later part fits, since each is at least ``value``.  That
+    spares the call of about 81% of the nodes on the registry's rule sets.
+    The time grows with the number of those partitions, about 3x per +5 of
+    ``bound`` for thm6.1.
     """
     if bound < 0:
         return []
     rules = ruleset.rules
     m = len(rules)
+    pattern: list[tuple[int, bool, bool]] = []
+    below = [0]
+    for t in range(1, m + 1):
+        rule = rules[t % m]
+        pattern += [(t, rule.distinct, rule.signed_by_count)] * rule.colors
+        below.append(len(pattern))
+    P = len(pattern)
     counts = [0] * (bound + 1)
     counts[0] = 1  # the empty partition, the root
 
-    def after(value: int, color: int, rem: int, sign: int) -> None:
-        for v in range(rem, value - 1, -1):
-            rule = rules[v % m]
-            top = 1 if rule.distinct else rem // v
-            for c in range(rule.colors - 1, color if v == value else -1, -1):
-                for k in range(1, top + 1):
-                    r = rem - k * v
-                    s = -sign if rule.signed_by_count and k % 2 else sign
-                    counts[bound - r] += s
-                    if r >= v:  # else no later part fits, and the node is childless
-                        after(v, c, r, s)
+    def after(start: int, rem: int, sign: int) -> None:
+        for j in range(rem // m * P + below[rem % m] - 1, start - 1, -1):
+            t, distinct, signed = pattern[j % P]
+            v = j // P * m + t
+            r = rem - v
+            s = -sign if signed else sign
+            counts[bound - r] += s
+            while r >= v:  # else no later part fits, and the node is childless
+                after(j + 1, r, s)
+                if distinct:
+                    break
+                r -= v  # the same part once more
+                if signed:
+                    s = -s
+                counts[bound - r] += s
 
-    after(1, -1, bound, 1)  # every part (v, c) comes after (1, -1)
+    after(0, bound, 1)  # every part comes after j = -1
     return counts
 
 

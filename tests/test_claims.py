@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import random
 import re
 import time
 from importlib import resources
@@ -602,6 +603,27 @@ class TestEveryCheckReadsItsLastIndex:
         )
         monkeypatch.setattr(partitions, "count_dp", raised(target))
         assert verify(claim).status == "pass"
+
+
+class TestEveryReadIsAPrefix:
+    """Each read a claim's check plans, evaluated at a lower order n′, is the
+    same read at its stated order N cut to n′: no read depends on how deep it
+    was asked for.  The mock cache is emptied before each evaluation, so that
+    neither is the other one truncated.  A read is not a verdict, so the
+    refuted claims' reads are included."""
+
+    @pytest.mark.parametrize("cid", [c.id for c in registry()])
+    def test_lower_orders_are_prefixes(self, cid):
+        _, reads, _, _ = claims_mod._plan(registry_by_id()[cid], None, None, MAX_ORDER)
+        rng = random.Random(cid)
+        for node, order in reads:
+            mock_mod._cache.clear()
+            full = expr_mod.run(expr_mod.plan(node, order))
+            for lower in sorted(rng.sample(range(1, order), min(3, order - 1))):
+                mock_mod._cache.clear()
+                assert expr_mod.run(expr_mod.plan(node, lower)) == full.truncate(lower), (
+                    to_text(node), order, lower,
+                )
 
 
 class TestErrors:

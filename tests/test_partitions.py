@@ -1,5 +1,8 @@
 """Partition counters: enumeration oracles against generating functions."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,7 +91,7 @@ class TestCountSigned:
     @given(
         st.lists(
             st.builds(ResidueRule, st.integers(0, 2), st.booleans(), st.booleans()),
-            min_size=1, max_size=4,
+            min_size=1, max_size=8,
         ),
         st.integers(0, 14),
     )
@@ -114,6 +117,39 @@ class TestCountSigned:
         assert nodes == self.NODES_AT_25[name]
         # the unsigned product counts every colored partition of size <= 25 once
         assert nodes == sum(count_dp(unsigned, 26).coefficients())
+
+    # the Python calls the walk makes at bound 25: only a node with room for
+    # a later part is called to walk its children
+    CALLS_AT_25 = {"thm3.2": 5_349, "thm4.2": 11_264, "thm5.2": 7_809, "thm6.1": 19_902}
+
+    @pytest.mark.parametrize("name", sorted(CALLS_AT_25))
+    def test_walk_calls_only_nodes_with_children(self, name):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == count_signed.__code__.co_filename:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            count_signed(RULESETS[name], 25)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] == "count_signed"
+        assert len(calls) - 1 == self.CALLS_AT_25[name]
+
+    def test_cost_is_in_parts_not_in_the_bound(self):
+        # the only parts are the multiples of 100: the walk keeps nothing
+        # sized by the bound beside the list it returns
+        rs = PartitionRuleSet((ResidueRule(1),) + (ResidueRule(0),) * 99)
+        tracemalloc.start()
+        try:
+            counts = count_signed(rs, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == count_dp(rs, 2001).coefficients()
+        assert peak <= 2 * sys.getsizeof(counts)
 
     def test_iterator_depth_is_not_n(self):
         # the walk recurses once per distinct part, so n = 400 is no RecursionError
