@@ -51,102 +51,40 @@ class ClaimKind(enum.Enum):
 class Claim(Record):
     id: str
     kind: ClaimKind
-    cite: str
-    notes: str
+    cite: str = ""
+    notes: str = ""
     # identity / recurrence series route
-    lhs: Expr | None
-    rhs: Expr | None
-    order: int
+    lhs: Expr | None = None
+    rhs: Expr | None = None
+    order: int = 0
     # congruence
-    expr: Expr | None
-    A: int
-    B: int
-    M: int
-    count: int
+    expr: Expr | None = None
+    A: int = 1
+    B: int = 0
+    M: int = 0
+    count: int = 0
     # congruence family
-    family: str | None
-    p: int
-    alpha: int
+    family: str | None = None
+    p: int = 0
+    alpha: int = 0
     # interpretation
-    mock: str | None
-    ruleset: str | None
-    bound: int
-    dp_order: int
+    mock: str | None = None
+    ruleset: str | None = None
+    bound: int = 0
+    dp_order: int = 0
     # recurrence direct route: the series it reads, each at bound + 1, and
     # its lhs and rhs factors (see _DIRECT_ROUTES), summed for n = 0..bound
-    direct_reads: tuple[Expr, ...]
-    direct: tuple[_Side, _Side] | None
-
-    def __init__(
-        self,
-        id: str,
-        kind: ClaimKind,
-        cite: str = "",
-        notes: str = "",
-        lhs: Expr | None = None,
-        rhs: Expr | None = None,
-        order: int = 0,
-        expr: Expr | None = None,
-        A: int = 1,
-        B: int = 0,
-        M: int = 0,
-        count: int = 0,
-        family: str | None = None,
-        p: int = 0,
-        alpha: int = 0,
-        mock: str | None = None,
-        ruleset: str | None = None,
-        bound: int = 0,
-        dp_order: int = 0,
-        direct_reads: tuple[Expr, ...] = (),
-        direct: tuple[_Side, _Side] | None = None,
-    ):
-        self.id = id
-        self.kind = kind
-        self.cite = cite
-        self.notes = notes
-        self.lhs = lhs
-        self.rhs = rhs
-        self.order = order
-        self.expr = expr
-        self.A = A
-        self.B = B
-        self.M = M
-        self.count = count
-        self.family = family
-        self.p = p
-        self.alpha = alpha
-        self.mock = mock
-        self.ruleset = ruleset
-        self.bound = bound
-        self.dp_order = dp_order
-        self.direct_reads = direct_reads
-        self.direct = direct
+    direct_reads: tuple[Expr, ...] = ()
+    direct: tuple[_Side, _Side] | None = None
 
 
 class VerificationReport(Record):
     claim_id: str
     status: str  # pass | fail | skipped | error
-    order: int
-    first_failure: dict | None
-    message: str
-    elapsed_ms: int
-
-    def __init__(
-        self,
-        claim_id: str,
-        status: str,
-        order: int = 0,
-        first_failure: dict | None = None,
-        message: str = "",
-        elapsed_ms: int = 0,
-    ):
-        self.claim_id = claim_id
-        self.status = status
-        self.order = order
-        self.first_failure = first_failure
-        self.message = message
-        self.elapsed_ms = elapsed_ms
+    order: int = 0
+    first_failure: dict | None = None
+    message: str = ""
+    elapsed_ms: int = 0
 
     def to_dict(self) -> dict:
         return {

@@ -79,22 +79,13 @@ class UnknownSymbolError(ParseError):
 class Lit(FrozenRecord):
     value: int
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
 
 class Mono(FrozenRecord):
     k: int
 
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", k)
-
 
 class Eta(FrozenRecord):
     k: int
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", k)
 
 
 class Theta(FrozenRecord):
@@ -103,34 +94,18 @@ class Theta(FrozenRecord):
     sign2: int
     b: int
 
-    def __init__(self, sign1: int, a: int, sign2: int, b: int):
-        object.__setattr__(self, "sign1", sign1)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sign2", sign2)
-        object.__setattr__(self, "b", b)
-
 
 class Mock(FrozenRecord):
     name: str
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class Stream(FrozenRecord):
     kind: str
     scale: int
 
-    def __init__(self, kind: str, scale: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "scale", scale)
-
 
 class RulesetRef(FrozenRecord):
     name: str
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class BinOp(FrozenRecord):
@@ -138,19 +113,10 @@ class BinOp(FrozenRecord):
     left: Expr
     right: Expr
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Pow(FrozenRecord):
     base: Expr
     exponent: int
-
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
 
 
 class Ap(FrozenRecord):
@@ -158,26 +124,14 @@ class Ap(FrozenRecord):
     modulus: int
     residue: int
 
-    def __init__(self, child: Expr, modulus: int, residue: int):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue)
-
 
 class Subst(FrozenRecord):
     child: Expr
     power: int
 
-    def __init__(self, child: Expr, power: int):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "power", power)
-
 
 class Alt(FrozenRecord):
     child: Expr
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
 
 
 # a ``poch`` leaf is the ``PochhammerSpec`` that ``_fold`` puts in an eta quotient
@@ -405,6 +359,8 @@ class _Parser:
             return Stream(k, scale)
         if val == "ruleset":
             (name,), _ = self.arguments(self.expect_name)
+            if name not in partitions.RULESETS:
+                raise UnknownSymbolError(f"unknown ruleset {name!r}", pos)
             return RulesetRef(name)
         if val == "AP":
             (child, m, r), (_, _, at) = self.arguments(
@@ -531,6 +487,8 @@ def _facts(node: Expr) -> _Facts:
             v = -(-(v - node.residue) // node.modulus)
         elif isinstance(node, Subst):
             v *= node.power
+    elif isinstance(node, Pow) and not node.exponent:  # x^0 is the constant 1
+        factors = 1, 0, {}
     elif isinstance(node, Pow):
         kids = (base := _facts(node.base),)
         n, inner = node.exponent, base.factors
@@ -575,7 +533,7 @@ def _child_orders(f: _Facts, order: int) -> list[tuple[_Facts, int]]:
     elif isinstance(node, Pow):
         n, v = node.exponent, kids[0].valuation
         need = order - (n - 1) * v
-        pairs = [(kids[0], need if n > 0 else max(need, v + 1))] if n else []
+        pairs = [(kids[0], need if n > 0 else max(need, v + 1))]
     elif isinstance(node, BinOp) and node.op == "*":
         left, right = kids
         # an integer scalar or a q^k factor is applied exactly, not multiplied
@@ -650,12 +608,6 @@ class Plan(FrozenRecord):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, node: Expr, order: int, valuation: int, kids: tuple[Plan, ...]):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "kids", kids)
 
 
 def plan(node: Expr, order: int) -> Plan:
@@ -735,7 +687,7 @@ def _apply(p: Plan, kids: list[TruncatedSeries]) -> TruncatedSeries:
     if isinstance(node, Subst):
         return kids[0].substitute(node.power)
     if isinstance(node, Pow):
-        return kids[0] ** node.exponent if kids else TruncatedSeries.one(order)
+        return kids[0] ** node.exponent
     if isinstance(node, BinOp):
         if node.op == "+":
             return kids[0] + kids[1]

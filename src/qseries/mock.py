@@ -35,9 +35,9 @@ over the new coefficients only.
   adds that level's +-1.  Each binomial stage of a level keeps the last e
   values it reads (for a product its inputs, for a quotient its outputs),
   and an extension runs each stage over those and the new coefficients
-  only.  ``_incremental`` is a fresh sum; for lambda and nu it is
-  O(order^2) in time, keeps no windows, and stays callable for them as
-  the deep cross-check the tests run.
+  only.  ``_nested`` from nothing is a fresh sum; for lambda and nu it is
+  O(order^2) in time and keeps no windows, and the tests run it for them
+  as the deep cross-check of the Hecke route.
 
 A third, slow reference route rebuilds every term from scratch out of
 finite Pochhammer products.  It keeps its own copy of each definition on
@@ -266,13 +266,6 @@ def _nested(mock_id: MockThetaId, series: TruncatedSeries | None, levels: list |
         assert not fresh or part[0] == sign, (mock_id, n)
     coeffs = [*old, *repeat(0, lo - done), *part]
     return TruncatedSeries._trusted(0, coeffs, order), kept
-
-
-def _incremental(mock_id: MockThetaId, order: int) -> TruncatedSeries:
-    """The stream below ``order`` summed afresh in nested form.  For lambda
-    and nu it is O(order^2), and stays callable as the deep cross-check the
-    tests run."""
-    return _nested(mock_id, None, None, order)[0]
 
 
 # id -> (the deepest expansion, the nested sum's windows; None for lambda and nu)

@@ -73,11 +73,6 @@ class FamilyIndex(FrozenRecord):
     B: int
     M: int
 
-    def __init__(self, A: int, B: int, M: int):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "M", M)
-
 
 class FamilySpec(FrozenRecord):
     """Shape of one congruence family.
@@ -95,19 +90,6 @@ class FamilySpec(FrozenRecord):
     e: int
     modulus: int
     mock: str
-
-    def __init__(
-        self, name: str, legendre_w: int, min_p: int, c: int, d: int, e: int, modulus: int,
-        mock: str,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "legendre_w", legendre_w)
-        object.__setattr__(self, "min_p", min_p)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "mock", mock)
 
     def step_exceeds(self, p: int, alpha: int, bound: int) -> bool:
         """Whether the step ``A = c * p^(2*alpha+2)`` exceeds ``bound``, for p >= 2.

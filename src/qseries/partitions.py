@@ -39,16 +39,14 @@ class ResidueRule(FrozenRecord):
     partition by (-1)^(number of parts in this class).
     """
 
-    colors: int
-    distinct: bool
-    signed_by_count: bool
+    colors: int = 1
+    distinct: bool = False
+    signed_by_count: bool = False
 
-    def __init__(self, colors: int = 1, distinct: bool = False, signed_by_count: bool = False):
-        if colors < 0:
-            raise ValueError(f"colors must be nonnegative, got {colors}")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "distinct", distinct)
-        object.__setattr__(self, "signed_by_count", signed_by_count)
+    def __init__(self, *args: object, **kwargs: object):
+        super().__init__(*args, **kwargs)
+        if self.colors < 0:
+            raise ValueError(f"colors must be nonnegative, got {self.colors}")
 
 
 class PartitionRuleSet(FrozenRecord):
@@ -60,7 +58,7 @@ class PartitionRuleSet(FrozenRecord):
     def __init__(self, rules: tuple[ResidueRule, ...]):
         if not rules:
             raise ValueError("a rule set needs a rule for at least one residue class")
-        object.__setattr__(self, "rules", rules)
+        super().__init__(rules)
 
     @classmethod
     def from_map(

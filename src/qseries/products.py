@@ -44,9 +44,7 @@ class PochhammerSpec(FrozenRecord):
             raise DomainError(f"step must be positive, got {step}")
         if base_exp == 0 and sign == 1:
             raise DegenerateProductError("(1; q^step)_inf is the zero product")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "base_exp", base_exp)
-        object.__setattr__(self, "step", step)
+        super().__init__(sign, base_exp, step)
 
 
 class EtaQuotientSpec(FrozenRecord):
@@ -79,8 +77,7 @@ class EtaQuotientSpec(FrozenRecord):
                 raise DomainError(f"Pochhammer factor must start at q^1 or later, got {p!r}")
             if not isinstance(e, int):
                 raise DomainError(f"Pochhammer exponent must be an integer, got {e!r}")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "pochs", pochs)
+        super().__init__(exponents, pochs)
 
 
 def apply_pochhammer(out: list[int], spec: PochhammerSpec, power: int) -> None:

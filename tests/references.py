@@ -18,6 +18,8 @@ registry's lemma2.1-2.3 texts are checked against.  The
 classical partition families are eta quotients, and the ``*_brute``
 counters enumerate the same partitions by plain backtracking.
 ``qualifying_primes`` scans for the primes a congruence family admits.
+``mock_incremental`` sums a mock stream afresh in nested form, the deep
+cross-check of the Hecke route of lambda and nu.
 ``leaf_demands`` reads the order at which a demand plan expands each leaf.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from qseries import mock as mock_mod
 from qseries.expr import Eta, Expr, Lit, Mock, Mono, Plan, RulesetRef, Stream, Theta
 from qseries.ntheory import FAMILIES, DomainError, is_prime, legendre
 from qseries.products import (
@@ -404,6 +407,14 @@ def qualifying_primes(family: str, bound: int) -> list[int]:
         if legendre(spec.legendre_w, p) == -1:
             out.append(p)
     return out
+
+
+# -- mock: a fresh nested sum -----------------------------------------------
+
+def mock_incremental(mock_id: mock_mod.MockThetaId, order: int) -> TruncatedSeries:
+    """The stream below ``order`` summed afresh in nested form, sharing no
+    cached expansion.  For lambda and nu it is O(order^2)."""
+    return mock_mod._nested(mock_id, None, None, order)[0]
 
 
 # -- expr: the leaf orders of a demand plan ---------------------------------

@@ -702,7 +702,7 @@ class TestErrors:
     def test_unknown_ruleset_is_an_error(self):
         claim = Claim(
             "bogus.gf", ClaimKind.IDENTITY,
-            lhs=parse_expr("ruleset(bogus)"), rhs=parse_expr("1"), order=20,
+            lhs=RulesetRef("bogus"), rhs=parse_expr("1"), order=20,
         )
         r = verify(claim)
         assert (r.status, r.first_failure, r.message) == ("error", None, "unknown ruleset 'bogus'")

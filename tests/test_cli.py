@@ -191,7 +191,7 @@ class TestSeries:
 
     def test_unknown_ruleset(self, capsys):
         code, out, err = run_cli(capsys, "series", "ruleset(bogus)")
-        assert (code, out, err) == (2, "", "error: unknown ruleset 'bogus'\n")
+        assert (code, out, err) == (2, "", "error: unknown ruleset 'bogus' at offset 0\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,6 +20,7 @@ from qseries.expr import (
     Mono,
     ParseError,
     Pow,
+    RulesetRef,
     Subst,
     Theta,
     UnknownSymbolError,
@@ -239,8 +240,12 @@ class TestEval:
             eval_expr(parse_expr("1/(2+q)"), 10)
 
     def test_unknown_ruleset(self):
+        with pytest.raises(UnknownSymbolError) as err:
+            parse_expr("ruleset(bogus)")
+        assert str(err.value) == "unknown ruleset 'bogus' at offset 0"
+        # a node built in code, not parsed, fails when it is evaluated
         with pytest.raises(KeyError):
-            eval_expr(parse_expr("ruleset(bogus)"), 10)
+            eval_expr(RulesetRef("bogus"), 10)
 
     def test_laurent_monomial(self):
         s = eval_expr(parse_expr("q^-1*mock(psi6)"), 30)
@@ -311,6 +316,14 @@ class TestDemandPlan:
     def test_substitution_demand(self):
         assert leaf_demands(plan(parse_expr("SUB(mock(nu),2)"), 401)) == {Mock("nu"): 201}
 
+    def test_a_zeroth_power_is_the_constant_one(self, monkeypatch):
+        # the base is never visited, so its scale 2^(10^8) is never raised
+        node = parse_expr("(mock(v)*((2^1000)^1000)^100)^0")
+        p = plan(node, 1)
+        assert (p.node, p.kids) == (Lit(1), ())
+        monkeypatch.setattr(mock_mod, "mock_series", None)
+        assert eval_expr(node, 4) == TruncatedSeries.one(4)
+
     def test_eta_quotient_folds_to_its_factors(self):
         node = parse_expr("3*(l(3)^5/l(6))*(l(2)/l(1)^2)^3")
         assert leaf_demands(plan(node, 400)) == {Eta(1): 400, Eta(2): 400, Eta(3): 400, Eta(6): 400}
@@ -377,7 +390,11 @@ class TestDemandPlan:
 
     def test_unknown_ruleset_is_never_skipped(self):
         with pytest.raises(KeyError):
-            eval_expr(parse_expr("q^5*ruleset(bogus)"), 3)
+            eval_expr(BinOp("*", Mono(5), RulesetRef("bogus")), 3)
+        # under ^0, which plans no child, the name is still refused: by the parser
+        for text in ("q^5*ruleset(bogus)", "2*ruleset(bogus)^0"):
+            with pytest.raises(UnknownSymbolError):
+                parse_expr(text)
 
     def test_unit_divisor_is_checked_below_the_valuation(self, monkeypatch):
         # 1 + v(q) starts with 1, so q^5/(1 + v(q)) is O(q^5); v itself is

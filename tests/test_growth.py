@@ -19,7 +19,7 @@ from qseries.mock import MockThetaId
 from qseries.partitions import RULESETS, count_dp
 from qseries.products import EtaQuotientSpec, PochhammerSpec
 from qseries.series import TruncatedSeries
-from references import eta_quotient_flat
+from references import eta_quotient_flat, mock_incremental
 
 # trees of the given depth: a left-leaning product chain and a sum of d terms
 TREES = {
@@ -81,14 +81,14 @@ POCH = PochhammerSpec(1, 1, 1)  # poch(q,1) = (q;q)_inf
 # Nested Euler and Cauchy sums: O(sqrt(N)) levels of O(N) work each, so twice
 # the order costs about 2^1.5 = 2.83 times the work (2.86-2.91 measured, the
 # level count rounding up; an O(N^2) sum reads 4).  lambda and nu are left
-# out: their _incremental is O(N^2) by its docstring.
+# out: their fresh nested sum is O(N^2) (references.mock_incremental).
 SUMS = {
     "eta_quotient poch(q,1)^1": lambda n: products.eta_quotient(EtaQuotientSpec({}, {POCH: 1}), n),
     "eta_quotient poch(q,1)^-1": lambda n: products.eta_quotient(EtaQuotientSpec({}, {POCH: -1}), n),
     "count_dp thm6.1": lambda n: count_dp(RULESETS["thm6.1"], n),
     "count_dp thm3.2": lambda n: count_dp(RULESETS["thm3.2"], n),
     **{
-        f"_incremental {m.value}": partial(mock_mod._incremental, m)
+        f"_incremental {m.value}": partial(mock_incremental, m)
         for m in (MockThetaId.MU, MockThetaId.SIGMA, MockThetaId.BETA,
                   MockThetaId.V, MockThetaId.PHI6, MockThetaId.PSI6)
     },

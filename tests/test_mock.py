@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from qseries import mock as mock_mod
 from qseries.mock import (
     MockThetaId,
-    _incremental,
     mock_series,
     mock_series_reference,
     valuation_schedule,
 )
 from qseries.products import eta_quotient, pochhammer, PochhammerSpec
 from qseries.series import TruncatedSeries, div_binomial, mul_binomial
+from references import mock_incremental
 
 # frozen from the reference (from-scratch Pochhammer) route
 HEADS = {
@@ -38,7 +38,7 @@ def test_frozen_heads(mock_id):
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))
 def test_incremental_matches_reference(mock_id):
-    assert _incremental(mock_id, 100) == mock_series_reference(mock_id, 100)
+    assert mock_incremental(mock_id, 100) == mock_series_reference(mock_id, 100)
 
 
 @pytest.mark.parametrize("mock_id", list(MockThetaId))
@@ -51,7 +51,7 @@ HECKE = [MockThetaId.LAMBDA, MockThetaId.NU]
 
 @pytest.mark.parametrize("mock_id", HECKE)
 def test_hecke_route_matches_incremental_deep(mock_id):
-    assert _incremental(mock_id, 3000) == mock_series(mock_id, 3000)
+    assert mock_incremental(mock_id, 3000) == mock_series(mock_id, 3000)
 
 
 @pytest.fixture
@@ -71,7 +71,7 @@ def extended_once(mock_id: MockThetaId, order: int) -> TruncatedSeries:
 def test_nu_route_at_every_small_order(empty_cache):
     # a fresh expansion to half the order extended once, and the cached
     # expansion extended by one order at a time
-    deep = _incremental(MockThetaId.NU, 300)
+    deep = mock_incremental(MockThetaId.NU, 300)
     for order in range(301):
         assert extended_once(MockThetaId.NU, order) == deep.truncate(order), order
         assert mock_mod._compute(MockThetaId.NU, order) == deep.truncate(order), order
@@ -82,8 +82,8 @@ def test_incremental_at_every_small_order(mock_id):
     # every order at or below the first term's valuation, and each valuation
     # gap of the nested sum, taken on its own, fresh and extended once
     for order in range(41):
-        assert _incremental(mock_id, order) == mock_series_reference(mock_id, order), order
-    deep = _incremental(mock_id, 400)
+        assert mock_incremental(mock_id, order) == mock_series_reference(mock_id, order), order
+    deep = mock_incremental(mock_id, 400)
     for order in range(401):
         assert extended_once(mock_id, order) == deep.truncate(order), order
 
@@ -98,7 +98,7 @@ def test_nested_sum_keeps_windows_only_for_the_streams_it_resumes(mock_id):
 
 def test_lambda_route_at_its_row_boundaries(empty_cache):
     # row n of the lambda numerator starts at q^(n(n+3)/2)
-    deep = _incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
+    deep = mock_incremental(MockThetaId.LAMBDA, 40 * 43 // 2 + 2)
     orders = {0, 1} | {n * (n + 3) // 2 + d for n in range(41) for d in (-1, 0, 1)}
     for order in sorted(o for o in orders if o >= 0):
         assert extended_once(MockThetaId.LAMBDA, order) == deep.truncate(order), order
