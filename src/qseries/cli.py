@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 (including a claim whose evaluation raised, reported with status ``error``,
-a command whose deepest expansion is beyond ``claims.MAX_ORDER``, and output
-with a coefficient past the interpreter's limit on digits in an integer's text).
+a command whose deepest expansion is beyond ``claims.MAX_ORDER``, an
+``enumerate`` count past it, and output with a coefficient past the
+interpreter's limit on digits in an integer's text).
 ``claims.within_cap`` plans the ``(series, order)`` reads of ``coeff``, ``series``
 and ``verify`` and caps every node before any work; all three run those plans.
 """
@@ -195,6 +196,11 @@ def _cmd_enumerate(args) -> int:
         print(f"error: unknown ruleset {args.ruleset!r}", file=sys.stderr)
         return 2
     rs = partitions.RULESETS[args.ruleset]
+    # the count mode holds a list of n + 1 counts; the listing streams and holds none
+    if not args.show_list and args.n + 1 > MAX_ORDER:
+        print(f"error: enumeration needs order {args.n + 1}, beyond the cap {MAX_ORDER}",
+              file=sys.stderr)
+        return 2
     if args.show_list:
         total = 0
         for parts, sign in partitions.iter_colored_partitions(rs, args.n):

@@ -18,9 +18,10 @@ Grammar (precedence low to high: + - then * / then unary - then ^):
            | "(" expr ")"
 
 Evaluation follows an exact demand plan, which ``plan`` builds in two linear
-passes, evaluating nothing.  The bottom-up pass gives each node its valuation
-and eta factors from its children's.  The top-down pass folds each node it
-keeps and takes every child order from ``_child_orders``, the one place that
+passes, evaluating nothing.  The bottom-up pass builds each node's one
+:class:`Plan`, with its valuation and eta factors from its children's.  The
+top-down pass folds each node it keeps, completes that node with its order,
+and takes every child order from ``_child_orders``, the one place that
 decides orders: from each factor's valuation it gives every child the order
 it must reach so that its parent is exact below the requested order (``q^k``
 is an exact shift, ``AP(e, m, r)`` asks for ``m*(N-1) + r + 1``, ``SUB(e, k)``
@@ -146,7 +147,7 @@ Expr = (
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_.]*)|([()+\-*/^,]))")
 
 _MOCK_NAMES = {m.value for m in mock_mod.MockThetaId}
-_STREAM_KINDS = {k.value for k in partitions.ThetaStreamKind}
+_STREAM_KINDS = partitions.THETA_STREAMS.keys()
 
 
 class _Parser:
@@ -442,26 +443,27 @@ def _print(node: Expr, level: int) -> str:
 
 # -- demand plan and evaluator ---------------------------------------------------
 
-class _Facts:
-    """What the bottom-up pass knows of one node, from its children's facts."""
+class Plan(FrozenRecord):
+    """One node of a demand plan: the folded ``node``, the ``valuation`` its
+    series starts at, the ``factors`` ``_fold`` reads, the plans of the
+    children ``_apply`` combines and the ``order`` it is evaluated to.
+    ``_facts`` builds every node bottom-up without its order, then ``_place``
+    folds the nodes it keeps and completes each with its order and placed
+    children top-down, each pass one visit per node.  Equal only to itself."""
 
-    __slots__ = ("node", "valuation", "factors", "kids")
+    node: Expr
+    valuation: int
+    factors: tuple[int, int, dict[int | PochhammerSpec, int]] | None
+    kids: tuple[Plan, ...]
+    order: int | None = None
 
-    def __init__(
-        self,
-        node: Expr,
-        valuation: int,
-        factors: tuple[int, int, dict[int | PochhammerSpec, int]] | None,
-        kids: tuple[_Facts, ...],
-    ):
-        self.node = node
-        self.valuation = valuation
-        self.factors = factors
-        self.kids = kids
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
-def _facts(node: Expr) -> _Facts:
-    """The facts of ``node`` and of every node under it, each node visited once.
+def _facts(node: Expr) -> Plan:
+    """The plan of ``node`` and of every node under it, each node visited
+    once, without orders: the valuation, the factors and the children.
 
     The valuation is the exponent at which ``TruncatedSeries`` arithmetic
     starts the node's series, so a divisor or a negative power's base must
@@ -510,10 +512,10 @@ def _facts(node: Expr) -> _Facts:
                 for k, e in b[2].items():
                     exps[k] = exps.get(k, 0) + sign * e
                 factors = a[0] * b[0], a[1] + sign * b[1], exps
-    return _Facts(node, v, factors, kids)
+    return Plan(node, v, factors, kids)
 
 
-def _child_orders(f: _Facts, order: int) -> list[tuple[_Facts, int]]:
+def _child_orders(f: Plan, order: int) -> list[tuple[Plan, int]]:
     """The children ``plan`` plans for the node of ``f``, each with its order.
 
     Each child order is the least that makes the node exact below ``order``,
@@ -564,7 +566,7 @@ def _child_orders(f: _Facts, order: int) -> list[tuple[_Facts, int]]:
 _MAX_FOLDED_POCH_POWER = 60
 
 
-def _fold(f: _Facts) -> _Facts:
+def _fold(f: Plan) -> Plan:
     """``f`` with its product of ``l(k)`` and ``poch`` powers folded, by the
     factors it carries, into ``q^shift * scale * EtaQuotientSpec``.
 
@@ -593,31 +595,17 @@ def _fold(f: _Facts) -> _Facts:
     return _facts(BinOp("*", Mono(shift), folded) if shift else folded)
 
 
-class Plan(FrozenRecord):
-    """One node of a demand plan: the folded ``node``, the ``order`` it is
-    evaluated to, the ``valuation`` its series starts at, and the plans of
-    the children ``_apply`` combines.  ``_facts`` gives every node its
-    valuation and factors bottom-up, then ``_place`` folds the nodes it keeps
-    and orders their children top-down, each pass one visit per node.
-    A plan is equal only to itself."""
-
-    node: Expr
-    order: int
-    valuation: int
-    kids: tuple[Plan, ...]
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
 def plan(node: Expr, order: int) -> Plan:
     """The demand plan of ``node`` at ``order``; nothing is evaluated."""
     return _place(_facts(node), order)
 
 
-def _place(f: _Facts, order: int) -> Plan:
-    f = _fold(f)
-    return Plan(f.node, order, f.valuation, tuple(starmap(_place, _child_orders(f, order))))
+def _place(p: Plan, order: int) -> Plan:
+    """``p`` folded, completed in place with ``order`` and its placed children."""
+    p = _fold(p)
+    object.__setattr__(p, "kids", tuple(starmap(_place, _child_orders(p, order))))
+    object.__setattr__(p, "order", order)
+    return p
 
 
 def widest(p: Plan) -> int:

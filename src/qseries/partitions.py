@@ -17,7 +17,6 @@ A negative bound counts nothing: ``count_signed`` returns ``[]`` and
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterator
 
 from .products import (
@@ -230,23 +229,17 @@ def count_dp(ruleset: PartitionRuleSet, order: int) -> TruncatedSeries:
     return eta_quotient(EtaQuotientSpec({}, pochs), order)
 
 
-class ThetaStreamKind(enum.Enum):
-    PENTAGONAL = "pentagonal"
-    TRIANGULAR_JACOBI = "jacobi"
-    SQUARE_PHI = "phi"
-    TRIANGULAR_PSI = "psi"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ThetaStreamKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise KeyError(f"unknown theta stream kind {name!r}") from None
+# ``theta_stream`` by kind; each entry looks its generator up when called, so
+# one rebound on this module (a tracer, a test's spy) is the one it calls
+THETA_STREAMS = {
+    "pentagonal": lambda scale, order: eta(scale, order),
+    "jacobi": lambda scale, order: jacobi_cube(order, scale),
+    "phi": lambda scale, order: theta_f(-1, scale, -1, scale, order),
+    "psi": lambda scale, order: theta_f(1, scale, 1, 3 * scale, order),
+}
 
 
-def theta_stream(
-    kind: ThetaStreamKind | str, scale: int, order: int
-) -> TruncatedSeries:
+def theta_stream(kind: str, scale: int, order: int) -> TruncatedSeries:
     """The weighted exponent streams of the claim language's ``stream(kind, s)``,
     each one ``products`` generator with its exponents scaled by s (m >= 0 for
     jacobi and psi, every integer m for the others); the direct summation of
@@ -257,15 +250,9 @@ def theta_stream(
     phi:         sum (-1)^m q^(s m^2)               = phi(-q^s)  theta_f(-1, s, -1, s, N)
     psi:         sum q^(s m(m+1)/2)                 = psi(q^s)   theta_f(1, s, 1, 3s, N)
     """
-    if isinstance(kind, str):
-        kind = ThetaStreamKind.from_name(kind)
+    stream = THETA_STREAMS.get(kind.lower())
+    if stream is None:
+        raise KeyError(f"unknown theta stream kind {kind!r}")
     if scale < 1:
         raise SeriesError(f"scale must be positive, got {scale}")
-    if kind is ThetaStreamKind.PENTAGONAL:
-        return eta(scale, order)
-    if kind is ThetaStreamKind.TRIANGULAR_JACOBI:
-        return jacobi_cube(order, scale)
-    if kind is ThetaStreamKind.SQUARE_PHI:
-        return theta_f(-1, scale, -1, scale, order)
-    return theta_f(1, scale, 1, 3 * scale, order)  # TRIANGULAR_PSI
-
+    return stream(scale, order)

@@ -28,7 +28,9 @@ from qseries.claims import (
     tally,
     verify,
 )
-from qseries.expr import Ap, BinOp, Expr, Mock, Mono, RulesetRef, eval_expr, parse_expr, to_text
+from qseries.expr import (
+    Ap, BinOp, Expr, Mock, Mono, Plan, RulesetRef, eval_expr, parse_expr, to_text,
+)
 from qseries.ntheory import FAMILIES, PreconditionError, family_indices
 from qseries.series import TruncatedSeries
 import references
@@ -339,6 +341,12 @@ class TestDemandPlan:
             target, _, plans, _ = claims_mod._plan(claim, None, None, MAX_ORDER)
             demands = [leaf_demands(p) for p in plans]
             assert target > 0 and all(demands), claim.id
+            # every node is one completed Plan, never a bottom-up node left without its order
+            stack = list(plans)
+            while stack:
+                p = stack.pop()
+                assert type(p) is Plan and type(p.order) is int, claim.id
+                stack.extend(p.kids)
 
     def test_cap_sees_the_enumeration_bound(self, monkeypatch):
         # the enumeration reads v at 2*12+1, past the generating-function order 5

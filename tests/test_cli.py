@@ -463,6 +463,21 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "bogus", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [50_000, 10**11])
+    def test_count_past_the_cap_is_refused_before_the_walk(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(partitions, "count_signed", refuse_to_evaluate)
+        code, out, err = run_cli(capsys, "enumerate", "thm3.2", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: enumeration needs order {n + 1}, beyond the cap 50000\n"
+
+    def test_count_at_the_cap_walks(self, capsys, monkeypatch):
+        bounds = []
+        monkeypatch.setattr(
+            partitions, "count_signed", lambda rs, bound: bounds.append(bound) or [7] * (bound + 1)
+        )
+        assert run_cli(capsys, "enumerate", "thm3.2", "49999") == (0, "7\n", "")
+        assert bounds == [49_999]
+
     def test_closed_pipe_is_quiet(self, tmp_path):
         # stderr goes to a file: a long traceback would fill a pipe nobody reads
         with open(tmp_path / "err.txt", "w+") as err:

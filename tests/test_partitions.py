@@ -6,12 +6,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qseries import partitions
 from qseries.mock import mock_series
 from qseries.partitions import (
     PartitionRuleSet,
     ResidueRule,
     RULESETS,
-    ThetaStreamKind,
     count_dp,
     count_signed,
     iter_colored_partitions,
@@ -268,7 +268,7 @@ class TestClassicalFamilies:
 
 class TestThetaStream:
     def test_jacobi_scaled(self):
-        s = theta_stream(ThetaStreamKind.TRIANGULAR_JACOBI, 3, 20)
+        s = theta_stream("JACOBI", 3, 20)  # a kind is read case-blind
         assert [s.coefficient(e) for e in (0, 3, 9, 18)] == [1, -3, 5, -7]
         assert all(s.coefficient(e) == 0 for e in range(20) if e not in (0, 3, 9, 18))
 
@@ -299,3 +299,24 @@ class TestThetaStream:
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
             theta_stream("cubes", 1, 10)
+
+    def test_each_kind_calls_the_generator_bound_on_the_module(self, monkeypatch):
+        # a wrapper rebound on the module, as a tracer installs, sees every call
+        calls = []
+
+        def spy(name):
+            return lambda *args: calls.append((name, args))
+
+        for name in ("eta", "jacobi_cube", "theta_f"):
+            monkeypatch.setattr(partitions, name, spy(name))
+        expected = {
+            "pentagonal": ("eta", (2, 9)),
+            "jacobi": ("jacobi_cube", (9, 2)),
+            "phi": ("theta_f", (-1, 2, -1, 2, 9)),
+            "psi": ("theta_f", (1, 2, 1, 6, 9)),
+        }
+        assert set(expected) == set(partitions.THETA_STREAMS)
+        for kind, call in expected.items():
+            calls.clear()
+            theta_stream(kind, 2, 9)
+            assert calls == [call], kind
