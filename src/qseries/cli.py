@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage or input error
 (including a claim whose evaluation raised, reported with status ``error``,
-a command whose deepest expansion is beyond ``claims.MAX_ORDER``, an
-``enumerate`` count past it, and output with a coefficient past the
-interpreter's limit on digits in an integer's text).
+a claim reported ``skipped``, which checked nothing, a command whose
+deepest expansion is beyond ``claims.MAX_ORDER``, an ``enumerate`` count
+past it, and output with a coefficient past the interpreter's limit on
+digits in an integer's text).
 ``claims.within_cap`` plans the ``(series, order)`` reads of ``coeff``, ``series``
 and ``verify`` and caps every node before any work; all three run those plans.
 """

@@ -144,7 +144,11 @@ Expr = (
 
 # -- tokenizer / parser ------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_.]*)|([()+\-*/^,]))")
+# a token after optional blanks: an integer, a name, a symbol, or a "bad"
+# character, which no token starts with
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_.]*)|(?P<sym>[()+\-*/^,])|(?P<bad>\S))"
+)
 
 _MOCK_NAMES = {m.value for m in mock_mod.MockThetaId}
 _STREAM_KINDS = partitions.THETA_STREAMS.keys()
@@ -152,24 +156,14 @@ _STREAM_KINDS = partitions.THETA_STREAMS.keys()
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == m.start():
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("sym", m.group(3), m.start(3)))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
+        # every rule that consumes eof raises, so peek never reads past it
+        self.tokens.append(("eof", "", len(text)))
         self.i = 0
         self.nesting = 0
         self.depths: dict[int, int] = {}
@@ -177,9 +171,7 @@ class _Parser:
     # token helpers
 
     def peek(self) -> tuple[str, str, int]:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
+        return self.tokens[self.i]
 
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()

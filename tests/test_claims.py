@@ -758,6 +758,69 @@ count=60
 RECURRENCE = "type=recurrence\nlhs=l(1)\nrhs=l(1)"
 
 
+# a record of each claim type with only its required fields
+REQUIRED_FIELDS = {
+    "identity": "lhs=l(1)\nrhs=l(1)",
+    "recurrence": "lhs=l(1)\nrhs=l(1)",
+    "congruence": "expr=l(1)\nM=2",
+    "congruence-family": "family=thm4.3\np=5",
+    "interpretation": "mock=v\nruleset=thm3.2",
+}
+
+# every field each claim type reads, written by hand from the reader's output
+# before its field table: (type, field, the value, or None to leave the field
+# out, and the exact error or the (attribute, value) the claim stores).  A
+# required field is left out; an optional one is left out for its default and
+# given one below its least value, if it has one.
+READ_FIELDS = [
+    ("identity", "lhs", None, "f: claim 'x' missing field 'lhs'"),
+    ("identity", "rhs", None, "f: claim 'x' missing field 'rhs'"),
+    ("identity", "order", None, ("order", 200)),
+    ("identity", "order", "0", "f: claim 'x' field 'order' must be at least 1, got 0"),
+    ("recurrence", "lhs", None, "f: claim 'x' missing field 'lhs'"),
+    ("recurrence", "rhs", None, "f: claim 'x' missing field 'rhs'"),
+    ("recurrence", "order", None, ("order", 200)),
+    ("recurrence", "order", "0", "f: claim 'x' field 'order' must be at least 1, got 0"),
+    ("recurrence", "direct", None, ("direct", None)),
+    ("recurrence", "direct", "0", "f: claim 'x' field 'direct': unknown route '0'"),
+    ("congruence", "expr", None, "f: claim 'x' missing field 'expr'"),
+    ("congruence", "A", None, ("A", 1)),
+    ("congruence", "A", "0", "f: claim 'x' field 'A' must be at least 1, got 0"),
+    ("congruence", "B", None, ("B", 0)),
+    ("congruence", "B", "-1", "f: claim 'x' field 'B' must be at least 0, got -1"),
+    ("congruence", "M", None, "f: claim 'x' missing field 'M'"),
+    ("congruence", "M", "1", "f: claim 'x' field 'M' must be at least 2, got 1"),
+    ("congruence", "count", None, ("count", 100)),
+    ("congruence", "count", "0", "f: claim 'x' field 'count' must be at least 1, got 0"),
+    ("congruence-family", "family", None, "f: claim 'x' missing field 'family'"),
+    ("congruence-family", "p", None, "f: claim 'x' missing field 'p'"),
+    ("congruence-family", "p", "-2", ("p", -2)),  # no least value
+    ("congruence-family", "alpha", None, ("alpha", 0)),
+    ("congruence-family", "alpha", "-1", ("alpha", -1)),  # no least value
+    ("congruence-family", "count", None, ("count", 5)),
+    ("congruence-family", "count", "0", "f: claim 'x' field 'count' must be at least 1, got 0"),
+    ("interpretation", "mock", None, "f: claim 'x' missing field 'mock'"),
+    ("interpretation", "ruleset", None, "f: claim 'x' missing field 'ruleset'"),
+    ("interpretation", "A", None, ("A", 1)),
+    ("interpretation", "A", "0", "f: claim 'x' field 'A' must be at least 1, got 0"),
+    ("interpretation", "B", None, ("B", 0)),
+    ("interpretation", "B", "-1", "f: claim 'x' field 'B' must be at least 0, got -1"),
+    ("interpretation", "bound", None, ("bound", 20)),
+    ("interpretation", "bound", "-1", "f: claim 'x' field 'bound' must be at least 0, got -1"),
+    # an interpretation's order is stored in dp_order, 0 when it is left out
+    ("interpretation", "order", None, ("dp_order", 0)),
+    ("interpretation", "order", "7", ("dp_order", 7)),
+    ("interpretation", "order", "0", "f: claim 'x' field 'order' must be at least 1, got 0"),
+]
+# each field in a record of a type that does not read it
+FOREIGN_FIELDS = [
+    (kind, field, "1", f"f: claim 'x' field '{field}' is not read by {kind} claims")
+    for kind in REQUIRED_FIELDS
+    for field in dict.fromkeys(f for _, f, _, _ in READ_FIELDS)
+    if all((k, f) != (kind, field) for k, f, _, _ in READ_FIELDS)
+]
+
+
 class TestClaimFiles:
     def test_parse_and_verify(self):
         claims = parse_claim_file(CLAIM_FILE)
@@ -822,6 +885,25 @@ class TestClaimFiles:
     def test_missing_text_field(self, fields, missing):
         with pytest.raises(ValueError, match=f"^f: claim 'x' missing field '{missing}'$"):
             parse_claim_file(f"[claim]\nid=x\n{fields}\n", source="f")
+
+    @pytest.mark.parametrize(
+        "kind, field, value, want",
+        READ_FIELDS + FOREIGN_FIELDS,
+        ids=[f"{k}-{f}-{v}" for k, f, v, _ in READ_FIELDS + FOREIGN_FIELDS],
+    )
+    def test_each_field_of_each_type(self, kind, field, value, want):
+        lines = [f for f in REQUIRED_FIELDS[kind].splitlines() if not f.startswith(f"{field}=")]
+        if value is not None:
+            lines.append(f"{field}={value}")
+        text = f"[claim]\nid=x\ntype={kind}\n" + "\n".join(lines) + "\n"
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                parse_claim_file(text, source="f")
+            assert str(info.value) == want
+        else:
+            (claim,) = parse_claim_file(text, source="f")
+            attribute, stored = want
+            assert getattr(claim, attribute) == stored
 
     def test_non_integer_field(self):
         text = "[claim]\nid=x\ntype=identity\nlhs=l(1)\nrhs=l(1)\norder=abc\n"
@@ -991,7 +1073,9 @@ class TestReports:
             return [VerificationReport("x", s) for s in statuses]
 
         assert tally([]) == ("0 pass, 0 fail, 0 skipped, 0 error", 0)
-        assert tally(reports("pass", "skipped")) == ("1 pass, 0 fail, 1 skipped, 0 error", 0)
+        # a skipped claim checked nothing, so it is no pass
+        assert tally(reports("pass", "skipped")) == ("1 pass, 0 fail, 1 skipped, 0 error", 2)
+        assert tally(reports("fail", "skipped")) == ("0 pass, 1 fail, 1 skipped, 0 error", 2)
         assert tally(reports("pass", "fail", "fail")) == ("1 pass, 2 fail, 0 skipped, 0 error", 1)
         assert tally(reports("fail", "error")) == ("0 pass, 1 fail, 0 skipped, 1 error", 2)
 

@@ -396,6 +396,14 @@ class TestVerify:
         (report,) = json.loads(out)
         assert report["status"] == "error" and report["first_failure"] is None
 
+    def test_skipped_report_exits_two(self, capsys):
+        # 60 001 terms of lambda(2n) span 120 001 coefficients, past the cap,
+        # so the claim checks nothing, which is no pass
+        code, out, err = run_cli(capsys, "verify", "thm6.1", "--count", "60000")
+        assert (code, err) == (2, "")
+        assert "needs order 120001, beyond the cap 50000" in out
+        assert out.splitlines()[-1] == "-- 0 pass, 0 fail, 1 skipped, 0 error"
+
     @past_the_digit_limit
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_coefficient_past_the_digit_limit(self, capsys, tmp_path, fmt):

@@ -71,6 +71,54 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expr("l(1) l(2)")
 
+    # a character no token starts with, at offset 0, in the middle, right after
+    # a token and before trailing blanks; "_" and "." may only follow a name's
+    # first letter, and a non-ASCII letter starts no name
+    @pytest.mark.parametrize("char", ["$", "_", ".", "é"])
+    @pytest.mark.parametrize(
+        "template, offset",
+        [
+            ("{c}l(1)", 0),
+            ("l(1) + {c} l(2)", 7),
+            ("l(1){c}", 4),
+            ("2{c}", 1),
+            ("l(1)+{c}l(2)", 5),
+            ("l(1) {c}  ", 5),
+        ],
+    )
+    def test_bad_character_is_reported_at_its_offset(self, char, template, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expr(template.format(c=char))
+        assert str(err.value) == f"unexpected character {char!r} at offset {offset}"
+        assert err.value.position == offset
+
+    # a tab is a blank like a space, wherever it stands
+    @pytest.mark.parametrize(
+        "text, node",
+        [
+            ("\tl(1)", Eta(1)),
+            ("l(1) + \t l(2)", BinOp("+", Eta(1), Eta(2))),
+            ("l(1)\t", Eta(1)),
+            ("l(1)+\tl(2)", BinOp("+", Eta(1), Eta(2))),
+            ("l(1) \t  ", Eta(1)),
+        ],
+    )
+    def test_tab_is_a_blank(self, text, node):
+        assert parse_expr(text) == node
+
+    def test_bad_character_after_a_tab(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("l(1)\t$")
+        assert (str(err.value), err.value.position) == ("unexpected character '$' at offset 5", 5)
+
+    # no token at all: the parser reads the end, which is the text's length
+    @pytest.mark.parametrize("text", ["", " ", "   ", "\t", "\t \n"])
+    def test_empty_or_blank_expression(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"unexpected '' at offset {len(text)}"
+        assert err.value.position == len(text)
+
     def test_precedence(self):
         node = parse_expr("1 + 2*3^2")
         assert eval_expr(node, 5).coefficient(0) == 19

@@ -18,7 +18,7 @@ from qseries.expr import parse_expr
 from qseries.mock import MockThetaId
 from qseries.partitions import RULESETS, count_dp
 from qseries.products import EtaQuotientSpec, PochhammerSpec
-from qseries.series import TruncatedSeries
+from counting import kernel_elements, pass_work
 from references import eta_quotient_flat, mock_incremental
 
 # trees of the given depth: a left-leaning product chain and a sum of d terms
@@ -52,29 +52,6 @@ def test_planning_is_linear_in_depth(shape):
     # with four times the nodes, costs four times the visits (199 and 799 here)
     small, big = (planner_visits(TREES[shape](d)) for d in (100, 400))
     assert big <= 4.5 * small
-
-
-def kernel_elements(build, n: int) -> int:
-    """Coefficients the binomial kernels touch while ``build(n)`` runs: the
-    sum of ``len(coeffs) - e`` over the calls of ``mul_binomial`` and
-    ``div_binomial``, patched in every module that imports them by name."""
-    touched = 0
-
-    def counting(real):
-        def kernel(coeffs, e, c):
-            nonlocal touched
-            touched += max(len(coeffs) - e, 0)
-            return real(coeffs, e, c)
-
-        return kernel
-
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (series_mod, products, mock_mod):
-            for name in ("mul_binomial", "div_binomial"):
-                if hasattr(module, name):
-                    patch.setattr(module, name, counting(getattr(series_mod, name)))
-        build(n)
-    return touched
 
 
 POCH = PochhammerSpec(1, 1, 1)  # poch(q,1) = (q;q)_inf
@@ -139,35 +116,6 @@ def test_extending_a_hecke_quotient_pulls_only_the_new_range(mock_id):
         patch.setattr(mock_mod, "pull_quotient", recording)
         ramp(mock_id, 2000)
     assert pulled == [(0, 1000), (1000, 2000)]
-
-
-def pass_work(build, n: int) -> int:
-    """The pass work of ``build(n)``: nnz(sparser operand) * len over every
-    ``TruncatedSeries.__mul__``, nnz(divisor) * len over every
-    ``__truediv__`` (len is the result's), plus :func:`kernel_elements`."""
-    work = 0
-    real_mul, real_div = TruncatedSeries.__mul__, TruncatedSeries.__truediv__
-
-    def nnz(s: TruncatedSeries) -> int:
-        return len(s.coeffs) - s.coeffs.count(0)
-
-    def mul(a, b):
-        nonlocal work
-        out = real_mul(a, b)
-        work += min(nnz(a), nnz(b)) * len(out.coeffs)
-        return out
-
-    def div(a, b):
-        nonlocal work
-        out = real_div(a, b)
-        work += nnz(b) * len(out.coeffs)
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TruncatedSeries, "__mul__", mul)
-        patch.setattr(TruncatedSeries, "__truediv__", div)
-        elements = kernel_elements(build, n)
-    return work + elements
 
 
 EQ24 = {2: 5, 1: -2, 4: -2}  # eq2.4's rhs l(2)^5/(l(1)^2 l(4)^2), grids 1, 2 and 4
