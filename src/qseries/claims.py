@@ -30,6 +30,7 @@ import io
 import json
 import time
 import os
+import re
 from collections.abc import Iterable, Sequence
 
 from . import expr as expr_mod
@@ -393,6 +394,18 @@ _FIELDS: dict[ClaimKind, dict[str, str | tuple[int | None, int | None]]] = {
 }
 
 
+# int() also reads another script's digits, "_" between digits and blanks
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def read_int(text: str) -> int:
+    """``int(text)`` of ASCII digits after an optional sign, the one form of an
+    integer in a claim file or a command-line argument; any other raises ValueError."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _reads(key: str, kinds: Iterable[ClaimKind]) -> bool:
     """Whether claims of any of ``kinds`` read the field ``key``."""
     if key in ("id", "type", "cite", "notes"):
@@ -462,10 +475,10 @@ def _claim_from_record(rec: dict[str, str], source: str) -> Claim:
 
     def num(key: str, text: str, least: int | None) -> int:
         try:
-            value = int(text)
+            value = read_int(text)
         except ValueError:
             digits = text[1:] if text[:1] in ("+", "-") else text
-            if digits.isdecimal():  # past the interpreter's limit on int() of a string
+            if digits.isascii() and digits.isdecimal():  # past the limit on int() of a string
                 raise ValueError(
                     f"{where} {key!r}: integer of {len(digits)} digits is too long"
                 ) from None
@@ -531,5 +544,5 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 __all__ = [
     "Claim", "ClaimKind", "MAX_ORDER", "VerificationReport", "verify", "registry",
     "registry_by_id", "parse_claim_file", "reports_to_json", "reports_to_csv",
-    "tally", "within_cap",
+    "tally", "within_cap", "read_int",
 ]

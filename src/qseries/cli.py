@@ -34,11 +34,15 @@ from .series import SeriesError, format_series
 _COLOR_NAMES = "abcdefghij"
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        return claims_mod.read_int(text)
+    except ValueError:  # argparse's own wording for a bad int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value <= 0:
         # an order or count of 0 would check nothing and report a vacuous pass
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
@@ -54,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeff", help="print exact mock theta coefficients")
     c.add_argument("name", help="one of " + ", ".join(m.value for m in MockThetaId))
-    c.add_argument("indices", nargs="+", type=int)
+    c.add_argument("indices", nargs="+", type=_int)
 
     s = sub.add_parser("series", help="expand an expression")
     # optional to argparse, which takes "-l(1)^2" for an unknown option; main
     # reads a lone such token as the expression and requires one
     s.add_argument("expr", nargs="?")
-    s.add_argument("--order", type=int, default=50)
+    s.add_argument("--order", type=_int, default=50)
 
     v = sub.add_parser("verify", help="verify registry and/or file claims")
     v.add_argument("claim", nargs="?", default="all")
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("enumerate", help="signed colored-partition count")
     e.add_argument("ruleset", help="one of " + ", ".join(sorted(partitions.RULESETS)))
-    e.add_argument("n", type=int)
+    e.add_argument("n", type=_int)
     e.add_argument("--list", action="store_true", dest="show_list")
 
     sub.add_parser("list", help="print the claim registry")

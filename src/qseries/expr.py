@@ -145,9 +145,11 @@ Expr = (
 # -- tokenizer / parser ------------------------------------------------------
 
 # a token after optional blanks: an integer, a name, a symbol, or a "bad"
-# character, which no token starts with
+# character, which no token starts with; ASCII, so another script's digit or
+# blank is a bad character
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_.]*)|(?P<sym>[()+\-*/^,])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_.]*)|(?P<sym>[()+\-*/^,])|(?P<bad>\S))",
+    re.ASCII,
 )
 
 _MOCK_NAMES = {m.value for m in mock_mod.MockThetaId}

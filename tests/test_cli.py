@@ -2,14 +2,14 @@
 
 import json
 import re
-import select
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qseries import cli, expr, partitions
+import cli_cases
+from qseries import cli, expr, mock, partitions
 from qseries.cli import main
 
 
@@ -49,6 +49,41 @@ DIGITS_ERROR = (
 )
 
 
+def _param(case):
+    past = case["argv"][:2] in (["series", BIG], ["series", f"1/{BIG}"])
+    return pytest.param(case, marks=past_the_digit_limit if past else (), id=cli_cases.case_id(case))
+
+
+@pytest.mark.parametrize("case", [_param(case) for case in cli_cases.load()])
+def test_cli_case(capsys, monkeypatch, case):
+    """A row of tests/data/cli_cases.jsonl, from the root and a cold mock cache
+    as a process starts; one that closes the pipe or has a timeout is a process."""
+    monkeypatch.chdir(cli_cases.ROOT)
+
+    def in_process(argv):
+        mock._cache.clear()
+        return (main(list(argv)), *capsys.readouterr())
+
+    def as_process(argv):
+        return cli_cases.run_process([sys.executable, "-m", "qseries"], case, argv)
+
+    run = as_process if "head" in case or "timeout" in case else in_process
+    assert cli_cases.check(case, run) == []
+
+
+def test_case_table_refuses_a_vacuous_pass(tmp_path):
+    table = tmp_path / "cases.jsonl"
+    for rows, message in [
+        ([], "no cases"),
+        ([{"argv": [], "exit": 2, "stdrr_has": "usage"}], "unknown field 'stdrr_has'"),
+        ([{"argv": [], "stderr_has": "usage"}], "needs 'argv' and 'exit'"),
+        ([{"argv": [], "exit": 0, "stdout": "", "stdout_of": []}], "at most one of"),
+    ]:
+        table.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=message):
+            cli_cases.load(table)
+
+
 class TestCoeff:
     def test_v_values(self, capsys):
         code, out, _ = run_cli(capsys, "coeff", "v", "1", "3", "5")
@@ -83,10 +118,6 @@ class TestSeries:
         code, _, err = run_cli(capsys, "series", text, "--order", "10")
         assert code == 2
         assert "offset" in err
-
-    def test_poch_leading_with_two_is_no_divisor(self, capsys):
-        code, out, err = run_cli(capsys, "series", "1/poch(-q^0,2)", "--order", "5")
-        assert (code, out, err) == (2, "", "error: leading coefficient 2 is not +1 or -1\n")
 
     def test_folded_triple_product_prints_its_theta_series(self, capsys):
         folded = run_cli(capsys, "series", "poch(-q,2)^2*poch(q^2,2)", "--order", "30")
@@ -127,15 +158,6 @@ class TestSeries:
         assert (code, out) == (2, "")
         assert err == f"error: expansion needs order {span}, beyond the cap 50000\n"
 
-    def test_node_zero_below_its_order_is_not_capped(self, capsys):
-        # SUB(q^1000,1000) is asked for order 10^6 at its valuation 10^6, so it is 0
-        code, out, err = run_cli(capsys, "series", "AP(SUB(q^1000,1000),2,0)", "--order", "1")
-        assert (code, out, err) == (0, "0 + O(q^1)\n", "")
-        # the read's own order is still capped
-        code, out, err = run_cli(capsys, "series", "SUB(q^1000,1000)", "--order", "1000000")
-        assert (code, out) == (2, "")
-        assert err == "error: expansion needs order 1000000, beyond the cap 50000\n"
-
     def test_runs_the_plan_the_cap_checked(self, capsys, monkeypatch):
         capped, ran = [], []
         real_cap, real_run = cli.within_cap, cli.run
@@ -167,22 +189,6 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "q^-2*l(1)", "--order", "3")
         assert code == 0
         assert out.strip() == "q^-2 - q^-1 - 1 + O(q^3)"
-
-    @past_the_digit_limit
-    def test_coefficient_past_the_digit_limit_exits_two(self, capsys):
-        code, out, err = run_cli(capsys, "series", BIG, "--order", "2")
-        assert (code, out, err) == (2, "", DIGITS_ERROR)
-
-    @past_the_digit_limit
-    def test_divisor_lead_past_the_digit_limit_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qseries", "series", f"1/{BIG}", "--order", "2"],
-            capture_output=True,
-            text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: leading coefficient (4516 digits) is not +1 or -1\n"
-        assert "Traceback" not in proc.stderr
 
     def test_reciprocal_of_a_mock_stream(self, capsys):
         # v(q) starts at q^1, so 1/v(q) starts at q^-1
@@ -485,26 +491,6 @@ class TestEnumerate:
         )
         assert run_cli(capsys, "enumerate", "thm3.2", "49999") == (0, "7\n", "")
         assert bounds == [49_999]
-
-    def test_closed_pipe_is_quiet(self, tmp_path):
-        # stderr goes to a file: a long traceback would fill a pipe nobody reads
-        with open(tmp_path / "err.txt", "w+") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "qseries", "enumerate", "thm6.1", "400", "--list"],
-                stdout=subprocess.PIPE, stderr=err, text=True,
-            )
-            try:
-                # a walk that finds no partition must fail the test, not hang it
-                ready, _, _ = select.select([proc.stdout], [], [], 60)
-                first = proc.stdout.readline() if ready else ""
-                proc.stdout.close()
-                code = proc.wait(timeout=60)
-            finally:
-                proc.kill()
-            err.seek(0)
-            assert "Traceback" not in err.read()
-        assert first == "+ 199c 201a\n"
-        assert code == 1
 
 
 class TestList:

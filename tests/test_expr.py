@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qseries import expr as expr_mod
 from qseries import mock as mock_mod
-from qseries import products
+from qseries import partitions, products
 from qseries.claims import registry, registry_by_id
 from qseries.expr import (
     MAX_DEPTH,
@@ -352,6 +352,10 @@ class TestInputBoundary:
 
 
 class TestDemandPlan:
+    def test_one_plan_node_and_one_table_of_stream_kinds(self):
+        # both planning passes build Plan nodes; the theta-stream kinds are partitions.THETA_STREAMS
+        assert not hasattr(expr_mod, "_Facts") and not hasattr(partitions, "ThetaStreamKind")
+
     def test_shift_is_exact(self):
         s = eval_expr(parse_expr("q^-20*mock(v)"), 100)
         assert s.order == 100 and s.valuation == -19  # v(q) starts at q^1
